@@ -18,7 +18,7 @@ EstimateCache::EstimateCache(std::size_t capacity, std::size_t stripes)
 }
 
 std::uint64_t EstimateCache::workload_hash(std::string_view csv_bytes) {
-  return util::fnv1a64(csv_bytes);
+  return util::xxh64(csv_bytes);
 }
 
 EstimateCache::Stripe& EstimateCache::stripe_for(const Key& key) {

@@ -5,9 +5,9 @@
 // determines the estimate — an identical request may be answered from
 // memory with the exact bytes a recompute would produce. The cache stores
 // opaque value strings (the server stores encoded per-workload reply
-// payloads), keyed on the model id, the `util::fnv1a64` of the workload
-// CSV bytes, and the merge policy byte; the byte-identity contract
-// (DESIGN.md §14) is enforced by tests, not trusted.
+// payloads), keyed on the model id, the `workload_hash` (XXH64) of the
+// workload's wire bytes, and the merge policy byte; the byte-identity
+// contract (DESIGN.md §14) is enforced by tests, not trusted.
 //
 // Concurrency: the key hash selects one of `stripes` independent LRU
 // stripes, each behind its own util::Mutex at rank kEstimateCache — the
@@ -45,8 +45,8 @@ class EstimateCache {
   explicit EstimateCache(std::size_t capacity, std::size_t stripes = 8);
 
   /// The cache key: which model, which exact workload bytes, which merge
-  /// policy. The workload is carried as its fnv1a64 — compute it once per
-  /// request with `workload_hash`.
+  /// policy. The workload is carried as its `workload_hash` — compute it
+  /// once per request.
   struct Key {
     std::string model_id;
     std::uint64_t csv_hash = 0;
@@ -59,6 +59,11 @@ class EstimateCache {
     }
   };
 
+  /// util::xxh64 of a workload's exact wire bytes (text CSV or
+  /// spire-profile-bin): the one key this cache and ProfileCache share.
+  /// Every request pays it over its whole payload, so it is the fast hash,
+  /// not the registry's fnv1a64; nothing persists it. A result of 0 is
+  /// the caller's "uncacheable" sentinel (Shard::Workload::hash).
   static std::uint64_t workload_hash(std::string_view csv_bytes);
 
   /// Returns the cached value and refreshes its LRU position, or nullopt.

@@ -5,16 +5,20 @@
 // replays the same WORKLOAD against many models — every such request misses
 // the reply cache and used to re-parse the identical CSV bytes from
 // scratch. ProfileCache memoizes the parse itself: keyed on the
-// util::fnv1a64 of the workload bytes (the same hash the reply-cache key
-// already computes, so the hot path hashes once), it stores the
-// parsed-and-viewed form ready to hand to the batch kernel. A reply-cache
-// miss over a profile the fleet has seen then skips straight to evaluation.
+// EstimateCache::workload_hash of the workload bytes (the same hash the
+// reply-cache key already computes, so the hot path hashes once), it
+// stores the parsed-and-viewed form ready to hand to the batch kernel. A
+// reply-cache miss over a profile the fleet has seen then skips straight
+// to evaluation.
 //
 // Values are shared_ptr<const ParsedProfile>: eviction never invalidates a
 // batch that is still evaluating through the parse, and concurrent pumps
 // share one copy. Striping, LRU discipline, and the counter design mirror
 // EstimateCache; the per-stripe mutexes sit at rank kProfileCache = 52,
-// acquired by shard pumps with no other serving lock held.
+// acquired with no other serving lock held: by the server's connection
+// readers to look a memo-missed text workload up before enqueue (a hit
+// queues as a view of the cached parse), and by shard pumps to publish
+// each fresh parse.
 #pragma once
 
 #include <atomic>
@@ -56,7 +60,7 @@ class ProfileCache {
   explicit ProfileCache(std::size_t capacity, std::size_t stripes = 8);
 
   /// Returns the cached profile and refreshes its LRU position, or nullptr.
-  /// `hash` is util::fnv1a64 over the exact workload bytes.
+  /// `hash` is EstimateCache::workload_hash over the exact workload bytes.
   std::shared_ptr<const ParsedProfile> lookup(std::uint64_t hash);
 
   /// Inserts (or refreshes) `profile` under `hash`, evicting the stripe's

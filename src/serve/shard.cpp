@@ -117,19 +117,20 @@ void Shard::run_batch(std::vector<Request>& batch) {
   // ONE planned batch-kernel pass over all of them (per metric: one sort,
   // one merge sweep, one execute over every request's samples) — so
   // coalescing buys a genuinely batched evaluation, not just a loop.
-  // Pre-parsed (binary-path) workloads resolve for free; text workloads go
-  // through the fleet-wide ProfileCache when one is attached, so only a
-  // profile the fleet has never seen pays a parse. Requests that waited
-  // out their deadline in the queue are completed immediately and
-  // contribute nothing.
+  // View-form workloads resolve for free; text workloads are parsed here,
+  // and each parse is published to the fleet-wide ProfileCache when one
+  // is attached (the server resolves cached profiles to views before
+  // enqueue, so text reaching the pump is a profile the cache lacked).
+  // Requests that waited out their deadline in the queue are completed
+  // immediately and contribute nothing.
   struct Slot {
     BatchResult early;           // parse failure or expiry at resolve time
     bool has_early = false;
     const sampling::DatasetView* view = nullptr;
   };
   std::vector<Slot> slots;
-  // Pins ProfileCache hits and fresh parses until the kernel is done with
-  // their spans (an eviction mid-batch must not free evaluated storage).
+  // Pins fresh parses until the kernel is done with their spans (an
+  // eviction mid-batch must not free evaluated storage).
   std::vector<std::shared_ptr<const ParsedProfile>> pinned;
   std::vector<Request*> evaluable;
   for (Request& request : batch) {
@@ -152,26 +153,18 @@ void Shard::run_batch(std::vector<Request>& batch) {
         slot.early.deadline_expired = true;
         slot.early.error = "deadline expired";
       } else {
-        std::shared_ptr<const ParsedProfile> parsed;
-        if (profile_cache_ != nullptr && workload.hash != 0) {
-          parsed = profile_cache_->lookup(workload.hash);
-        }
-        if (parsed == nullptr) {
-          try {
-            parsed = ParsedProfile::make(
-                sampling::Dataset::load_csv(std::string_view(workload.csv)));
-            if (profile_cache_ != nullptr && workload.hash != 0) {
-              profile_cache_->insert(workload.hash, parsed);
-            }
-          } catch (const std::exception& e) {
-            slot.has_early = true;
-            slot.early.error = e.what();
+        try {
+          std::shared_ptr<const ParsedProfile> parsed =
+              ParsedProfile::make(sampling::Dataset::load_csv(workload.csv));
+          if (profile_cache_ != nullptr && workload.hash != 0) {
+            profile_cache_->insert(workload.hash, parsed);
           }
-        }
-        if (parsed != nullptr) {
           slot.view = &parsed->view;
           slot.early.samples = parsed->view.size();
           pinned.push_back(std::move(parsed));
+        } catch (const std::exception& e) {
+          slot.has_early = true;
+          slot.early.error = e.what();
         }
       }
       slots.push_back(std::move(slot));

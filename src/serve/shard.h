@@ -12,9 +12,9 @@
 // Coalescing: requests are not evaluated one-per-worker. The first enqueue
 // into an idle shard schedules one "pump" task on the shared ThreadPool;
 // the pump repeatedly drains up to max_batch queued requests, resolves
-// their workloads to DatasetViews (pre-parsed binary profiles for free,
-// text CSVs through the fleet-wide ProfileCache so a known profile skips
-// its parse), feeds them all to one EstimationService::estimate_views
+// their workloads to DatasetViews (view-form workloads for free, text
+// CSVs by a parse that is then published to the fleet-wide ProfileCache),
+// feeds them all to one EstimationService::estimate_views
 // batch, and scatters the results — so a burst of same-model requests
 // costs one worker wakeup and ONE planned batch-kernel pass
 // (serve/model_eval.h: per metric, one sort + merge sweep + execute over
@@ -47,6 +47,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sampling/dataset_view.h"
@@ -65,22 +66,26 @@ class Shard : public std::enable_shared_from_this<Shard> {
   /// taking ownership of it; the caller sheds or re-routes.
   enum class Enqueue { kAccepted, kFull, kRetired };
 
-  /// One workload inside a request, in exactly one of two forms:
-  ///  * text — `csv` holds the CSV bytes; the pump parses them (through the
-  ///    ProfileCache when one is attached and `hash` is set);
-  ///  * pre-parsed — `view` points at a caller-owned DatasetView (the
-  ///    server's zero-copy binary-profile path); `csv` stays empty and the
-  ///    request's `keepalive` pins whatever the view aliases.
+  /// One workload inside a request, in exactly one of two forms, both
+  /// borrowed: the request's `keepalive` pins what they point at.
+  ///  * text — `csv` views the CSV bytes; the pump parses them and, when a
+  ///    ProfileCache is attached and `hash` is set, publishes the parse
+  ///    there;
+  ///  * pre-parsed — `view` points at a DatasetView (a binary profile
+  ///    parsed in place, or a parse the server found in the ProfileCache
+  ///    before enqueue); `csv` stays empty.
   struct Workload {
-    std::string csv;
+    std::string_view csv;
     const sampling::DatasetView* view = nullptr;
-    std::uint64_t hash = 0;  // fnv1a64 of the wire bytes; 0 = uncacheable
+    /// EstimateCache::workload_hash of the wire bytes; 0 = uncacheable.
+    std::uint64_t hash = 0;
   };
 
   struct Request {
     std::vector<Workload> workloads;
-    /// Pins the storage view-form workloads alias (e.g. the decoded frame
-    /// payload plus its ProfileViews) until the request completes.
+    /// Pins the storage every workload borrows (decoded text CSVs, a
+    /// binary frame payload plus its ProfileViews, cached parses) until
+    /// the request completes.
     std::shared_ptr<const void> keepalive;
     model::Merge merge = model::Merge::kTimeWeighted;
     std::chrono::steady_clock::time_point deadline{};
@@ -114,7 +119,8 @@ class Shard : public std::enable_shared_from_this<Shard> {
   /// clamped to at least 1. `pool` must outlive the shard. The shard must
   /// be owned by shared_ptr before the first enqueue() (the pump task holds
   /// a self-reference). `profile_cache` (optional, must outlive the shard)
-  /// memoizes text-workload parses across the whole fleet.
+  /// receives every text-workload parse, keyed on the workload's `hash`,
+  /// so later requests for that profile skip the parse.
   Shard(std::string model_id, std::shared_ptr<const MappedModel> model,
         util::ThreadPool& pool, std::size_t queue_bound,
         std::size_t max_batch = 16, ProfileCache* profile_cache = nullptr);

@@ -133,9 +133,22 @@ struct EstimationServer::PendingEstimate {
   std::vector<std::uint64_t> miss_hash;
 };
 
+namespace {
+
+/// What a shard request pins: the dispatch path's own keepalive while any
+/// workload still borrows from it, and the cached parses that text
+/// workloads resolved to before enqueue.
+struct RequestPins {
+  std::shared_ptr<const void> inputs;
+  std::vector<std::shared_ptr<const serve::ParsedProfile>> parses;
+};
+
+}  // namespace
+
 /// The neutral request form both dispatch paths reduce to before the
 /// shared tail. `workloads[i].hash` doubles as the estimate-cache hash and
-/// (for text workloads) the ProfileCache key — one fnv1a64 per workload.
+/// (for text workloads) the ProfileCache key — one
+/// EstimateCache::workload_hash (XXH64) per workload.
 struct EstimationServer::EstimateInputs {
   FrameType reply_type = FrameType::kEstimateReply;
   std::string model_class;
@@ -143,8 +156,9 @@ struct EstimationServer::EstimateInputs {
   std::uint32_t deadline_ms = 0;
   std::uint8_t merge = 0;
   std::vector<serve::Shard::Workload> workloads;
-  /// Pins whatever view-form workloads alias (the binary frame payload and
-  /// its parsed ProfileViews) until the shard completes the request.
+  /// Pins what the workloads borrow (the decoded text CSVs, or the binary
+  /// frame payload and its parsed ProfileViews) until the shard completes
+  /// the request.
   std::shared_ptr<const void> keepalive;
 };
 
@@ -664,13 +678,18 @@ void EstimationServer::dispatch_estimate(
   inputs.model_id = std::move(request.model_id);
   inputs.deadline_ms = request.deadline_ms;
   inputs.merge = request.merge;
-  inputs.workloads.reserve(request.workload_csvs.size());
-  for (std::string& csv : request.workload_csvs) {
+  // The decoded CSVs move into the keepalive once; workloads borrow them,
+  // the same shape as the binary path's views over its frame payload.
+  auto csvs = std::make_shared<std::vector<std::string>>(
+      std::move(request.workload_csvs));
+  inputs.workloads.reserve(csvs->size());
+  for (const std::string& csv : *csvs) {
     serve::Shard::Workload workload;
+    workload.csv = csv;
     workload.hash = serve::EstimateCache::workload_hash(csv);
-    workload.csv = std::move(csv);
-    inputs.workloads.push_back(std::move(workload));
+    inputs.workloads.push_back(workload);
   }
+  inputs.keepalive = std::move(csvs);
   dispatch_estimate_common(conn, seq, std::move(inputs), received);
 }
 
@@ -783,12 +802,15 @@ void EstimationServer::dispatch_estimate_common(
     shard_request.merge = merge;
     shard_request.deadline = deadline;
     shard_request.has_deadline = has_deadline;
-    shard_request.keepalive = inputs.keepalive;
+    auto pins = std::make_shared<RequestPins>();
+    shard_request.keepalive = pins;
     // Memo-cache consult before enqueue: only the misses ride the queue,
     // and a fully-cached request never takes a queue slot at all. The
-    // workloads are COPIED into the shard request (views are pointer
-    // copies, text pays one string copy) so the rare retired-shard retry
-    // can rebuild from `inputs`.
+    // workloads are copied into the shard request (they borrow, so a copy
+    // is a few words) and the rare retired-shard retry can rebuild from
+    // `inputs`. A text miss whose profile the ProfileCache holds queues as
+    // a view of that parse; when no workload still borrows from `inputs`,
+    // its bytes are freed on return instead of waiting out the queue.
     for (std::size_t i = 0; i < inputs.workloads.size(); ++i) {
       serve::EstimateCache::Key key;
       key.model_id = pending->model_id;
@@ -796,11 +818,23 @@ void EstimationServer::dispatch_estimate_common(
       key.merge = inputs.merge;
       if (std::optional<std::string> hit = estimate_cache_.lookup(key)) {
         pending->cached[i] = std::move(*hit);
-      } else {
-        pending->miss_index.push_back(i);
-        pending->miss_hash.push_back(key.csv_hash);
-        shard_request.workloads.push_back(inputs.workloads[i]);
+        continue;
       }
+      pending->miss_index.push_back(i);
+      pending->miss_hash.push_back(key.csv_hash);
+      serve::Shard::Workload workload = inputs.workloads[i];
+      std::shared_ptr<const serve::ParsedProfile> parse;
+      if (workload.view == nullptr && workload.hash != 0) {
+        parse = profile_cache_.lookup(workload.hash);
+      }
+      if (parse != nullptr) {
+        workload.csv = {};
+        workload.view = &parse->view;
+        pins->parses.push_back(std::move(parse));
+      } else {
+        pins->inputs = inputs.keepalive;
+      }
+      shard_request.workloads.push_back(workload);
     }
 
     if (pending->miss_index.empty()) {
@@ -984,10 +1018,19 @@ bool EstimationServer::send_frame(const std::shared_ptr<Connection>& conn,
   unsigned char header[kFrameHeaderBytes];
   encode_header_into(type, seq, static_cast<std::uint32_t>(payload.size()),
                      header);
-  bool sent = false;
   {
     util::MutexLock lock(conn->write_mutex);
     if (conn->dead.load(std::memory_order_acquire)) return false;
+    // Published before the first reply byte can reach the peer, so a
+    // client that has read its reply never sees counters that predate it
+    // (the ordering contract in server.h).
+    bytes_written_.fetch_add(kFrameHeaderBytes + payload.size(),
+                             std::memory_order_relaxed);
+    if (type == FrameType::kErrorReply) {
+      replies_error_.fetch_add(1, std::memory_order_relaxed);
+    } else {
+      replies_ok_.fetch_add(1, std::memory_order_relaxed);
+    }
     util::ConstBuffer buffers[2] = {{header, sizeof header},
                                     {payload.data(), payload.size()}};
     const util::IoStatus st = util::writev_all_deadline(
@@ -1002,19 +1045,11 @@ bool EstimationServer::send_frame(const std::shared_ptr<Connection>& conn,
       conn->dead.store(true, std::memory_order_release);
       return false;
     }
-    sent = true;
-  }
-  bytes_written_.fetch_add(kFrameHeaderBytes + payload.size(),
-                           std::memory_order_relaxed);
-  if (type == FrameType::kErrorReply) {
-    replies_error_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    replies_ok_.fetch_add(1, std::memory_order_relaxed);
   }
   // The payload's heap block feeds the next frame read or reply on this
   // connection.
   conn->recycle_buffer(std::move(payload));
-  return sent;
+  return true;
 }
 
 bool EstimationServer::send_error(const std::shared_ptr<Connection>& conn,

@@ -21,12 +21,14 @@
 //    through a class -> shard binding; admission control is PER SHARD, so
 //    one hot model's flood sheds with kOverloaded while every other shard
 //    keeps serving (DESIGN.md §14);
-//  * memo-cache: a serve::EstimateCache keyed on (model id, fnv1a64 of the
-//    workload CSV bytes, merge) answers repeat requests from memory with
+//  * memo-cache: a serve::EstimateCache keyed on (model id, XXH64 of the
+//    workload's wire bytes, merge) answers repeat requests from memory with
 //    reply payloads byte-identical to a recompute, consulted before
 //    enqueue and filled after evaluation; a serve::ProfileCache one layer
-//    down memoizes the text-CSV parse itself, so a reply-cache miss over a
-//    profile the fleet has seen skips straight to evaluation;
+//    down memoizes the text-CSV parse itself: a reply-cache miss over a
+//    profile the fleet has seen is resolved to that parse before enqueue,
+//    queues as a view like a binary profile, and skips straight to
+//    evaluation;
 //  * binary profiles + pipelining (protocol v2): kEstimateBinRequest
 //    carries spire-profile-bin workloads the reader turns into span views
 //    over the frame payload (serve/profile_bin.h) — no CSV parse, no
@@ -191,6 +193,13 @@ class EstimationServer {
 
   // --- observability --------------------------------------------------------
 
+  /// Ordering contract: every counter a request moves is published before
+  /// that request's reply bytes are written, so a snapshot taken after a
+  /// client has read a reply already counts it. bytes_written and
+  /// replies_ok/replies_error count a reply when its write begins: a write
+  /// that then fails or stalls past write_timeout_ms stays counted (the
+  /// counters never go back), its connection is closed, and a stall also
+  /// counts in io_timeouts.
   StatsReply stats_snapshot() const SPIRE_EXCLUDES(slots_mutex_);
 
   /// One row per live or draining shard, sorted by model id.

@@ -4,6 +4,16 @@
 #include <bit>
 #include <cstring>
 
+#include "util/contract.h"
+#include "util/hash_detail.h"
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define SPIRE_CRC32_FOLD 1
+#include <immintrin.h>
+#else
+#define SPIRE_CRC32_FOLD 0
+#endif
+
 namespace spire::util {
 
 namespace {
@@ -13,12 +23,27 @@ constexpr std::uint32_t byteswap32(std::uint32_t v) {
          (v << 24);
 }
 
+// Little-endian loads: both the CRC and XXH64 are defined over the bytes
+// in memory order.
+std::uint32_t load_le32(const std::byte* p) {
+  std::uint32_t v = 0;
+  std::memcpy(&v, p, 4);
+  if constexpr (std::endian::native == std::endian::big) v = byteswap32(v);
+  return v;
+}
+
+std::uint64_t load_le64(const std::byte* p) {
+  return static_cast<std::uint64_t>(load_le32(p)) |
+         (static_cast<std::uint64_t>(load_le32(p + 4)) << 32);
+}
+
 // Slicing-by-8 tables: table[0] is the classic byte-at-a-time table;
 // table[k][b] advances the CRC of byte b through k further zero bytes, so
 // eight input bytes fold into the state with eight independent lookups per
 // iteration instead of a serial chain of eight dependent ones. Roughly 5x
-// the throughput of the one-table loop; artifact validation is
-// CRC-bound, so this is the hot loop of every v3 load and publish.
+// the throughput of the one-table loop; it is the whole CRC on hosts
+// without a carry-less multiply, and the tail of the fold on hosts with
+// one.
 std::array<std::array<std::uint32_t, 256>, 8> make_crc_tables() {
   std::array<std::array<std::uint32_t, 256>, 8> table{};
   for (std::uint32_t i = 0; i < 256; ++i) {
@@ -37,26 +62,109 @@ std::array<std::array<std::uint32_t, 256>, 8> make_crc_tables() {
   return table;
 }
 
+#if SPIRE_CRC32_FOLD
+
+// The fold starts from four 16-byte accumulators, so it needs at least
+// this many bytes; shorter inputs take the table loop.
+constexpr std::size_t kFoldMinBytes = 64;
+
+__m128i load128(const std::byte* p) {
+  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+}
+
+// Folds `n` bytes (n >= 64, n % 16 == 0) into the CRC register `state`:
+// four 128-bit accumulators advance 64 bytes per step, fold into one, take
+// the remaining 16-byte blocks, then reduce 128 -> 64 -> 32 bits with a
+// Barrett step. Constants are x^k mod P(x) for the reflected IEEE
+// polynomial, from the Intel paper's bit-reflected appendix (the ones zlib
+// and Chromium use).
+__attribute__((target("pclmul,sse4.1"))) std::uint32_t crc32_fold_blocks(
+    std::uint32_t state, const std::byte* p, std::size_t n) {
+  alignas(16) static constexpr std::uint64_t kK1K2[2] = {0x0154442bd4ull,
+                                                         0x01c6e41596ull};
+  alignas(16) static constexpr std::uint64_t kK3K4[2] = {0x01751997d0ull,
+                                                         0x00ccaa009eull};
+  alignas(16) static constexpr std::uint64_t kK5K0[2] = {0x0163cd6124ull, 0};
+  alignas(16) static constexpr std::uint64_t kPolyMu[2] = {0x01db710641ull,
+                                                           0x01f7011641ull};
+  __m128i x1 = _mm_xor_si128(load128(p),
+                             _mm_cvtsi32_si128(static_cast<int>(state)));
+  __m128i x2 = load128(p + 16);
+  __m128i x3 = load128(p + 32);
+  __m128i x4 = load128(p + 48);
+  p += 64;
+  n -= 64;
+
+  // Each fold step multiplies an accumulator's two halves by their own
+  // x^k mod P, which advances it past the next block, and adds the block.
+  __m128i k = _mm_load_si128(reinterpret_cast<const __m128i*>(kK1K2));
+  while (n >= 64) {
+    const __m128i lo1 = _mm_clmulepi64_si128(x1, k, 0x00);
+    const __m128i lo2 = _mm_clmulepi64_si128(x2, k, 0x00);
+    const __m128i lo3 = _mm_clmulepi64_si128(x3, k, 0x00);
+    const __m128i lo4 = _mm_clmulepi64_si128(x4, k, 0x00);
+    x1 = _mm_xor_si128(_mm_clmulepi64_si128(x1, k, 0x11), lo1);
+    x2 = _mm_xor_si128(_mm_clmulepi64_si128(x2, k, 0x11), lo2);
+    x3 = _mm_xor_si128(_mm_clmulepi64_si128(x3, k, 0x11), lo3);
+    x4 = _mm_xor_si128(_mm_clmulepi64_si128(x4, k, 0x11), lo4);
+    x1 = _mm_xor_si128(x1, load128(p));
+    x2 = _mm_xor_si128(x2, load128(p + 16));
+    x3 = _mm_xor_si128(x3, load128(p + 32));
+    x4 = _mm_xor_si128(x4, load128(p + 48));
+    p += 64;
+    n -= 64;
+  }
+
+  // Four accumulators into one, then the remaining 16-byte blocks, all by
+  // the one-block distance k3k4.
+  k = _mm_load_si128(reinterpret_cast<const __m128i*>(kK3K4));
+  __m128i lo = _mm_clmulepi64_si128(x1, k, 0x00);
+  x1 = _mm_xor_si128(_mm_clmulepi64_si128(x1, k, 0x11), lo);
+  x1 = _mm_xor_si128(x1, x2);
+  lo = _mm_clmulepi64_si128(x1, k, 0x00);
+  x1 = _mm_xor_si128(_mm_clmulepi64_si128(x1, k, 0x11), lo);
+  x1 = _mm_xor_si128(x1, x3);
+  lo = _mm_clmulepi64_si128(x1, k, 0x00);
+  x1 = _mm_xor_si128(_mm_clmulepi64_si128(x1, k, 0x11), lo);
+  x1 = _mm_xor_si128(x1, x4);
+  for (; n >= 16; p += 16, n -= 16) {
+    lo = _mm_clmulepi64_si128(x1, k, 0x00);
+    x1 = _mm_xor_si128(_mm_clmulepi64_si128(x1, k, 0x11), lo);
+    x1 = _mm_xor_si128(x1, load128(p));
+  }
+
+  // 128 -> 64 bits.
+  const __m128i mask32 = _mm_setr_epi32(~0, 0, ~0, 0);
+  x1 = _mm_xor_si128(_mm_srli_si128(x1, 8),
+                     _mm_clmulepi64_si128(x1, k, 0x10));
+  k = _mm_loadl_epi64(reinterpret_cast<const __m128i*>(kK5K0));
+  x1 = _mm_xor_si128(
+      _mm_clmulepi64_si128(_mm_and_si128(x1, mask32), k, 0x00),
+      _mm_srli_si128(x1, 4));
+
+  // Barrett reduction, 64 -> 32 bits.
+  k = _mm_load_si128(reinterpret_cast<const __m128i*>(kPolyMu));
+  __m128i t = _mm_clmulepi64_si128(_mm_and_si128(x1, mask32), k, 0x10);
+  t = _mm_clmulepi64_si128(_mm_and_si128(t, mask32), k, 0x00);
+  x1 = _mm_xor_si128(x1, t);
+  return static_cast<std::uint32_t>(_mm_extract_epi32(x1, 1));
+}
+
+#endif  // SPIRE_CRC32_FOLD
+
 }  // namespace
 
-std::uint32_t crc32_init() { return 0xFFFFFFFFu; }
+namespace detail {
 
-std::uint32_t crc32_update(std::uint32_t state,
-                           std::span<const std::byte> bytes) {
+std::uint32_t crc32_update_table(std::uint32_t state,
+                                 std::span<const std::byte> bytes) {
   static const std::array<std::array<std::uint32_t, 256>, 8> kTable =
       make_crc_tables();
   const std::byte* p = bytes.data();
   std::size_t n = bytes.size();
   while (n >= 8) {
-    std::uint32_t lo = 0;
-    std::uint32_t hi = 0;
-    std::memcpy(&lo, p, 4);
-    std::memcpy(&hi, p + 4, 4);
-    if constexpr (std::endian::native == std::endian::big) {
-      lo = byteswap32(lo);
-      hi = byteswap32(hi);
-    }
-    lo ^= state;
+    const std::uint32_t lo = load_le32(p) ^ state;
+    const std::uint32_t hi = load_le32(p + 4);
     state = kTable[7][lo & 0xFFu] ^ kTable[6][(lo >> 8) & 0xFFu] ^
             kTable[5][(lo >> 16) & 0xFFu] ^ kTable[4][lo >> 24] ^
             kTable[3][hi & 0xFFu] ^ kTable[2][(hi >> 8) & 0xFFu] ^
@@ -70,6 +178,46 @@ std::uint32_t crc32_update(std::uint32_t state,
         (state >> 8);
   }
   return state;
+}
+
+bool crc32_fold_supported() {
+#if SPIRE_CRC32_FOLD
+  static const bool ok = __builtin_cpu_supports("pclmul") &&
+                         __builtin_cpu_supports("sse4.1");
+  return ok;
+#else
+  return false;
+#endif
+}
+
+std::uint32_t crc32_update_fold(std::uint32_t state,
+                                std::span<const std::byte> bytes) {
+#if SPIRE_CRC32_FOLD
+  if (bytes.size() >= kFoldMinBytes) {
+    const std::size_t folded = bytes.size() & ~std::size_t{15};
+    state = crc32_fold_blocks(state, bytes.data(), folded);
+    bytes = bytes.subspan(folded);
+  }
+#endif
+  return crc32_update_table(state, bytes);
+}
+
+}  // namespace detail
+
+std::uint32_t crc32_init() { return 0xFFFFFFFFu; }
+
+std::uint32_t crc32_update(std::uint32_t state,
+                           std::span<const std::byte> bytes) {
+  if (!detail::crc32_fold_supported()) {
+    return detail::crc32_update_table(state, bytes);
+  }
+  const std::uint32_t folded = detail::crc32_update_fold(state, bytes);
+  // Same contract as the batch kernel's lanes: checked builds re-derive
+  // every fast result on the portable path and demand the same bits.
+  SPIRE_DCHECK(folded == detail::crc32_update_table(state, bytes),
+               "folded CRC-32 diverged from the table path over ",
+               bytes.size(), " bytes");
+  return folded;
 }
 
 std::uint32_t crc32_update(std::uint32_t state, std::string_view bytes) {
@@ -108,6 +256,79 @@ std::string fnv1a64_hex(std::string_view bytes) {
     out[static_cast<std::size_t>(15 - i)] = kDigits[(hash >> (4 * i)) & 0xFu];
   }
   return out;
+}
+
+namespace {
+
+constexpr std::uint64_t kXxPrime1 = 0x9E3779B185EBCA87ull;
+constexpr std::uint64_t kXxPrime2 = 0xC2B2AE3D27D4EB4Full;
+constexpr std::uint64_t kXxPrime3 = 0x165667B19E3779F9ull;
+constexpr std::uint64_t kXxPrime4 = 0x85EBCA77C2B2AE63ull;
+constexpr std::uint64_t kXxPrime5 = 0x27D4EB2F165667C5ull;
+
+constexpr std::uint64_t xxh64_round(std::uint64_t acc, std::uint64_t lane) {
+  return std::rotl(acc + lane * kXxPrime2, 31) * kXxPrime1;
+}
+
+constexpr std::uint64_t xxh64_merge(std::uint64_t hash, std::uint64_t acc) {
+  return (hash ^ xxh64_round(0, acc)) * kXxPrime1 + kXxPrime4;
+}
+
+}  // namespace
+
+std::uint64_t xxh64(std::span<const std::byte> bytes, std::uint64_t seed) {
+  const std::byte* p = bytes.data();
+  std::size_t n = bytes.size();
+  std::uint64_t hash = 0;
+  if (n >= 32) {
+    // Four independent accumulators over 32-byte stripes: the multiplies
+    // of one stripe do not wait on each other.
+    std::uint64_t v1 = seed + kXxPrime1 + kXxPrime2;
+    std::uint64_t v2 = seed + kXxPrime2;
+    std::uint64_t v3 = seed;
+    std::uint64_t v4 = seed - kXxPrime1;
+    do {
+      v1 = xxh64_round(v1, load_le64(p));
+      v2 = xxh64_round(v2, load_le64(p + 8));
+      v3 = xxh64_round(v3, load_le64(p + 16));
+      v4 = xxh64_round(v4, load_le64(p + 24));
+      p += 32;
+      n -= 32;
+    } while (n >= 32);
+    hash = std::rotl(v1, 1) + std::rotl(v2, 7) + std::rotl(v3, 12) +
+           std::rotl(v4, 18);
+    hash = xxh64_merge(hash, v1);
+    hash = xxh64_merge(hash, v2);
+    hash = xxh64_merge(hash, v3);
+    hash = xxh64_merge(hash, v4);
+  } else {
+    hash = seed + kXxPrime5;
+  }
+  hash += static_cast<std::uint64_t>(bytes.size());
+  for (; n >= 8; p += 8, n -= 8) {
+    hash = std::rotl(hash ^ xxh64_round(0, load_le64(p)), 27) * kXxPrime1 +
+           kXxPrime4;
+  }
+  if (n >= 4) {
+    hash = std::rotl(hash ^ (load_le32(p) * kXxPrime1), 23) * kXxPrime2 +
+           kXxPrime3;
+    p += 4;
+    n -= 4;
+  }
+  for (; n > 0; ++p, --n) {
+    hash = std::rotl(hash ^ (static_cast<std::uint64_t>(*p) * kXxPrime5), 11) *
+           kXxPrime1;
+  }
+  hash ^= hash >> 33;
+  hash *= kXxPrime2;
+  hash ^= hash >> 29;
+  hash *= kXxPrime3;
+  hash ^= hash >> 32;
+  return hash;
+}
+
+std::uint64_t xxh64(std::string_view bytes, std::uint64_t seed) {
+  return xxh64(std::as_bytes(std::span(bytes.data(), bytes.size())), seed);
 }
 
 }  // namespace spire::util

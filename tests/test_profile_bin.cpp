@@ -34,9 +34,9 @@
 #include "quality/fault_injector.h"
 #include "sampling/dataset.h"
 #include "sampling/dataset_view.h"
+#include "serve/estimate_cache.h"
 #include "serve/profile_cache.h"
 #include "spire/ensemble.h"
-#include "util/hash.h"
 #include "util/rng.h"
 
 namespace spire::serve {
@@ -363,13 +363,13 @@ TEST(ProfileCache, StripeBoundsHoldTheTotalUnderManyInserts) {
 }
 
 TEST(ProfileCache, KeysMatchTheWireHashTheServerComputes) {
-  // The cache is keyed on fnv1a64 of the exact workload bytes — the same
-  // hash the estimate memo-cache derives — so parse results are shared
-  // across the two layers without re-hashing.
+  // The cache is keyed on EstimateCache::workload_hash of the exact
+  // workload bytes — the key the estimate memo-cache derives — so parse
+  // results are shared across the two layers without re-hashing.
   const Dataset data = mixed_workload(31, 3);
   std::ostringstream csv;
   data.save_csv(csv);
-  const std::uint64_t key = util::fnv1a64(std::string_view(csv.str()));
+  const std::uint64_t key = EstimateCache::workload_hash(csv.str());
 
   ProfileCache cache(4, /*stripes=*/1);
   cache.insert(key, ParsedProfile::make(Dataset::load_csv(

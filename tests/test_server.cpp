@@ -1360,39 +1360,65 @@ TEST_F(ServerTest, WireAndProfileCacheCountersSurfaceInStats) {
   boot();
   const std::string second_id = registry_->publish(trained_ensemble(29));
   Client client(client_options());
+  const Limits& limits = client.options().limits;
 
   // The same CSV bytes against two different models: the first parse
   // misses the profile cache, the second request (a reply-cache miss — the
-  // model differs) reuses the parse.
+  // model differs) reuses the parse. Both name their model: the default
+  // class resolves the registry's newest object on first use, which is
+  // `second_id` or, when both publishes share a file-time tick, whichever
+  // id sorts last. Sent one frame at a time (window 1), so each reply is
+  // read before the next request goes out.
   const std::string csv = workload_csv(44, 10);
+  const std::string blob = workload_bin(44, 10);
+  std::vector<Client::PipelineRequest> requests(3);
   EstimateRequest first;
+  first.model_id = model_id_;
   first.workload_csvs = {csv};
-  ASSERT_EQ(client.estimate(first).results.size(), 1u);
+  requests[0].type = FrameType::kEstimateRequest;
+  requests[0].payload = encode_estimate_request(first, limits);
   EstimateRequest second;
   second.model_id = second_id;
   second.workload_csvs = {csv};
-  ASSERT_EQ(client.estimate(second).results.size(), 1u);
-
+  requests[1].type = FrameType::kEstimateRequest;
+  requests[1].payload = encode_estimate_request(second, limits);
   EstimateBinRequest bin;
-  const std::string blob = workload_bin(44, 10);
   bin.profiles = {blob};
-  ASSERT_EQ(client.estimate_bin(std::move(bin)).results.size(), 1u);
+  requests[2].type = FrameType::kEstimateBinRequest;
+  requests[2].payload = encode_estimate_bin_request(bin, limits);
 
+  std::vector<Client::PipelineResult> results;
+  ASSERT_EQ(client.pipeline(requests, &results, /*window=*/1), 3u);
+  std::uint64_t received_bytes = 0;
+  for (const Client::PipelineResult& res : results) {
+    ASSERT_TRUE(res.ok) << res.error;
+    ASSERT_NE(res.header.type, FrameType::kErrorReply);
+    ASSERT_EQ(decode_estimate_reply(res.payload, limits).results.size(), 1u);
+    received_bytes += kFrameHeaderBytes + res.payload.size();
+  }
+
+  // Read straight after the last reply arrived, with no polling: the
+  // server publishes a reply's counters before writing its bytes, so
+  // everything the client has read is already counted.
   const StatsReply stats = server_->stats_snapshot();
   std::map<std::string, std::uint64_t> all(stats.counters.begin(),
                                            stats.counters.end());
   for (const char* name :
-       {"bytes_read", "bytes_written", "frames_pipelined", "requests_text",
-        "requests_binary", "profile_parse_hits", "profile_parse_misses",
-        "profile_parse_evictions"}) {
+       {"bytes_read", "bytes_written", "replies_ok", "frames_pipelined",
+        "requests_text", "requests_binary", "profile_parse_hits",
+        "profile_parse_misses", "profile_parse_evictions"}) {
     ASSERT_TRUE(all.count(name)) << "missing counter " << name;
   }
   EXPECT_GT(all["bytes_read"], 0u);
-  EXPECT_GT(all["bytes_written"], 0u);
+  EXPECT_GE(all["bytes_written"], received_bytes);
+  EXPECT_GE(all["replies_ok"], 3u);
   EXPECT_GE(all["requests_text"], 2u);
   EXPECT_GE(all["requests_binary"], 1u);
-  EXPECT_GE(all["profile_parse_misses"], 1u);
-  EXPECT_GE(all["profile_parse_hits"], 1u);
+  // One lookup per memo-missed text workload, made before enqueue: the
+  // first request misses and its pump publishes the parse, the second
+  // resolves to it. Binary profiles never consult the cache.
+  EXPECT_EQ(all["profile_parse_misses"], 1u);
+  EXPECT_EQ(all["profile_parse_hits"], 1u);
 }
 
 }  // namespace

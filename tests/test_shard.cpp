@@ -31,7 +31,6 @@
 #include "serve/estimate_cache.h"
 #include "serve/registry.h"
 #include "spire/ensemble.h"
-#include "util/hash.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -251,13 +250,17 @@ class ShardTest : public ::testing::Test {
                          std::atomic<int>& begun, std::atomic<int>& completed,
                          std::vector<BatchResult>* results_out = nullptr,
                          std::atomic<int>* expired = nullptr) {
+    // Pinned the way the server pins decoded CSVs: workloads borrow from
+    // the request's keepalive.
     Shard::Request request;
-    for (std::string& csv : csvs) {
+    auto pinned = std::make_shared<std::vector<std::string>>(std::move(csvs));
+    for (const std::string& csv : *pinned) {
       Shard::Workload workload;
-      workload.hash = util::fnv1a64(csv);
-      workload.csv = std::move(csv);
-      request.workloads.push_back(std::move(workload));
+      workload.csv = csv;
+      workload.hash = EstimateCache::workload_hash(csv);
+      request.workloads.push_back(workload);
     }
+    request.keepalive = std::move(pinned);
     request.begin = [&begun] { begun.fetch_add(1); };
     request.complete = [&completed, results_out, expired](
                            std::vector<BatchResult> results,
