@@ -1,5 +1,5 @@
-// Serving-path performance: tree-walk Ensemble vs serve::CompiledModel vs
-// zero-copy serve::MappedModel.
+// Serving-path performance: tree-walk Ensemble vs serve::MappedModel,
+// compiled in memory or mapped from a v3 file.
 //
 // Measures estimates/sec over the full workload suite for three modes —
 // the train-time object graph evaluated serially (the pre-serve baseline),
@@ -58,7 +58,6 @@
 #include "geom/piecewise_linear.h"
 #include "sampling/dataset.h"
 #include "sampling/dataset_view.h"
-#include "serve/compiled_model.h"
 #include "serve/mapped_model.h"
 #include "serve/model_v3.h"
 #include "serve/profile_bin.h"
@@ -189,7 +188,7 @@ int main(int argc, char** argv) {
   std::vector<sampling::DatasetView> views;
   views.reserve(suite.size());
   for (const auto& cw : suite) views.emplace_back(cw.samples);
-  const auto compiled = serve::CompiledModel::compile(ensemble);
+  const auto compiled = serve::MappedModel::compile(ensemble);
   std::printf(
       "workloads: %zu, model: %zu rooflines / %zu pieces, hardware "
       "threads: %u, batch threads: %zu%s\n\n",
@@ -235,7 +234,8 @@ int main(int argc, char** argv) {
   const auto from_bin = model::load_model_bin_file(bin_path);
   const double bin_load_s = seconds_since(start);
   start = Clock::now();
-  const auto recompiled = serve::CompiledModel::compile(from_bin);
+  const auto recompiled = serve::MappedModel::compile(from_bin);
+  (void)recompiled.tables();  // builds the plan: a serving-ready instance
   const double compile_s = seconds_since(start);
   const bool lossless = from_text.rooflines() == from_bin.rooflines() &&
                         recompiled.piece_count() == compiled.piece_count();
@@ -305,7 +305,7 @@ int main(int argc, char** argv) {
   // with 50x the pieces (see subdivide above), so the timing reflects the
   // size regime where cold start actually matters.
   const auto fleet = fleet_scale(ensemble, 50);
-  const auto fleet_compiled = serve::CompiledModel::compile(fleet);
+  const auto fleet_compiled = serve::MappedModel::compile(fleet);
   const std::string fleet_bin_path =
       bench::cache_dir() + "/serving_fleet.bin";
   const std::string fleet_v3_path =
@@ -333,7 +333,7 @@ int main(int argc, char** argv) {
       "cold start at fleet scale (%zu pieces, v3 %zu bytes): v2 deserialize "
       "%.6f s, v3 mmap open %.6f s (%.1fx), first estimate cold %.6f s / "
       "warm %.6f s\n",
-      fleet_compiled.piece_count(), fleet_mapped.file_size(),
+      fleet_compiled.piece_count(), fleet_mapped.bytes().size(),
       bin_load_median_s, mmap_load_s, mmap_ratio, cold_estimate_s,
       warm_estimate_s);
 
@@ -405,11 +405,11 @@ int main(int argc, char** argv) {
       fleet_compiled.piece_count(), fleet_scalar_eps, fleet_kernel_eps,
       fleet_kernel_ratio, kernel_identical ? "yes" : "NO");
 
-  // The lookup-bound model is compile-only (never serialized: its v3
-  // artifact would be tens of MB of disk traffic that measures the
-  // filesystem, not the kernel).
+  // The lookup-bound model is compiled in memory, never written to disk:
+  // its v3 artifact would be tens of MB of disk traffic that measures the
+  // filesystem, not the kernel.
   const auto lookup_compiled =
-      serve::CompiledModel::compile(fleet_scale(ensemble, smoke ? 200 : 9600));
+      serve::MappedModel::compile(fleet_scale(ensemble, smoke ? 200 : 9600));
   const auto lookup_tables = lookup_compiled.tables();
   const int kernel_attempts = smoke ? 1 : 3;
   const int kernel_reps = smoke ? 2 : 8;
@@ -522,7 +522,7 @@ int main(int argc, char** argv) {
        << ", \"csv_inplace_per_s\": " << inplace_pps
        << ", \"profile_bin_view_per_s\": " << bin_view_pps << "},\n"
        << "  \"fleet_scale\": {\"pieces\": " << fleet_compiled.piece_count()
-       << ", \"v3_bytes\": " << fleet_mapped.file_size()
+       << ", \"v3_bytes\": " << fleet_mapped.bytes().size()
        << ", \"v2_deserialize_median_s\": " << bin_load_median_s
        << ", \"mmap_open_median_s\": " << mmap_load_s << "},\n"
        << "  \"first_estimate_seconds\": {\"cold_mmap\": " << cold_estimate_s

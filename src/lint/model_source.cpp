@@ -324,8 +324,8 @@ std::optional<std::size_t> v2_body_end(const std::string& bytes) {
 }
 
 /// Compares a validated flat region against the tables the strict model
-/// would compile to (the same flatten walk serve::CompiledModel::compile
-/// performs). Returns "" on bit-exact agreement, else a message naming the
+/// would compile to (the same flatten walk the v3 writer,
+/// serve::model_v3_bytes, performs). Returns "" on bit-exact agreement, else a message naming the
 /// first divergent metric/table. A mismatch means the artifact's serving
 /// tables answer differently than its own v2 body — exactly the drift the
 /// v3 writer's by-construction guarantee exists to prevent.

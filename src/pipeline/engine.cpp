@@ -1,6 +1,7 @@
 #include "pipeline/engine.h"
 
 #include <fstream>
+#include <memory>
 #include <ostream>
 #include <stdexcept>
 #include <utility>
@@ -80,20 +81,15 @@ Engine& Engine::load_model(const std::string& path) {
 
 Engine& Engine::compile() {
   require(context_.ensemble.has_value(), "compile stage requires an ensemble");
-  context_.compiled = serve::CompiledModel::compile(*context_.ensemble);
+  context_.model = std::make_shared<const serve::MappedModel>(
+      serve::MappedModel::compile(*context_.ensemble));
   return *this;
 }
 
 Engine& Engine::compile_v3(const std::string& out_path) {
   require(context_.ensemble.has_value(),
           "compile_v3 stage requires an ensemble");
-  if (!context_.compiled.has_value()) compile();
-  const std::string bytes =
-      serve::model_v3_bytes(*context_.ensemble, *context_.compiled);
-  std::ofstream out(out_path, std::ios::binary | std::ios::trunc);
-  if (!out) throw std::runtime_error("compile_v3: cannot write " + out_path);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  if (!out) throw std::runtime_error("compile_v3: write failed: " + out_path);
+  serve::save_model_v3_file(*context_.ensemble, out_path);
   return *this;
 }
 
@@ -116,7 +112,7 @@ Engine& Engine::resolve_model(const std::string& registry_root,
     resolved = registry.latest();
     require(!resolved.empty(), "registry has no published models");
   }
-  context_.mapped = registry.open(resolved);
+  context_.model = registry.open(resolved);
   context_.resolved_id = resolved;
   // The ensemble form feeds the non-serving stages (estimate, analyze);
   // the stream loader revalidates the artifact end to end on the way.
@@ -128,17 +124,12 @@ Engine& Engine::resolve_model(const std::string& registry_root,
 Engine& Engine::estimate_batch(const std::vector<std::string>& workload_paths) {
   serve::BatchOptions options;
   options.exec = context_.exec;
-  std::optional<serve::EstimationService> service;
-  if (context_.mapped != nullptr) {
-    service.emplace(context_.mapped);
-  } else {
-    if (!context_.compiled.has_value()) compile();
-    // Non-owning: the context keeps the compiled model (and its evaluation
-    // plan) for later stages; the service only borrows it for this batch.
-    service.emplace(&*context_.compiled);
-  }
+  if (context_.model == nullptr) compile();
+  // Shared: the context keeps the model (and its evaluation plan) for
+  // later stages.
+  const serve::EstimationService service(context_.model);
   const serve::EvalCountersSnapshot before = serve::eval_counters_snapshot();
-  context_.batch_results = service->estimate_files(workload_paths, options);
+  context_.batch_results = service.estimate_files(workload_paths, options);
   if (context_.log != nullptr) {
     for (const auto& r : context_.batch_results) {
       if (!r.ok()) {

@@ -35,7 +35,6 @@
 #include "quality/quality.h"
 #include "sampling/collector.h"
 #include "sampling/dataset.h"
-#include "serve/compiled_model.h"
 #include "serve/mapped_model.h"
 #include "serve/service.h"
 #include "spire/analyzer.h"
@@ -67,8 +66,9 @@ struct PipelineContext {
   std::optional<counters::CounterSet> counter_delta;  // whole-run TMA delta
   std::optional<quality::QualityReport> quality_report;
   std::optional<model::Ensemble> ensemble;
-  std::optional<serve::CompiledModel> compiled;  // compile stage output
-  std::shared_ptr<const serve::MappedModel> mapped;  // resolve_model output
+  /// The serving model: compile stage output (an in-memory v3 image), or
+  /// resolve_model output (a shared registry mapping).
+  std::shared_ptr<const serve::MappedModel> model;
   std::string published_id;  // publish stage output (registry content id)
   std::string resolved_id;   // resolve_model output (after "latest" resolves)
   std::optional<model::Estimate> estimate;
@@ -119,14 +119,14 @@ class Engine {
   /// of training one.
   Engine& load_model(const std::string& path);
 
-  /// Flattens the trained/loaded ensemble into a serve::CompiledModel
-  /// (context().compiled) — the immutable, lock-free artifact the batch
-  /// serving stages evaluate through.
+  /// Flattens the trained/loaded ensemble into an in-memory v3 image
+  /// served as a serve::MappedModel (context().model) — the immutable,
+  /// lock-free artifact the batch serving stages evaluate through.
   Engine& compile();
 
   /// Serializes the trained/loaded ensemble as a binary v3 artifact at
-  /// `out_path` (compiling on demand). The file's flat tables are the
-  /// compiled tables by construction, mappable by serve::MappedModel.
+  /// `out_path`: the same bytes compile() serves from memory, mappable by
+  /// serve::MappedModel::map_file.
   Engine& compile_v3(const std::string& out_path);
 
   /// Publishes the ensemble's canonical v3 form to the content-addressed
@@ -134,7 +134,7 @@ class Engine {
   Engine& publish(const std::string& registry_root);
 
   /// Resolves a content-addressed model id through the registry at
-  /// `registry_root`: maps the artifact zero-copy into context().mapped
+  /// `registry_root`: maps the artifact zero-copy into context().model
   /// (which estimate_batch then serves through) and loads the ensemble
   /// form into context().ensemble for stages that need it. The sentinel
   /// id "latest" resolves to the most recently published object; the
@@ -148,11 +148,10 @@ class Engine {
                         std::size_t registry_cache = 8);
 
   /// Estimates every workload CSV, one pool task per file per context.exec.
-  /// Serves through context().mapped when resolve_model ran, else the
-  /// compiled model (compiling on demand when only the ensemble is
-  /// present) — both backends are bit-identical. Per-file failures are
-  /// isolated: results land in batch_results in input order with either
-  /// the Estimate or the error string set.
+  /// Serves through context().model, compiling on demand when only the
+  /// ensemble is present. Per-file failures are isolated: results land in
+  /// batch_results in input order with either the Estimate or the error
+  /// string set.
   Engine& estimate_batch(const std::vector<std::string>& workload_paths);
 
   /// Statically lints serialized model files, appending one report per file

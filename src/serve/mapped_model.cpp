@@ -2,6 +2,9 @@
 
 #include <stdexcept>
 #include <string>
+#include <utility>
+
+#include "serve/model_v3.h"
 
 namespace spire::serve {
 
@@ -12,13 +15,27 @@ using sampling::DatasetView;
 
 MappedModel MappedModel::map_file(const std::string& path,
                                   model::v3::Verify verify) {
+  return open_image(util::MmapFile::open_readonly(path), verify);
+}
+
+MappedModel MappedModel::compile(const model::Ensemble& ensemble) {
+  // The writer just produced these bytes, so the structure tier (what
+  // memory safety needs) is all the open has to re-check.
+  return open_image(util::MmapFile::from_bytes(model_v3_bytes(ensemble)),
+                    model::v3::Verify::kStructure);
+}
+
+MappedModel MappedModel::open_image(util::MmapFile image,
+                                    model::v3::Verify verify) {
   MappedModel out;
-  out.file_ = util::MmapFile::open_readonly(path);
+  out.file_ = std::move(image);
   out.view_ = model::v3::map_flat(out.file_.bytes(), verify);
+  const std::string& path = out.file_.path();
 
   // Resolve the name-index records to Events. Table order must be strictly
-  // ascending by event id — the order compile() emits (std::map iteration)
-  // and the order the bit-identity contract's ranking accumulation assumes.
+  // ascending by event id — the order the v3 writer emits (std::map
+  // iteration) and the order the bit-identity contract's ranking
+  // accumulation assumes.
   out.metrics_.reserve(out.view_.names.size());
   for (const model::v3::NameRef& ref : out.view_.names) {
     const std::string_view name = out.view_.name(ref);

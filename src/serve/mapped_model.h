@@ -1,28 +1,32 @@
-// Zero-copy serving backend: a binary v3 artifact mapped read-only.
+// The one serving model type: a binary v3 image served zero-copy.
 //
-// Where CompiledModel pays a parse at load time (deserialize every table
-// into heap vectors, then flatten), MappedModel pays a page fault: the
-// artifact IS the tables (spire/model_bin_v3.h lays them out exactly as
-// CompiledModel's columns), so map_file validates the bytes BEFORE any
-// span is formed and then serves straight out of the mapping. The default
-// open runs the structure tier — footer/header/section geometry against
-// the fstat'd size, range tiling, name-index cover; everything a span
-// could be formed or indexed from, in O(sections + metrics) — because
-// published artifacts are content-addressed and fully CRC-verified when
-// they enter the registry. Pass Verify::kFull to re-verify every byte
-// (section CRCs, whole-file CRC, value policy) on an artifact of unknown
-// provenance. Open cost therefore never scales with table bytes,
-// cold-start drops to the first faulted pages, and concurrent processes
-// serving the same artifact share one page-cache copy.
+// Two ways to get one, one representation after that:
+//
+//  * map_file maps a v3 artifact read-only. The artifact IS the tables
+//    (spire/model_bin_v3.h), so open pays a page fault instead of a
+//    parse: the bytes are validated BEFORE any span is formed and then
+//    served straight out of the mapping. The default open runs the
+//    structure tier — footer/header/section geometry against the fstat'd
+//    size, range tiling, name-index cover; everything a span could be
+//    formed or indexed from, in O(sections + metrics) — because published
+//    artifacts are content-addressed and fully CRC-verified when they
+//    enter the registry. Pass Verify::kFull to re-verify every byte
+//    (section CRCs, whole-file CRC, value policy) on an artifact of
+//    unknown provenance. Open cost therefore never scales with table
+//    bytes, cold-start drops to the first faulted pages, and concurrent
+//    processes serving the same artifact share one page-cache copy.
+//  * compile serializes a live Ensemble with the v3 writer
+//    (serve/model_v3.h) into a read-only anonymous mapping and opens it
+//    through the same code as map_file. A compiled model is therefore
+//    byte-for-byte the artifact the same ensemble would publish.
 //
 // The only load-time heap use is the resolved metric-Event vector (a few
-// bytes per metric); every per-table structure is a span into the mapping.
-// Evaluation delegates to the same serve/model_eval.h functions as
-// CompiledModel, so estimates, rankings, skip reasons, and thrown errors
-// are bit-identical to CompiledModel and Ensemble::estimate at any thread
-// count.
+// bytes per metric); every per-table structure is a span into the image.
+// Evaluation delegates to serve/model_eval.h, so estimates, rankings, skip
+// reasons, and thrown errors are bit-identical to Ensemble::estimate at
+// any thread count.
 //
-// Immutable after map_file; safe for concurrent estimate calls without
+// Immutable after construction; safe for concurrent estimate calls without
 // locks. Moving a MappedModel does not move the mapping, so the internal
 // views survive moves.
 #pragma once
@@ -37,6 +41,7 @@
 #include "counters/events.h"
 #include "sampling/dataset_view.h"
 #include "serve/model_eval.h"
+#include "spire/ensemble.h"
 #include "spire/model_bin_v3.h"
 #include "util/mmap_file.h"
 #include "util/thread_pool.h"
@@ -56,38 +61,54 @@ class MappedModel {
       const std::string& path,
       model::v3::Verify verify = model::v3::Verify::kStructure);
 
-  /// Bit-identical to CompiledModel::estimate / Ensemble::estimate.
+  /// Flattens a trained ensemble into an in-memory v3 image (exactly
+  /// model_v3_bytes(ensemble)) and serves it. The ensemble can be
+  /// discarded afterwards. Throws what the v3 writer throws (an empty
+  /// right region, an over-cap model).
+  static MappedModel compile(const model::Ensemble& ensemble);
+
+  /// Bit-identical to Ensemble::estimate: same throughput/ranking/skipped
+  /// values and the same std::invalid_argument when the workload shares no
+  /// metric. Evaluates through the batch kernel (this thread's EvalBatch
+  /// scratch).
   model::Estimate estimate(sampling::DatasetView workload,
                            model::Merge merge = model::Merge::kTimeWeighted) const;
 
-  /// Bit-identical to CompiledModel::estimate_batch at any thread count.
+  /// One estimate per workload, in input order, fanned out across a pool
+  /// per `exec` (serial when threads <= 1). Bit-identical to calling
+  /// estimate() in a loop; a workload that would make estimate() throw
+  /// makes the batch throw the same exception (lowest index wins). For
+  /// per-item error isolation use EstimationService (serve/service.h).
   std::vector<model::Estimate> estimate_batch(
       std::span<const sampling::DatasetView> workloads,
       util::ExecOptions exec = {},
       model::Merge merge = model::Merge::kTimeWeighted) const;
 
   /// Coalesced single-pass kernel evaluation with per-item error
-  /// isolation; bit-identical to CompiledModel::estimate_many on equal
-  /// tables. `merges` must be workloads.size() entries.
+  /// isolation: every workload's samples for a metric join ONE planned
+  /// kernel batch. Bit-identical to estimate() per workload; a workload it
+  /// would throw on gets its outcome's error text instead. `merges` must
+  /// be workloads.size() entries.
   std::vector<EvalOutcome> estimate_many(
       std::span<const sampling::DatasetView> workloads,
       std::span<const model::Merge> merges) const;
 
-  /// Metrics in table order, ascending by event id (validated at map time).
+  /// Metrics in table order, ascending by event id (validated at open).
   const std::vector<counters::Event>& metrics() const { return metrics_; }
 
   std::size_t metric_count() const { return metrics_.size(); }
   std::size_t piece_count() const { return view_.x0.size(); }
 
-  /// The mapped artifact's path and total byte count.
+  /// The mapped artifact's path ("<memory>" for a compiled image) and its
+  /// bytes.
   const std::string& path() const { return file_.path(); }
-  std::size_t file_size() const { return file_.size(); }
+  std::span<const std::byte> bytes() const { return file_.bytes(); }
 
-  /// The tables in the backend-neutral evaluator shape. All spans except
-  /// `metrics` point directly into the mapping. The batch-kernel plan is
-  /// built lazily on first call (so map_file keeps its O(sections) open
-  /// cost) and cached for the model's lifetime; call_once makes the build
-  /// race-free across serving threads.
+  /// The tables in the evaluator shape. All spans except `metrics` point
+  /// directly into the image. The batch-kernel plan is built lazily on
+  /// first call (so opening keeps its O(sections) cost) and cached for the
+  /// model's lifetime; call_once makes the build race-free across serving
+  /// threads. This is the only place a serving EvalPlan is built.
   EvalTables tables() const {
     EvalTables t{metrics_, view_.ranges, view_.x0, view_.y0, view_.x1,
                  view_.y1};
@@ -103,6 +124,11 @@ class MappedModel {
  private:
   MappedModel() = default;
 
+  /// map_file and compile's shared tail: validates `image` at `verify`,
+  /// forms the view, and resolves the metric names.
+  static MappedModel open_image(util::MmapFile image,
+                                model::v3::Verify verify);
+
   // Lazily built batch-kernel plan. Boxed so MappedModel stays movable
   // (std::once_flag is not) and the plan's address survives moves.
   struct LazyPlan {
@@ -110,8 +136,8 @@ class MappedModel {
     EvalPlan plan;
   };
 
-  util::MmapFile file_;
-  model::v3::FlatView view_;            // spans into file_
+  util::MmapFile file_;                   // a file or an anonymous image
+  model::v3::FlatView view_;              // spans into file_
   std::vector<counters::Event> metrics_;  // resolved from the strings section
   std::unique_ptr<LazyPlan> lazy_ = std::make_unique<LazyPlan>();
 };

@@ -481,13 +481,10 @@ void EvalBatch::eval_lanes(const EvalTables& tables, std::size_t m) {
   // Pick the segment-resolution strategy. A batch that arrives sorted —
   // monotone collectors, merged streams — resolves with one forward merge
   // sweep, O(n + gallop-steps) for the whole batch and no plan needed.
-  // Anything else routes through the metric's plan: the model-owned one
-  // when the tables carry it (the production serving path — built once
-  // per model), else a per-call scratch plan (hand-built tables; the
-  // build is the same O(pieces + buckets) sweep the old per-batch grid
-  // paid). An explicit permutation sort was measured and rejected (its
-  // O(n log n) mispredicting comparisons cost exactly what the sweep
-  // saves on random batches).
+  // Anything else routes through the metric's model-owned plan (built
+  // once per model). An explicit permutation sort was measured and
+  // rejected (its O(n log n) mispredicting comparisons cost exactly what
+  // the sweep saves on random batches).
   if (std::is_sorted(xs_.begin(), xs_.end())) {
     // Region choice is `intensity <= left_max`, so on ascending lanes the
     // left region is exactly a prefix.
@@ -500,11 +497,8 @@ void EvalBatch::eval_lanes(const EvalTables& tables, std::size_t m) {
     seg_.resize(n);
     sweep_eval(tables, range.left_begin, range.left_end, 0, split);
     sweep_eval(tables, range.right_begin, range.right_end, split, n);
-  } else if (tables.plan != nullptr) {
-    search_eval(tables, range, tables.plan->metrics[m], tables.plan->rows());
   } else {
-    build_metric_plan(scratch_plan_, tables, range);
-    search_eval(tables, range, scratch_plan_, nullptr);
+    search_eval(tables, m);
   }
 
 #if SPIRE_DCHECK_ENABLED
@@ -540,9 +534,10 @@ void EvalBatch::sweep_eval(const EvalTables& tables, std::size_t begin,
   }
 }
 
-void EvalBatch::search_eval(const EvalTables& tables,
-                            const MetricRange& range,
-                            const EvalPlan::Metric& plan, const double* rows) {
+void EvalBatch::search_eval(const EvalTables& tables, std::size_t m) {
+  const MetricRange& range = tables.ranges[m];
+  const EvalPlan::Metric& plan = tables.plan->metrics[m];
+  const double* const rows = tables.plan->rows();
   const std::size_t n = xs_.size();
   const double* const ux = plan.ux1.data();
   const std::size_t ulen = plan.ux1.size();  // >= 1 (sentinel)
@@ -562,7 +557,7 @@ void EvalBatch::search_eval(const EvalTables& tables,
   window_.resize(kSearchBlock);
 #if defined(SPIRE_EVAL_AVX2)
   detail::Avx2SelectArgs simd_args;
-  const bool use_simd = rows != nullptr && detail::avx2_select_supported();
+  const bool use_simd = detail::avx2_select_supported();
   if (use_simd) {
     simd_args.rows = rows;
     simd_args.has_left = has_left;
@@ -624,11 +619,8 @@ void EvalBatch::search_eval(const EvalTables& tables,
            static_cast<std::size_t>(ux[uc] < x);
       if (w_hi - w_lo > 2) u = window_lower_bound(ux, x, w_lo, w_hi);
       seg_[i] = static_cast<std::uint32_t>(u);
-      if (rows != nullptr) {
-        const std::size_t pid =
-            (has_left && x <= left_max ? lb : right_off) + u;
-        SPIRE_PREFETCH(rows + 4 * (pid < re - 1 ? pid : re - 1));
-      }
+      const std::size_t pid = (has_left && x <= left_max ? lb : right_off) + u;
+      SPIRE_PREFETCH(rows + 4 * (pid < re - 1 ? pid : re - 1));
     }
     // Sub-pass 4: segment select + endpoint interpolation over the
     // block — the 4-wide AVX2 kernel when the build and CPU have it, the
@@ -685,6 +677,7 @@ void EvalBatch::accumulate(const Slice& slice, counters::Event metric,
 
 Estimate EvalBatch::estimate(const EvalTables& tables, DatasetView workload,
                              Merge merge) {
+  SPIRE_ASSERT(tables.plan != nullptr, "EvalBatch: tables carry no plan");
   Estimate out;
   for (std::size_t m = 0; m < tables.ranges.size(); ++m) {
     xs_.clear();
@@ -716,6 +709,7 @@ std::vector<EvalOutcome> EvalBatch::estimate_many(
   SPIRE_ASSERT(merges.size() == workloads.size(),
                "estimate_many: ", workloads.size(), " workload(s) but ",
                merges.size(), " merge mode(s)");
+  SPIRE_ASSERT(tables.plan != nullptr, "EvalBatch: tables carry no plan");
   const std::size_t jobs = workloads.size();
   std::vector<EvalOutcome> out(jobs);
   std::vector<Estimate> partial(jobs);

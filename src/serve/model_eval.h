@@ -1,13 +1,12 @@
-// The shared flattened-table evaluator behind both serving backends.
+// The flattened-table evaluator behind serve::MappedModel.
 //
-// CompiledModel (owned vectors, built by compile()) and MappedModel (spans
-// straight into an mmap'd v3 artifact) present the same structure-of-arrays
-// shape: per-metric piece-index ranges over shared x0/y0/x1/y1 endpoint
-// columns. EvalTables is that shape as non-owning spans, and the functions
-// here are THE single implementation of the bit-identity contract —
-// estimate results identical to Ensemble::estimate down to the last ulp,
-// same ranking order, same skip reasons, same error text. Both backends
-// delegate here, so they cannot drift from each other.
+// A MappedModel (spans straight into a v3 image, mapped from a file or
+// compiled in memory) presents a structure-of-arrays shape: per-metric
+// piece-index ranges over shared x0/y0/x1/y1 endpoint columns. EvalTables
+// is that shape as non-owning spans, and the functions here are THE single
+// implementation of the bit-identity contract — estimate results identical
+// to Ensemble::estimate down to the last ulp, same ranking order, same
+// skip reasons, same error text.
 //
 // Two evaluation paths share that contract:
 //
@@ -17,7 +16,7 @@
 //    every other path is checked against;
 //  * the BATCH KERNEL (EvalBatch): a two-phase plan/execute restructuring
 //    of the same lookup. The PLAN is per-model, immutable, and built once
-//    (EvalPlan, owned by CompiledModel / built lazily by MappedModel):
+//    (EvalPlan, built lazily by MappedModel::tables and required here):
 //    each metric's two region slices of the x1 column merge into ONE
 //    ascending UNIFIED column (left entries <= left_max, then right
 //    entries above it — a lower_bound there maps back to the scalar index
@@ -71,10 +70,10 @@ struct EvalPlan;
 /// parallel (ascending Event order); piece i of the shared columns is the
 /// segment (x0[i], y0[i]) -> (x1[i], y1[i]). Endpoint form, not
 /// slope/intercept: LinearPiece::at's exact expression is what the
-/// bit-identity contract replicates. `plan` optionally points at the
-/// model-owned evaluation plan (same lifetime as the columns); the batch
-/// kernel builds a per-call scratch plan when it is absent, so hand-built
-/// tables (tests, tools) stay valid inputs.
+/// bit-identity contract replicates. `plan` points at the model-owned
+/// evaluation plan (same lifetime as the columns). The batch kernel
+/// requires it; the scalar reference ignores it, so raw tables are valid
+/// oracle inputs.
 struct EvalTables {
   std::span<const counters::Event> metrics;
   std::span<const model::v3::MetricRange> ranges;
@@ -208,7 +207,8 @@ struct EvalOutcome {
 /// The plan/execute batch kernel plus its reusable scratch. NOT thread
 /// safe: one EvalBatch per thread (thread_eval_batch() hands out a
 /// thread-local instance); the tables it evaluates are immutable and may
-/// be shared freely.
+/// be shared freely. Every entry point requires `tables.plan` (an
+/// SPIRE_ASSERT).
 ///
 /// Determinism contract: estimate() is bit-identical to estimate_tables()
 /// (same ulps, ranking order, skip reasons, same exceptions), and
@@ -279,12 +279,9 @@ class EvalBatch {
                   std::size_t end, std::size_t lo, std::size_t hi);
 
   /// Unsorted-batch path: blocked route -> window fetch -> window search
-  /// -> select pipeline over the metric's plan (`rows` is the plan's
-  /// interleaved row base, or nullptr for a scratch plan, which keeps the
-  /// portable column select).
-  void search_eval(const EvalTables& tables,
-                   const model::v3::MetricRange& range,
-                   const EvalPlan::Metric& plan, const double* rows);
+  /// -> select pipeline over metric `m`'s plan and the plan's interleaved
+  /// rows.
+  void search_eval(const EvalTables& tables, std::size_t m);
 
   /// Eq. (1) accumulation of one staged slice into `out`, replicating the
   /// scalar path's skip conditions and accumulation order exactly.
@@ -305,8 +302,6 @@ class EvalBatch {
   // Search-pipeline per-block scratch: routed bucket, fetched window.
   std::vector<std::uint32_t> bucket_;
   std::vector<std::uint64_t> window_;
-  // Per-call plan scratch for tables without a model-owned EvalPlan.
-  EvalPlan::Metric scratch_plan_;
   // estimate_many bookkeeping.
   std::vector<Slice> slices_;
 

@@ -1,18 +1,16 @@
 // Batch estimation over workload files — the "many CSVs in, one verdict
 // per CSV out" serving front end used by `spire_cli estimate` and the
-// pipeline engine's estimate_batch stage.
+// pipeline engine's estimate_batch stage — plus the pre-parsed view batch
+// a serve::Shard pump evaluates.
 //
-// The raw kernels (CompiledModel / MappedModel estimate_batch) are
-// bit-identical but one bad workload throws for the whole span. A service
-// run must instead keep going when one file is unreadable or shares no
-// metric with the model, so EstimationService isolates failures per item:
-// every input path gets a BatchResult in input order carrying either the
-// Estimate or the error string, never both.
+// MappedModel::estimate_batch is bit-identical but one bad workload throws
+// for the whole span. A service run must instead keep going when one file
+// is unreadable or shares no metric with the model, so EstimationService
+// isolates failures per item: every input gets a BatchResult in input
+// order carrying either the Estimate or the error string, never both.
 //
-// The service is backend-agnostic: it can own a CompiledModel (any source
-// format, parse at load), own a MappedModel (zero-copy v3), or share a
-// registry-cached mapping. from_file picks the fastest backend for the
-// artifact's format; from_registry resolves a content-addressed id.
+// The service serves one MappedModel, shared: a registry-cached mapping,
+// a file mapped by from_file, or an ensemble compiled in memory.
 #pragma once
 
 #include <chrono>
@@ -20,11 +18,9 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <variant>
 #include <vector>
 
 #include "sampling/dataset_view.h"
-#include "serve/compiled_model.h"
 #include "serve/mapped_model.h"
 #include "spire/ensemble.h"
 #include "util/thread_pool.h"
@@ -40,29 +36,21 @@ struct BatchResult {
   std::optional<model::Estimate> estimate;
   std::string error;      // why estimation failed, "" on success
   /// True when the item's deadline expired before it was evaluated
-  /// (estimate_csvs only); distinguishes "out of time" from "bad input"
-  /// so callers can report the two with different status codes.
+  /// (estimate_views, or a shard pump's parse pass); distinguishes "out of
+  /// time" from "bad input" so callers can report the two with different
+  /// status codes.
   bool deadline_expired = false;
 
   bool ok() const { return estimate.has_value(); }
 };
 
-/// One in-memory workload for estimate_csvs. `csv` points at caller-owned
-/// bytes that must stay alive for the call; `deadline` (when has_deadline)
-/// is checked immediately before the item is evaluated, so a batch that
-/// runs out of budget reports its tail as expired instead of silently
-/// evaluating past the deadline.
-struct CsvJob {
-  const std::string* csv = nullptr;
-  model::Merge merge = model::Merge::kTimeWeighted;
-  std::chrono::steady_clock::time_point deadline{};
-  bool has_deadline = false;
-};
-
 /// One pre-parsed workload for estimate_views. `view` points at a
 /// caller-owned DatasetView (a zero-copy profile_bin::ProfileView or a
 /// ProfileCache hit) that must stay alive for the call — no parse happens,
-/// the view's spans feed the batch kernel directly.
+/// the view's spans feed the batch kernel directly. `deadline` (when
+/// has_deadline) is checked immediately before the batch is evaluated, so
+/// an item that ran out of budget reports expiry instead of being
+/// silently evaluated past its deadline.
 struct ViewJob {
   const sampling::DatasetView* view = nullptr;
   model::Merge merge = model::Merge::kTimeWeighted;
@@ -77,17 +65,13 @@ struct BatchOptions {
 
 class EstimationService {
  public:
-  explicit EstimationService(CompiledModel model) : model_(std::move(model)) {}
-  explicit EstimationService(MappedModel model) : model_(std::move(model)) {}
+  explicit EstimationService(MappedModel model);
+  /// Throws std::invalid_argument on a null model.
   explicit EstimationService(std::shared_ptr<const MappedModel> model);
-  /// Non-owning: `model` must outlive the service. For callers that keep
-  /// the compiled model for other work (CompiledModel is move-only — its
-  /// evaluation plan cannot be copied into the service).
-  explicit EstimationService(const CompiledModel* model);
 
-  /// Loads a model from `path`, picking the backend by format: binary v3
-  /// maps zero-copy (MappedModel); text v1 and binary v2 deserialize and
-  /// compile (CompiledModel). Either way estimates are bit-identical.
+  /// Loads a model from `path`: binary v3 maps zero-copy; text v1 and
+  /// binary v2 load the ensemble and compile it into an in-memory v3
+  /// image. Either way estimates are bit-identical.
   static EstimationService from_file(const std::string& path);
 
   /// Resolves a content-addressed id through `registry` (shared mapping,
@@ -95,17 +79,7 @@ class EstimationService {
   static EstimationService from_registry(ModelRegistry& registry,
                                          const std::string& id);
 
-  std::size_t metric_count() const { return tables().metric_count(); }
-  std::size_t piece_count() const { return tables().piece_count(); }
-
-  /// True when serving straight out of a file mapping (no deserialize).
-  bool zero_copy() const {
-    return std::holds_alternative<MappedModel>(model_) ||
-           std::holds_alternative<std::shared_ptr<const MappedModel>>(model_);
-  }
-
-  /// The active backend's tables; valid for the service's lifetime.
-  EvalTables tables() const;
+  std::size_t metric_count() const { return model_->metric_count(); }
 
   /// Estimates every workload CSV, one pool task per file (load + estimate
   /// both inside the task; serial when exec.threads <= 1). Results come
@@ -115,29 +89,20 @@ class EstimationService {
   std::vector<BatchResult> estimate_files(std::span<const std::string> paths,
                                           const BatchOptions& options = {}) const;
 
-  /// Estimates in-memory CSV blobs in the caller's thread — this is the
+  /// Evaluates pre-parsed workloads in the caller's thread — the
   /// coalesced inner loop of a serve::Shard pump, which already owns a
-  /// pool worker. Items are parsed one by one (deadline checked before
-  /// each parse) and every survivor then joins ONE planned batch-kernel
-  /// pass (EvalBatch::estimate_many), so a coalesced shard wakeup is a
-  /// single sort/sweep/execute per metric rather than a loop of per-item
-  /// evaluations. Results come back in input order with per-item error
-  /// isolation; an item whose deadline already expired gets
-  /// `deadline_expired` set and is never parsed or evaluated.
-  std::vector<BatchResult> estimate_csvs(std::span<const CsvJob> jobs) const;
-
-  /// The parse-free twin of estimate_csvs: every job arrives pre-parsed
-  /// (a zero-copy binary-profile view or a parsed-profile cache hit), so
-  /// the whole call is ONE planned batch-kernel pass with no Dataset
-  /// materialization and no string copies. Deadline and error semantics
-  /// match estimate_csvs; results are bit-identical to parsing the same
-  /// samples from CSV (the kernel sees the same doubles either way).
+  /// pool worker. Every job arrives as a view (a zero-copy binary-profile
+  /// view or a parsed-profile cache hit), so the whole call is ONE planned
+  /// batch-kernel pass (EvalBatch::estimate_many) with no Dataset
+  /// materialization and no string copies. Results come back in input
+  /// order with per-item error isolation; an item whose deadline already
+  /// expired gets `deadline_expired` set and is never evaluated. Results
+  /// are bit-identical to parsing the same samples from CSV (the kernel
+  /// sees the same doubles either way).
   std::vector<BatchResult> estimate_views(std::span<const ViewJob> jobs) const;
 
  private:
-  std::variant<CompiledModel, MappedModel,
-               std::shared_ptr<const MappedModel>, const CompiledModel*>
-      model_;
+  std::shared_ptr<const MappedModel> model_;
 };
 
 }  // namespace spire::serve

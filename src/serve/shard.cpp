@@ -147,8 +147,8 @@ void Shard::run_batch(std::vector<Request>& batch) {
         slot.view = workload.view;
         slot.early.samples = workload.view->size();
       } else if (request.has_deadline && Clock::now() >= request.deadline) {
-        // Same per-item semantics as estimate_csvs: the deadline is checked
-        // before each parse, because parsing dominates per-item cost.
+        // The deadline is checked per item before its parse, because
+        // parsing dominates per-item cost.
         slot.has_early = true;
         slot.early.deadline_expired = true;
         slot.early.error = "deadline expired";

@@ -2,9 +2,9 @@
 //
 // v3 is a strict superset of v2. The file opens with the v2 payload (magic
 // line aside, byte-identical encoding: metric count + per-metric sections),
-// so the stream deserializer keeps working; it then appends the tables
-// serve::CompiledModel would build at load time, laid out so a reader can
-// point spans straight into an mmap of the file — ZERO deserialization:
+// so the stream deserializer keeps working; it then appends the flattened
+// serving tables, laid out so a reader can point spans straight into an
+// mmap of the file — ZERO deserialization:
 //
 //   "spire-model-bin v3\n"                     19 bytes
 //   u32 metric count + v2 metric sections      (identical to v2)
@@ -174,8 +174,8 @@ FlatView map_flat(std::span<const std::byte> file,
                   Verify verify = Verify::kFull);
 
 /// The writer's input: flattened tables spanning caller-owned storage
-/// (serve::CompiledModel's columns, which guarantees the file tables equal
-/// the compiled tables by construction).
+/// (built by serve::model_v3_bytes, the one flatten walk, which
+/// guarantees file tables equal in-memory tables by construction).
 struct FlatTables {
   std::span<const std::string_view> names;  // per metric, file order
   std::span<const MetricRange> ranges;      // parallel to names

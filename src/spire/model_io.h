@@ -8,8 +8,9 @@
 //   right <k> x0 y0 x1 y1 ... (piece corners; x of the last corner may be
 //                              "inf"; pieces may be discontinuous)
 //
-// Binary v2 — the deployment artifact (serve::CompiledModel loads in one
-// pass, no float parsing). Layout, all integers and IEEE-754 doubles
+// Binary v2 — the compact deployment body (loads in one pass, no float
+// parsing; serve::MappedModel::compile turns the loaded ensemble into a
+// servable v3 image). Layout, all integers and IEEE-754 doubles
 // little-endian fixed-width:
 //
 //   magic line  "spire-model-bin v2\n" (19 bytes, file(1)-friendly)
@@ -36,8 +37,9 @@
 // whole-file CRC, structural and semantic checks) and cross-checks the
 // flat header's counts against the parsed metric sections, so a v3 file
 // that stream-loads is also guaranteed mappable. The v3 WRITER lives in
-// serve/model_v3.h: the flat tables are produced by serve::CompiledModel,
-// which makes file tables equal compiled tables by construction.
+// serve/model_v3.h: it is the one flatten walk, and serve::MappedModel
+// serves its bytes from a file or from memory, which makes file tables
+// equal compiled tables by construction.
 #pragma once
 
 #include <iosfwd>

@@ -1,5 +1,6 @@
 #include "util/mmap_file.h"
 
+#include <cstring>
 #include <stdexcept>
 #include <utility>
 
@@ -29,6 +30,10 @@ namespace {
 
 MmapFile MmapFile::open_readonly(const std::string& path) {
   fail(path, "memory mapping is not supported on this platform");
+}
+
+MmapFile MmapFile::from_bytes(std::string_view) {
+  fail("<memory>", "memory mapping is not supported on this platform");
 }
 
 MmapFile::~MmapFile() = default;
@@ -69,6 +74,20 @@ MmapFile MmapFile::open_readonly(const std::string& path) {
     fail(path, "file size changed while mapping (concurrent truncation?)");
   }
   return MmapFile(data, size, path);
+}
+
+MmapFile MmapFile::from_bytes(std::string_view bytes) {
+  const std::string path = "<memory>";
+  if (bytes.empty()) fail(path, "empty image");
+  void* data = ::mmap(nullptr, bytes.size(), PROT_READ | PROT_WRITE,
+                      MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (data == MAP_FAILED) fail(path, "mmap failed");
+  std::memcpy(data, bytes.data(), bytes.size());
+  if (::mprotect(data, bytes.size(), PROT_READ) != 0) {
+    ::munmap(data, bytes.size());
+    fail(path, "mprotect failed");
+  }
+  return MmapFile(data, bytes.size(), path);
 }
 
 MmapFile::~MmapFile() {

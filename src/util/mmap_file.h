@@ -13,11 +13,16 @@
 // between open and map is rejected up front instead of faulting later.
 // Registry objects are immutable-once-published (rename-on-publish), so a
 // mapping resolved through the registry can never see an in-place rewrite.
+//
+// from_bytes builds the same object over a read-only anonymous mapping, so
+// an image produced in memory (serve::MappedModel::compile) is stored,
+// freed and moved exactly like a file mapping.
 #pragma once
 
 #include <cstddef>
 #include <span>
 #include <string>
+#include <string_view>
 
 namespace spire::util {
 
@@ -30,6 +35,11 @@ class MmapFile {
   /// ("mmap: ...") when the file cannot be opened, is empty, cannot be
   /// mapped, or changes size while being mapped.
   static MmapFile open_readonly(const std::string& path);
+
+  /// Copies `bytes` into a fresh anonymous mapping and seals it read-only.
+  /// path() is "<memory>". Throws std::runtime_error ("mmap: ...") when
+  /// `bytes` is empty or the mapping cannot be created.
+  static MmapFile from_bytes(std::string_view bytes);
 
   ~MmapFile();
   MmapFile(MmapFile&& other) noexcept;

@@ -25,6 +25,7 @@
 #include "sampling/dataset_view.h"
 #include "serve/model_eval.h"
 #include "spire/model_bin_v3.h"
+#include "util/contract.h"
 
 namespace spire {
 namespace {
@@ -48,7 +49,7 @@ bool same_bits(double a, double b) {
 }
 
 /// Owns fuzzable table columns and exposes them in the evaluator shape.
-/// compile()'s invariants hold by construction: per-region x1 ascends
+/// The v3 writer's invariants hold by construction: per-region x1 ascends
 /// (lower_bound requirement), the right region is never empty, metrics
 /// ascend by event id.
 struct TableSet {
@@ -56,19 +57,19 @@ struct TableSet {
   std::vector<MetricRange> ranges;
   std::vector<double> x0, y0, x1, y1;
 
-  /// Planless tables: the kernel builds a per-call scratch plan and keeps
-  /// the portable column select.
-  EvalTables tables() const { return {metrics, ranges, x0, y0, x1, y1}; }
+  /// The columns without a plan: what the kernel must refuse.
+  EvalTables raw() const { return {metrics, ranges, x0, y0, x1, y1}; }
 
-  /// Tables with a model-owned EvalPlan attached (built on first use) —
-  /// the shape CompiledModel/MappedModel actually serve through, which is
-  /// what routes the interleaved-row execute path (and the AVX2 select
-  /// when the build compiled it and the CPU has it).
-  EvalTables planned() const {
+  /// The columns with their EvalPlan attached (built on first use, so the
+  /// set must be complete by then) — the shape MappedModel serves
+  /// through: the interleaved-row execute path, and the AVX2 select when
+  /// the build compiled it and the CPU has it. The scalar reference
+  /// ignores the plan.
+  EvalTables tables() const {
     if (!plan) {
-      plan = std::make_unique<serve::EvalPlan>(serve::EvalPlan::build(tables()));
+      plan = std::make_unique<serve::EvalPlan>(serve::EvalPlan::build(raw()));
     }
-    EvalTables t = tables();
+    EvalTables t = raw();
     t.plan = plan.get();
     return t;
   }
@@ -220,19 +221,14 @@ TEST(EvalBatchProperty, FuzzedTablesMatchScalarReferenceBitForBit) {
     const Dataset data = fuzz_workload(set, n, rng);
     const DatasetView view(data);
     const Merge merge = (round % 2) ? Merge::kUnweighted : Merge::kTimeWeighted;
-    const EvalOutcome scalar = scalar_outcome(set.tables(), view, merge);
-    // Both kernel shapes must match the reference: planless tables (per-call
-    // scratch plan, portable select) and the model-owned plan (routed
-    // interleaved rows, AVX2 select when available).
-    for (const EvalTables& t : {set.tables(), set.planned()}) {
-      EvalOutcome kernel;
-      try {
-        kernel.estimate = batch.estimate(t, view, merge);
-      } catch (const std::exception& e) {
-        kernel.error = e.what();
-      }
-      expect_identical(scalar, kernel);
+    const EvalOutcome scalar = scalar_outcome(set.raw(), view, merge);
+    EvalOutcome kernel;
+    try {
+      kernel.estimate = batch.estimate(set.tables(), view, merge);
+    } catch (const std::exception& e) {
+      kernel.error = e.what();
     }
+    expect_identical(scalar, kernel);
   }
 }
 
@@ -254,15 +250,12 @@ TEST(EvalBatchProperty, EstimateManyMatchesPerItemScalarLoop) {
       views.emplace_back(datasets.back());
       merges.push_back(rng() % 2 ? Merge::kUnweighted : Merge::kTimeWeighted);
     }
-    // Alternate rounds between planless and model-owned-plan tables so
-    // the coalesced path is proven in both kernel shapes.
-    const EvalTables t = (round % 2) ? set.planned() : set.tables();
     const auto outcomes =
-        batch.estimate_many(t, std::span<const DatasetView>(views),
+        batch.estimate_many(set.tables(), std::span<const DatasetView>(views),
                             std::span<const Merge>(merges));
     ASSERT_EQ(outcomes.size(), jobs);
     for (std::size_t j = 0; j < jobs; ++j) {
-      expect_identical(scalar_outcome(set.tables(), views[j], merges[j]),
+      expect_identical(scalar_outcome(set.raw(), views[j], merges[j]),
                        outcomes[j]);
     }
   }
@@ -302,19 +295,17 @@ TEST(EvalBatchProperty, SinglePieceAndDuplicateSegmentTables) {
   for (int round = 0; round < 40; ++round) {
     const Dataset data = fuzz_workload(set, 1 + rng() % 40, rng);
     const DatasetView view(data);
-    for (const EvalTables& t : {set.tables(), set.planned()}) {
-      expect_identical(
-          scalar_outcome(set.tables(), view, Merge::kTimeWeighted),
-          [&] {
-            EvalOutcome k;
-            try {
-              k.estimate = batch.estimate(t, view, Merge::kTimeWeighted);
-            } catch (const std::exception& e) {
-              k.error = e.what();
-            }
-            return k;
-          }());
-    }
+    expect_identical(
+        scalar_outcome(set.raw(), view, Merge::kTimeWeighted), [&] {
+          EvalOutcome k;
+          try {
+            k.estimate =
+                batch.estimate(set.tables(), view, Merge::kTimeWeighted);
+          } catch (const std::exception& e) {
+            k.error = e.what();
+          }
+          return k;
+        }());
   }
 }
 
@@ -329,19 +320,17 @@ TEST(EvalBatchProperty, PlanCutoffBoundaryIsSeamless) {
        n <= EvalBatch::kMinPlanLanes + 2; ++n) {
     const Dataset data = fuzz_workload(set, n, rng);
     const DatasetView view(data);
-    for (const EvalTables& t : {set.tables(), set.planned()}) {
-      expect_identical(
-          scalar_outcome(set.tables(), view, Merge::kTimeWeighted),
-          [&] {
-            EvalOutcome k;
-            try {
-              k.estimate = batch.estimate(t, view, Merge::kTimeWeighted);
-            } catch (const std::exception& e) {
-              k.error = e.what();
-            }
-            return k;
-          }());
-    }
+    expect_identical(
+        scalar_outcome(set.raw(), view, Merge::kTimeWeighted), [&] {
+          EvalOutcome k;
+          try {
+            k.estimate =
+                batch.estimate(set.tables(), view, Merge::kTimeWeighted);
+          } catch (const std::exception& e) {
+            k.error = e.what();
+          }
+          return k;
+        }());
   }
 }
 
@@ -353,7 +342,7 @@ TEST(EvalBatchProperty, NoSharedMetricThrowsSameErrorText) {
   EvalBatch batch;
   std::string scalar_text, batch_text;
   try {
-    serve::estimate_tables(set.tables(), view, Merge::kTimeWeighted);
+    serve::estimate_tables(set.raw(), view, Merge::kTimeWeighted);
   } catch (const std::invalid_argument& e) {
     scalar_text = e.what();
   }
@@ -364,6 +353,22 @@ TEST(EvalBatchProperty, NoSharedMetricThrowsSameErrorText) {
   }
   ASSERT_FALSE(scalar_text.empty());
   EXPECT_EQ(scalar_text, batch_text);
+}
+
+TEST(EvalBatchProperty, PlanlessTablesAreRejected) {
+  // The kernel has one plan path: the model-owned plan. Raw tables are an
+  // oracle input only.
+  std::mt19937 rng(13);
+  const TableSet set = fuzz_tables(rng);
+  const Dataset data = fuzz_workload(set, 4 * EvalBatch::kMinPlanLanes, rng);
+  const DatasetView view(data);
+  EvalBatch batch;
+  EXPECT_THROW(batch.estimate(set.raw(), view, Merge::kTimeWeighted),
+               util::ContractViolation);
+  EXPECT_THROW(batch.estimate_many(set.raw(), std::span<const DatasetView>(
+                                                  &view, 1),
+                                   Merge::kTimeWeighted),
+               util::ContractViolation);
 }
 
 TEST(EvalBatchCounters, PlannedAndScalarPathsAreCounted) {
@@ -420,7 +425,7 @@ TEST(EvalBatchThreads, ThreadLocalScratchIsRaceFreeAcrossPoolWorkers) {
   ASSERT_EQ(parallel.size(), views.size());
   for (std::size_t i = 0; i < views.size(); ++i) {
     expect_identical(
-        serve::estimate_tables(set.tables(), views[i], Merge::kTimeWeighted),
+        serve::estimate_tables(set.raw(), views[i], Merge::kTimeWeighted),
         parallel[i]);
   }
 }

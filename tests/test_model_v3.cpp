@@ -1,6 +1,7 @@
 // Binary v3 + zero-copy serving: the mapped path's promises are (a) bit
-// identity with the tree-walk and the compiled path at any thread count,
-// (b) zero per-table copying (every table span points into the mapping),
+// identity with the tree-walk at any thread count (the ServedModel suite in
+// test_serve.cpp), (b) zero per-table copying (every table span points
+// into the mapping),
 // and (c) no crafted or corrupted artifact ever gets a pointer formed into
 // it — every defect is a clean "model-v3: ..." diagnostic naming a section
 // or byte offset. The registry adds content-addressed identity: publishing
@@ -22,6 +23,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "lint/lint.h"
@@ -29,7 +31,6 @@
 #include "quality/fault_injector.h"
 #include "sampling/dataset.h"
 #include "sampling/dataset_view.h"
-#include "serve/compiled_model.h"
 #include "serve/model_v3.h"
 #include "serve/registry.h"
 #include "serve/service.h"
@@ -167,85 +168,35 @@ TEST(ModelV3, FileVersionSniffingRoutesAllThreeFormats) {
   }
 }
 
+TEST(ModelV3, CheckedInModelsSerializeToPinnedBytes) {
+  // Registry ids of the checked-in models, recorded with `spire_cli
+  // registry publish`. The id is the fnv1a64 of the v3 bytes, so any byte
+  // the flatten walk or the v2 body writer changes moves an id; a
+  // deliberate format change updates these literals.
+  const std::string dir = std::string(SPIRE_TESTDATA_DIR) + "/models/";
+  const std::pair<const char*, const char*> pinned[] = {
+      {"handwritten", "ba4282b26557ca48"},
+      {"trained_parboil", "e592658f6fb015d3"},
+      {"trained_multi", "bf200e29c4e409ed"},
+  };
+  for (const auto& [name, id] : pinned) {
+    const Ensemble ensemble =
+        model::load_model_any_file(dir + name + ".model");
+    const std::string bytes = model_v3_bytes(ensemble);
+    EXPECT_EQ(util::fnv1a64_hex(bytes), id) << name;
+    // An in-memory compile serves exactly those bytes.
+    const MappedModel compiled = MappedModel::compile(ensemble);
+    const std::span<const std::byte> image = compiled.bytes();
+    ASSERT_EQ(image.size(), bytes.size()) << name;
+    EXPECT_EQ(std::memcmp(image.data(), bytes.data(), bytes.size()), 0)
+        << name;
+    EXPECT_EQ(compiled.path(), "<memory>");
+  }
+}
+
 // --------------------------------------------------------------------------
-// MappedModel: bit identity and zero-copy structure
+// MappedModel: zero-copy structure
 // --------------------------------------------------------------------------
-
-TEST(MappedModel, EstimatesBitIdenticalToEnsembleAndCompiled) {
-  const Ensemble ensemble = trained_ensemble(17);
-  const CompiledModel compiled = CompiledModel::compile(ensemble);
-  const std::string path = temp_path("mapped_identity.v3.bin");
-  save_model_v3_file(ensemble, path);
-  const MappedModel mapped = MappedModel::map_file(path);
-
-  EXPECT_EQ(mapped.metric_count(), compiled.metric_count());
-  EXPECT_EQ(mapped.piece_count(), compiled.piece_count());
-  EXPECT_EQ(mapped.metrics(), compiled.metrics());
-
-  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    const Dataset workload = mixed_workload(seed);
-    const DatasetView view(workload);
-    for (const model::Merge merge :
-         {model::Merge::kTimeWeighted, model::Merge::kUnweighted}) {
-      const Estimate reference = ensemble.estimate(view, merge);
-      expect_identical(reference, mapped.estimate(view, merge));
-      expect_identical(compiled.estimate(view, merge),
-                       mapped.estimate(view, merge));
-    }
-  }
-}
-
-TEST(MappedModel, BatchIsBitIdenticalAtOneFourEightThreads) {
-  const Ensemble ensemble = trained_ensemble(29);
-  const std::string path = temp_path("mapped_batch.v3.bin");
-  save_model_v3_file(ensemble, path);
-  const MappedModel mapped = MappedModel::map_file(path);
-
-  std::vector<Dataset> workloads;
-  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
-    workloads.push_back(mixed_workload(seed));
-  }
-  std::vector<DatasetView> views(workloads.begin(), workloads.end());
-  std::vector<Estimate> reference;
-  for (const DatasetView& view : views) {
-    reference.push_back(ensemble.estimate(view));
-  }
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4},
-                                    std::size_t{8}}) {
-    const auto batch = mapped.estimate_batch(views, util::ExecOptions{threads});
-    ASSERT_EQ(batch.size(), reference.size()) << threads << " threads";
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      expect_identical(reference[i], batch[i]);
-    }
-  }
-}
-
-TEST(MappedModel, ThrowsTheEnsembleErrorOnNoSharedMetric) {
-  const Ensemble ensemble = trained_ensemble(17);
-  const std::string path = temp_path("mapped_throw.v3.bin");
-  save_model_v3_file(ensemble, path);
-  const MappedModel mapped = MappedModel::map_file(path);
-
-  Dataset workload;
-  workload.add(Event::kUopsIssuedAny, {1.0, 1.0, 1.0});
-  const DatasetView view(workload);
-  std::string reference_error;
-  try {
-    ensemble.estimate(view);
-  } catch (const std::invalid_argument& e) {
-    reference_error = e.what();
-  }
-  ASSERT_FALSE(reference_error.empty());
-  try {
-    mapped.estimate(view);
-    FAIL() << "mapped estimate must throw like the ensemble";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_EQ(reference_error, e.what());
-  }
-  std::vector<DatasetView> views{view};
-  EXPECT_THROW(mapped.estimate_batch(views, util::ExecOptions{4}),
-               std::invalid_argument);
-}
 
 TEST(MappedModel, TableSpansPointIntoTheMappingNotCopies) {
   const Ensemble ensemble = trained_ensemble(17);
@@ -275,11 +226,11 @@ TEST(MappedModel, TableSpansPointIntoTheMappingNotCopies) {
             static_cast<std::ptrdiff_t>(layout.section(Section::kY1).offset) - base);
   EXPECT_EQ(distance_to(mapped.view().strings.data()),
             static_cast<std::ptrdiff_t>(layout.section(Section::kStrings).offset) - base);
-  EXPECT_EQ(layout.file_size, mapped.file_size());
+  EXPECT_EQ(layout.file_size, mapped.bytes().size());
 
-  // Mapped tables equal compiled tables value-for-value (the "by
-  // construction" guarantee, spot-verified).
-  const CompiledModel compiled = CompiledModel::compile(ensemble);
+  // Mapped tables equal in-memory compiled tables value-for-value (the
+  // "by construction" guarantee, spot-verified).
+  const MappedModel compiled = MappedModel::compile(ensemble);
   const EvalTables c = compiled.tables();
   ASSERT_EQ(t.piece_count(), c.piece_count());
   for (std::size_t i = 0; i < t.piece_count(); ++i) {
@@ -485,7 +436,8 @@ TEST(ModelV3Hardening, VerificationTiersSplitCrcWorkFromBoundsSafety) {
   // Flip a byte in the derived slopes table. The full tier names the
   // section; the structure tier maps the file — and because the
   // bit-identity evaluator never reads derived columns, estimates remain
-  // bit-identical to the compiled model even on the damaged artifact.
+  // bit-identical to a clean in-memory compile even on the damaged
+  // artifact.
   std::string bytes = clean;
   bytes[layout.section(model::v3::Section::kSlopes).offset + 2] ^= 0x10;
   write_file(path, bytes);
@@ -497,7 +449,7 @@ TEST(ModelV3Hardening, VerificationTiersSplitCrcWorkFromBoundsSafety) {
         << e.what();
   }
   const MappedModel mapped = MappedModel::map_file(path);
-  const CompiledModel compiled = CompiledModel::compile(ensemble);
+  const MappedModel compiled = MappedModel::compile(ensemble);
   const Dataset workload = mixed_workload(5);
   const DatasetView view(workload);
   const Estimate a = mapped.estimate(view);
@@ -830,7 +782,6 @@ TEST(EstimationService, FromRegistryServesBitIdentically) {
   const std::string id = registry.publish(ensemble);
   const EstimationService service =
       EstimationService::from_registry(registry, id);
-  EXPECT_TRUE(service.zero_copy());
   EXPECT_EQ(service.metric_count(), ensemble.metric_count());
 
   const std::string csv = temp_path("reg_service.csv");
@@ -867,7 +818,7 @@ TEST(EngineServe, CompileV3PublishAndResolveStages) {
   // Serve-side: resolve by content id, estimate through the mapping.
   pipeline::Engine consumer;
   consumer.resolve_model(root, id).estimate_batch({csv_path});
-  ASSERT_NE(consumer.context().mapped, nullptr);
+  ASSERT_NE(consumer.context().model, nullptr);
   ASSERT_TRUE(consumer.context().ensemble.has_value());
   ASSERT_EQ(consumer.context().batch_results.size(), 1u);
   ASSERT_TRUE(consumer.context().batch_results[0].ok());

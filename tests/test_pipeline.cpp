@@ -186,8 +186,7 @@ TEST(PipelineEngine, ParallelRunIsBitIdenticalToSerial) {
     engine.context().exec = exec;
     engine.context().data = trainable_dataset();
     engine.validate().train().analyze();
-    // Move: PipelineContext is move-only now that CompiledModel owns its
-    // evaluation plan.
+    // Move: the context owns the whole dataset and analysis; no copy.
     return std::move(engine.context());
   };
   const auto serial = run({});
