@@ -274,6 +274,16 @@ void advise_huge_pages(void* p, std::size_t bytes) {
 
 EvalPlan EvalPlan::build(const EvalTables& tables) {
   EvalPlan plan;
+  std::size_t largest = 0;
+  for (const MetricRange& range : tables.ranges) {
+    largest = std::max<std::size_t>(
+        {largest, range.left_end - range.left_begin,
+         range.right_end - range.right_begin});
+  }
+  plan.direct = largest <= kDirectMaxRegionPieces;
+  // A direct model never reaches the planned pipeline, so it carries none
+  // of its derived columns.
+  if (plan.direct) return plan;
   plan.metrics.resize(tables.ranges.size());
   for (std::size_t m = 0; m < tables.ranges.size(); ++m) {
     build_metric_plan(plan.metrics[m], tables, tables.ranges[m]);
@@ -297,8 +307,15 @@ EvalPlan EvalPlan::build(const EvalTables& tables) {
   return plan;
 }
 
-double eval_roofline(const EvalTables& tables, const MetricRange& range,
-                     double intensity) {
+namespace {
+
+/// eval_roofline with the segment search passed in: `search(begin, end)`
+/// is the first index in [begin, end) whose x1 >= the intensity, or `end`.
+/// The scalar reference searches with std::lower_bound and the direct path
+/// with the branchless window_lower_bound; the rest is this one body.
+template <typename Search>
+double roofline_at(const EvalTables& tables, const MetricRange& range,
+                   double intensity, Search search) {
   // Replicates MetricRoofline::estimate + PiecewiseLinear::at +
   // LinearPiece::at over one [begin, end) slice of the tables. Any drift
   // here breaks the bit-identity contract.
@@ -314,11 +331,8 @@ double eval_roofline(const EvalTables& tables, const MetricRange& range,
   // First piece whose right edge reaches the point; at a shared boundary
   // the left segment wins (x1 == intensity stops here), matching
   // PiecewiseLinear::at's lower_bound on x1.
-  const auto first = tables.x1.begin() + static_cast<std::ptrdiff_t>(begin);
-  const auto last = tables.x1.begin() + static_cast<std::ptrdiff_t>(end);
-  const auto it = std::lower_bound(first, last, intensity);
-  if (it == last) return tables.y1[end - 1];
-  const auto i = static_cast<std::size_t>(it - tables.x1.begin());
+  const std::size_t i = search(begin, end);
+  if (i == end) return tables.y1[end - 1];
   // LinearPiece::at, verbatim.
   if (!std::isfinite(tables.x1[i])) return tables.y0[i];
   if (tables.x1[i] == tables.x0[i]) return tables.y0[i];
@@ -326,8 +340,17 @@ double eval_roofline(const EvalTables& tables, const MetricRange& range,
   return tables.y0[i] + t * (tables.y1[i] - tables.y0[i]);
 }
 
-Estimate estimate_tables(const EvalTables& tables, DatasetView workload,
-                         Merge merge) {
+/// Ensemble::merge_samples's structural filter: the samples Eq. (1) uses.
+bool usable(const Sample& s) {
+  return !(s.t <= 0.0 || !std::isfinite(s.t) || !std::isfinite(s.w) ||
+           !std::isfinite(s.m) || s.w < 0.0 || s.m < 0.0);
+}
+
+/// estimate_tables with the per-sample lookup passed in:
+/// `lookup(range, intensity)` is one metric's roofline at a usable sample.
+template <typename Lookup>
+Estimate estimate_with(const EvalTables& tables, DatasetView workload,
+                       Merge merge, Lookup lookup) {
   Estimate out;
   for (std::size_t m = 0; m < tables.ranges.size(); ++m) {
     const MetricRange& range = tables.ranges[m];
@@ -339,11 +362,8 @@ Estimate estimate_tables(const EvalTables& tables, DatasetView workload,
     double weight = 0.0;
     std::size_t count = 0;
     for (const Sample& s : samples) {
-      if (s.t <= 0.0 || !std::isfinite(s.t) || !std::isfinite(s.w) ||
-          !std::isfinite(s.m) || s.w < 0.0 || s.m < 0.0) {
-        continue;
-      }
-      const double p = eval_roofline(tables, range, s.intensity());
+      if (!usable(s)) continue;
+      const double p = lookup(range, s.intensity());
       const double w = merge == Merge::kTimeWeighted ? s.t : 1.0;
       weighted += w * p;
       weight += w;
@@ -366,6 +386,74 @@ Estimate estimate_tables(const EvalTables& tables, DatasetView workload,
             });
   out.throughput = out.ranking.front().p_bar;
   return out;
+}
+
+/// The direct path's lookup: eval_roofline with the branchless search. At
+/// trained size the tables sit in L1 and std::lower_bound's cost is its
+/// mispredicted data-dependent branch per probe, which this search lacks.
+double direct_roofline(const EvalTables& tables, const MetricRange& range,
+                       double intensity) {
+  return roofline_at(tables, range, intensity,
+                     [&](std::size_t begin, std::size_t end) {
+                       return window_lower_bound(tables.x1.data(), intensity,
+                                                 begin, end);
+                     });
+}
+
+/// The direct path: estimate_tables over direct_roofline.
+Estimate direct_estimate(const EvalTables& tables, DatasetView workload,
+                         Merge merge) {
+  return estimate_with(tables, workload, merge,
+                       [&](const MetricRange& range, double intensity) {
+                         return direct_roofline(tables, range, intensity);
+                       });
+}
+
+/// Debug/SPIRE_CHECKED builds: re-proves every lane of a direct estimate
+/// that succeeded against the scalar reference (bit compare, NaN payloads
+/// included). Callers run it outside any per-item error capture, so a
+/// divergence propagates instead of becoming one workload's error.
+void check_direct_lanes(const EvalTables& tables, DatasetView workload) {
+#if SPIRE_DCHECK_ENABLED
+  for (std::size_t m = 0; m < tables.ranges.size(); ++m) {
+    for (const Sample& s : workload.samples(tables.metrics[m])) {
+      if (!usable(s)) continue;
+      const double x = s.intensity();
+      const double ref = eval_roofline(tables, tables.ranges[m], x);
+      const double p = direct_roofline(tables, tables.ranges[m], x);
+      SPIRE_DCHECK(std::memcmp(&ref, &p, sizeof(double)) == 0,
+                   "direct path diverged from scalar reference: metric ", m,
+                   ", intensity ", x, ", scalar ", ref, ", direct ", p);
+    }
+  }
+#else
+  (void)tables;
+  (void)workload;
+#endif
+}
+
+}  // namespace
+
+double eval_roofline(const EvalTables& tables, const MetricRange& range,
+                     double intensity) {
+  return roofline_at(tables, range, intensity,
+                     [&](std::size_t begin, std::size_t end) {
+                       const auto first = tables.x1.begin() +
+                                          static_cast<std::ptrdiff_t>(begin);
+                       const auto last = tables.x1.begin() +
+                                         static_cast<std::ptrdiff_t>(end);
+                       return static_cast<std::size_t>(
+                           std::lower_bound(first, last, intensity) -
+                           tables.x1.begin());
+                     });
+}
+
+Estimate estimate_tables(const EvalTables& tables, DatasetView workload,
+                         Merge merge) {
+  return estimate_with(tables, workload, merge,
+                       [&](const MetricRange& range, double intensity) {
+                         return eval_roofline(tables, range, intensity);
+                       });
 }
 
 std::vector<Estimate> estimate_batch_tables(
@@ -442,10 +530,7 @@ EvalBatch::Slice EvalBatch::stage(std::span<const Sample> samples,
     // Exactly the scalar path's structural-usability filter, in sample
     // order, so the staged lanes are the samples the reference would have
     // evaluated — and in the same order.
-    if (s.t <= 0.0 || !std::isfinite(s.t) || !std::isfinite(s.w) ||
-        !std::isfinite(s.m) || s.w < 0.0 || s.m < 0.0) {
-      continue;
-    }
+    if (!usable(s)) continue;
     const double intensity = s.intensity();
     // eval_roofline's precondition, asserted at stage time so the first
     // offending (metric, sample) in scan order throws exactly as the
@@ -675,9 +760,23 @@ void EvalBatch::accumulate(const Slice& slice, counters::Event metric,
   out.ranking.push_back({metric, weighted / weight, count});
 }
 
+void EvalBatch::count_direct(const Estimate& estimate) {
+  for (const MetricEstimate& entry : estimate.ranking) {
+    delta_.scalar_batches += 1;
+    delta_.scalar_lanes += entry.samples;
+  }
+}
+
 Estimate EvalBatch::estimate(const EvalTables& tables, DatasetView workload,
                              Merge merge) {
   SPIRE_ASSERT(tables.plan != nullptr, "EvalBatch: tables carry no plan");
+  if (tables.plan->direct) {
+    Estimate out = direct_estimate(tables, workload, merge);
+    check_direct_lanes(tables, workload);
+    count_direct(out);
+    flush_counters();
+    return out;
+  }
   Estimate out;
   for (std::size_t m = 0; m < tables.ranges.size(); ++m) {
     xs_.clear();
@@ -712,6 +811,21 @@ std::vector<EvalOutcome> EvalBatch::estimate_many(
   SPIRE_ASSERT(tables.plan != nullptr, "EvalBatch: tables carry no plan");
   const std::size_t jobs = workloads.size();
   std::vector<EvalOutcome> out(jobs);
+  if (tables.plan->direct) {
+    // Per workload, with the scalar loop's per-item error capture.
+    for (std::size_t j = 0; j < jobs; ++j) {
+      try {
+        out[j].estimate = direct_estimate(tables, workloads[j], merges[j]);
+      } catch (const std::exception& e) {
+        out[j].error = e.what();
+        continue;
+      }
+      check_direct_lanes(tables, workloads[j]);
+      count_direct(*out[j].estimate);
+    }
+    flush_counters();
+    return out;
+  }
   std::vector<Estimate> partial(jobs);
   std::vector<char> failed(jobs, 0);
   slices_.resize(jobs);

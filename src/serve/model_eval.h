@@ -8,14 +8,25 @@
 // to Ensemble::estimate down to the last ulp, same ranking order, same
 // skip reasons, same error text.
 //
-// Two evaluation paths share that contract:
+// Three evaluation paths share that contract:
 //
 //  * the SCALAR REFERENCE (eval_roofline / estimate_tables): one sample at
 //    a time, per-sample std::lower_bound over the x1 column. This is the
-//    pre-batch-kernel hot path, kept verbatim as the semantic ground truth
-//    every other path is checked against;
-//  * the BATCH KERNEL (EvalBatch): a two-phase plan/execute restructuring
-//    of the same lookup. The PLAN is per-model, immutable, and built once
+//    pre-batch-kernel hot path, kept as the semantic ground truth every
+//    other path is checked against;
+//  * the DIRECT PATH (EvalBatch on a model whose largest region holds at
+//    most EvalPlan::kDirectMaxRegionPieces pieces — every trained model):
+//    the scalar reference's own loop and select, once per workload, in
+//    sample order, with nothing staged; only the segment search differs,
+//    a branchless lower_bound in place of std::lower_bound. At these sizes
+//    the columns are cache-resident and the search's cost is mispredicted
+//    branches, so staging, sorting and routing only add work (the
+//    measured crossover is at EvalPlan::kDirectMaxRegionPieces).
+//    Debug/SPIRE_CHECKED builds re-verify every direct lane against the
+//    scalar reference bit-for-bit;
+//  * the PLANNED PATH (EvalBatch on bigger models, where the tables
+//    outgrow the cache): a two-phase plan/execute restructuring of the
+//    same lookup. The PLAN is per-model, immutable, and built once
 //    (EvalPlan, built lazily by MappedModel::tables and required here):
 //    each metric's two region slices of the x1 column merge into ONE
 //    ascending UNIFIED column (left entries <= left_max, then right
@@ -118,10 +129,25 @@ struct EvalPlan {
     std::uint32_t right_off = 0;
   };
 
-  /// Parallel to EvalTables::ranges.
+  /// Largest region (in pieces) the direct path serves. Taken from a
+  /// sweep over bench/perf_serving's suite (27 profiles, ~7k samples each)
+  /// evaluated against copies of the trained model with every piece split
+  /// into k, single-threaded on a 4-thread AVX2 Xeon, default build. Per
+  /// profile over two runs, direct vs planned (12-workload batches) cost
+  /// 64-79 vs 125 us at 14-piece regions (the trained model), 100-116 vs
+  /// 131-135 at 224, 130-135 vs 137-145 at 896, 148-150 vs 138-159 at
+  /// 1344 and 199-201 vs 151-158 at 3584.
+  static constexpr std::size_t kDirectMaxRegionPieces = 1024;
+
+  /// True when no region exceeds kDirectMaxRegionPieces: every metric then
+  /// takes the direct path, and `metrics` and the rows stay empty.
+  bool direct = false;
+
+  /// Parallel to EvalTables::ranges (empty for a direct plan).
   std::vector<Metric> metrics;
 
-  /// Builds the plan for `tables` (whose `plan` member is ignored).
+  /// Builds the plan for `tables` (whose `plan` member is ignored) and
+  /// chooses its path.
   static EvalPlan build(const EvalTables& tables);
 
   /// 32-byte-aligned interleaved piece rows: rows()[4 * i + {0, 1, 2, 3}]
@@ -148,15 +174,16 @@ double eval_roofline(const EvalTables& tables,
 /// Ensemble-wide estimate, bit-identical to Ensemble::estimate on the
 /// source ensemble: same throughput/ranking/skipped values and the same
 /// std::invalid_argument when the workload shares no metric. SCALAR
-/// REFERENCE path (per-sample binary search); serving code should prefer
-/// EvalBatch, which is bit-identical and batch-vectorized.
+/// REFERENCE path (per-sample binary search); serving code goes through
+/// EvalBatch, which is bit-identical and picks the direct or planned path
+/// per model (see EvalPlan::direct).
 model::Estimate estimate_tables(const EvalTables& tables,
                                 sampling::DatasetView workload,
                                 model::Merge merge);
 
 /// One estimate per workload, in input order, fanned out across a pool per
-/// `exec` (serial when threads <= 1). Each task evaluates through the
-/// batch kernel (thread-local scratch); results are bit-identical to a
+/// `exec` (serial when threads <= 1). Each task evaluates through
+/// EvalBatch (thread-local scratch); results are bit-identical to a
 /// serial scalar loop, and a workload that would make estimate_tables
 /// throw makes the batch throw the same exception (lowest index wins).
 std::vector<model::Estimate> estimate_batch_tables(
@@ -167,10 +194,12 @@ std::vector<model::Estimate> estimate_batch_tables(
 /// stats snapshot (and the upcoming mmap'd stats segment) can export the
 /// eval layer's signals without touching serving threads. Monotonic,
 /// relaxed: readers see a consistent-enough view for rates and ratios.
+/// Direct-path lanes count as scalar (one batch per ranked metric per
+/// workload), so a trained model's planned share is 0.
 struct EvalCounters {
   std::atomic<std::uint64_t> planned_batches{0};  // metric batches planned
-  std::atomic<std::uint64_t> planned_lanes{0};    // samples through the kernel
-  std::atomic<std::uint64_t> scalar_batches{0};   // fallback-scalar batches
+  std::atomic<std::uint64_t> planned_lanes{0};    // samples through the plan
+  std::atomic<std::uint64_t> scalar_batches{0};   // direct/fallback batches
   std::atomic<std::uint64_t> scalar_lanes{0};     // samples evaluated scalar
 };
 
@@ -204,8 +233,9 @@ struct EvalOutcome {
   bool ok() const { return estimate.has_value(); }
 };
 
-/// The plan/execute batch kernel plus its reusable scratch. NOT thread
-/// safe: one EvalBatch per thread (thread_eval_batch() hands out a
+/// The serving evaluator — the direct path or the plan/execute kernel, as
+/// `tables.plan->direct` says — plus the kernel's reusable scratch. NOT
+/// thread safe: one EvalBatch per thread (thread_eval_batch() hands out a
 /// thread-local instance); the tables it evaluates are immutable and may
 /// be shared freely. Every entry point requires `tables.plan` (an
 /// SPIRE_ASSERT).
@@ -227,20 +257,21 @@ class EvalBatch {
   EvalBatch(const EvalBatch&) = delete;
   EvalBatch& operator=(const EvalBatch&) = delete;
 
-  /// Ensemble-wide estimate of one workload through the batch kernel.
-  /// Bit-identical to estimate_tables, including the thrown
-  /// std::invalid_argument when the workload shares no metric.
+  /// Ensemble-wide estimate of one workload. Bit-identical to
+  /// estimate_tables, including the thrown std::invalid_argument when the
+  /// workload shares no metric.
   model::Estimate estimate(const EvalTables& tables,
                            sampling::DatasetView workload, model::Merge merge);
 
-  /// The true coalesced entry point: stages EVERY workload's samples for a
-  /// metric into one planned batch (one sort, one merge sweep, one execute
-  /// pass per metric for the whole set), then scatters per-workload
-  /// accumulations. Results are bit-identical to a scalar loop with
-  /// per-item error capture: a workload that shares no metric (or whose
-  /// samples violate the intensity contract) gets its EvalOutcome error
-  /// set to exactly the text the scalar path would have thrown, and every
-  /// other workload is unaffected.
+  /// The true coalesced entry point: a direct model runs the direct path
+  /// per workload; a planned model stages EVERY workload's
+  /// samples for a metric into one planned batch (one merge sweep or
+  /// routed search, one execute pass per metric for the whole set), then
+  /// scatters per-workload accumulations. Results are bit-identical to a
+  /// scalar loop with per-item error capture: a workload that shares no
+  /// metric (or whose samples violate the intensity contract) gets its
+  /// EvalOutcome error set to exactly the text the scalar path would have
+  /// thrown, and every other workload is unaffected.
   std::vector<EvalOutcome> estimate_many(
       const EvalTables& tables,
       std::span<const sampling::DatasetView> workloads,
@@ -287,6 +318,10 @@ class EvalBatch {
   /// scalar path's skip conditions and accumulation order exactly.
   void accumulate(const Slice& slice, counters::Event metric,
                   model::Estimate& out) const;
+
+  /// Counts a direct-path estimate's lanes: one scalar batch per ranked
+  /// metric.
+  void count_direct(const model::Estimate& estimate);
 
   /// Adds this call's counter deltas to the process-wide aggregate — once
   /// per public entry point, so the per-metric hot loop never touches an

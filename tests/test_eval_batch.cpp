@@ -1,16 +1,19 @@
-// Property tests for the plan/execute batch kernel (serve/model_eval.h).
+// Property tests for EvalBatch's direct and planned paths
+// (serve/model_eval.h).
 //
 // The contract under test: EvalBatch::estimate is bit-identical to the
 // scalar reference estimate_tables — same ulps, ranking order, skip
 // reasons, and exception text — and EvalBatch::estimate_many is
 // bit-identical to a scalar loop with per-item error capture, over fuzzed
 // tables that include duplicate and zero-width segments, infinite
-// ceilings, single-piece metrics, missing left regions, and sample
-// streams full of NaN/inf/negative garbage. The suite runs unchanged at
+// ceilings, single-piece metrics, missing left regions, region sizes on
+// both sides of the direct/planned crossover, and sample streams that are
+// clustered or full of NaN/inf/negative garbage. The suite runs unchanged at
 // SPIRE_SIMD ON and OFF (CI builds both), which is what proves the
 // vectorized execute loop and the scalar fallback cannot drift.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -140,6 +143,110 @@ TableSet fuzz_tables(std::mt19937& rng) {
   return set;
 }
 
+/// A model whose largest region has exactly `largest` pieces: metric 0's
+/// right region is that big (with a left region of `largest / 2` pieces),
+/// and two small fuzzed-size metrics ride along. EvalPlan::build picks the
+/// path from exactly this size, so sweeping `largest` across
+/// kDirectMaxRegionPieces drives both sides of the direct/planned seam.
+TableSet sized_tables(std::size_t largest, std::mt19937& rng) {
+  TableSet set;
+  for (int m = 0; m < 3; ++m) {
+    MetricRange range;
+    range.left_begin = static_cast<std::uint32_t>(set.x0.size());
+    const std::size_t right = m == 0 ? largest : 1 + rng() % 6;
+    const std::size_t left = m == 0 ? largest / 2 : rng() % 4;
+    double right_start = 0.0;
+    if (left > 0) {
+      append_region(set, {left, 0.0, false}, rng);
+      right_start = set.x1.back();
+      range.left_max = right_start;
+    }
+    range.left_end = static_cast<std::uint32_t>(set.x0.size());
+    range.right_begin = range.left_end;
+    append_region(set, {right, right_start, m == 1}, rng);
+    range.right_end = static_cast<std::uint32_t>(set.x0.size());
+    set.metrics.push_back(static_cast<Event>(m));
+    set.ranges.push_back(range);
+  }
+  return set;
+}
+
+/// A copy of `set` with one more metric whose right region holds
+/// kDirectMaxRegionPieces + 1 pieces. EvalPlan::build then plans the whole
+/// model, so every original metric, its shape intact, runs through the
+/// planned kernel (stage, sweep or routed search, select) instead of the
+/// direct path.
+TableSet with_planned_metric(const TableSet& set) {
+  TableSet out;
+  out.metrics = set.metrics;
+  out.ranges = set.ranges;
+  out.x0 = set.x0;
+  out.y0 = set.y0;
+  out.x1 = set.x1;
+  out.y1 = set.y1;
+  std::mt19937 rng(static_cast<unsigned>(set.x0.size()));
+  MetricRange range;
+  range.left_begin = range.left_end = range.right_begin =
+      static_cast<std::uint32_t>(out.x0.size());
+  append_region(out, {serve::EvalPlan::kDirectMaxRegionPieces + 1, 0.0, true},
+                rng);
+  range.right_end = static_cast<std::uint32_t>(out.x0.size());
+  out.metrics.push_back(static_cast<Event>(
+      set.metrics.empty() ? 0 : static_cast<int>(set.metrics.back()) + 1));
+  out.ranges.push_back(range);
+  return out;
+}
+
+/// One table shape on both EvalBatch paths: `set` itself, which must take
+/// the direct path, then its with_planned_metric copy, which must not.
+std::vector<TableSet> both_paths(TableSet set) {
+  std::vector<TableSet> sets;
+  sets.push_back(with_planned_metric(set));
+  sets.insert(sets.begin(), std::move(set));
+  EXPECT_TRUE(sets[0].tables().plan->direct);
+  EXPECT_FALSE(sets[1].tables().plan->direct);
+  return sets;
+}
+
+/// Workload with clustered intensities, the shape collected windows have:
+/// runs of 4-32 consecutive samples whose intensities sit in one narrow
+/// band (so neighbours usually share a segment), the band centres spread
+/// over each metric's whole piece range and past its last edge, and some
+/// samples landing exactly on a piece boundary (the left-segment-wins
+/// tie). Unless `clean`, a few garbage samples keep the structural filter
+/// honest.
+Dataset clustered_workload(const TableSet& set, std::size_t n,
+                           std::mt19937& rng, bool clean = false) {
+  Dataset data;
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  std::uniform_real_distribution<double> period(0.5, 4.0);
+  for (std::size_t m = 0; m < set.metrics.size(); ++m) {
+    const MetricRange& range = set.ranges[m];
+    double top = 1.0;
+    for (std::size_t i = range.left_begin; i < range.right_end; ++i) {
+      if (std::isfinite(set.x1[i])) top = std::max(top, set.x1[i]);
+    }
+    std::size_t i = 0;
+    while (i < n) {
+      const double centre = unit(rng) * top * 1.1;
+      const double spread = unit(rng) * 1e-3 * top;
+      const std::size_t run = std::min<std::size_t>(4 + rng() % 29, n - i);
+      for (std::size_t r = 0; r < run; ++r, ++i) {
+        double x = centre + spread * unit(rng);
+        if (rng() % 16 == 0) {
+          x = set.x1[range.left_begin +
+                     rng() % (range.right_end - range.left_begin)];
+          if (!std::isfinite(x)) x = centre;
+        }
+        Sample s{period(rng), x, 1.0};  // intensity = w / m = x exactly
+        if (!clean && rng() % 32 == 0) s.t = -1.0;  // filtered: t <= 0
+        data.add(set.metrics[m], s);
+      }
+    }
+  }
+  return data;
+}
+
 /// A fuzzed workload: `n` samples per present metric, seasoned with the
 /// full garbage menu — non-positive and non-finite t/w/m (the structural
 /// filter must drop them), m = 0 (intensity = +inf), and huge intensities
@@ -210,25 +317,72 @@ void expect_identical(const EvalOutcome& scalar, const EvalOutcome& batch) {
   }
 }
 
+/// EvalBatch::estimate with the same per-item error capture.
+EvalOutcome batch_outcome(EvalBatch& batch, const EvalTables& tables,
+                          DatasetView view, Merge merge) {
+  EvalOutcome out;
+  try {
+    out.estimate = batch.estimate(tables, view, merge);
+  } catch (const std::exception& e) {
+    out.error = e.what();
+  }
+  return out;
+}
+
+/// estimate on every workload, and estimate_many over consecutive groups
+/// of 1, 12 and 24 workloads (mixed merge modes), each bit-identical to
+/// the per-item scalar loop.
+void expect_batches_match_scalar(const TableSet& set,
+                                 const std::vector<Dataset>& datasets,
+                                 EvalBatch& batch) {
+  std::vector<DatasetView> views(datasets.begin(), datasets.end());
+  std::vector<Merge> merges;
+  for (std::size_t j = 0; j < views.size(); ++j) {
+    merges.push_back(j % 3 ? Merge::kTimeWeighted : Merge::kUnweighted);
+  }
+  std::vector<EvalOutcome> scalar;
+  for (std::size_t j = 0; j < views.size(); ++j) {
+    scalar.push_back(scalar_outcome(set.raw(), views[j], merges[j]));
+    EvalOutcome single;
+    try {
+      single.estimate = batch.estimate(set.tables(), views[j], merges[j]);
+    } catch (const std::exception& e) {
+      single.error = e.what();
+    }
+    expect_identical(scalar[j], single);
+  }
+  for (const std::size_t group : {1, 12, 24}) {
+    for (std::size_t lo = 0; lo < views.size(); lo += group) {
+      const std::size_t n = std::min(group, views.size() - lo);
+      const auto outcomes = batch.estimate_many(
+          set.tables(), std::span<const DatasetView>(views.data() + lo, n),
+          std::span<const Merge>(merges.data() + lo, n));
+      ASSERT_EQ(outcomes.size(), n);
+      for (std::size_t j = 0; j < n; ++j) {
+        SCOPED_TRACE(testing::Message() << "group " << group << " item "
+                                        << lo + j);
+        expect_identical(scalar[lo + j], outcomes[j]);
+      }
+    }
+  }
+}
+
 TEST(EvalBatchProperty, FuzzedTablesMatchScalarReferenceBitForBit) {
   std::mt19937 rng(20260808);
   EvalBatch batch;
   for (int round = 0; round < 200; ++round) {
-    const TableSet set = fuzz_tables(rng);
-    // Sweep the batch size across the kMinPlanLanes cutoff so both the
-    // scalar fallback and the planned path face every table shape.
+    // Every fuzzed shape runs direct and, with a planned-size metric
+    // alongside, planned; the batch size sweeps across the kMinPlanLanes
+    // cutoff so the planned kernel's scalar fallback faces every shape too.
+    const std::vector<TableSet> sets = both_paths(fuzz_tables(rng));
     const std::size_t n = 1 + static_cast<std::size_t>(rng() % 48);
-    const Dataset data = fuzz_workload(set, n, rng);
+    const Dataset data = fuzz_workload(sets.front(), n, rng);
     const DatasetView view(data);
     const Merge merge = (round % 2) ? Merge::kUnweighted : Merge::kTimeWeighted;
-    const EvalOutcome scalar = scalar_outcome(set.raw(), view, merge);
-    EvalOutcome kernel;
-    try {
-      kernel.estimate = batch.estimate(set.tables(), view, merge);
-    } catch (const std::exception& e) {
-      kernel.error = e.what();
+    for (const TableSet& set : sets) {
+      expect_identical(scalar_outcome(set.raw(), view, merge),
+                       batch_outcome(batch, set.tables(), view, merge));
     }
-    expect_identical(scalar, kernel);
   }
 }
 
@@ -236,7 +390,8 @@ TEST(EvalBatchProperty, EstimateManyMatchesPerItemScalarLoop) {
   std::mt19937 rng(977);
   EvalBatch batch;
   for (int round = 0; round < 50; ++round) {
-    const TableSet set = fuzz_tables(rng);
+    const std::vector<TableSet> sets = both_paths(fuzz_tables(rng));
+    const TableSet& set = sets.front();
     std::vector<Dataset> datasets;
     std::vector<DatasetView> views;
     std::vector<Merge> merges;
@@ -250,13 +405,15 @@ TEST(EvalBatchProperty, EstimateManyMatchesPerItemScalarLoop) {
       views.emplace_back(datasets.back());
       merges.push_back(rng() % 2 ? Merge::kUnweighted : Merge::kTimeWeighted);
     }
-    const auto outcomes =
-        batch.estimate_many(set.tables(), std::span<const DatasetView>(views),
-                            std::span<const Merge>(merges));
-    ASSERT_EQ(outcomes.size(), jobs);
-    for (std::size_t j = 0; j < jobs; ++j) {
-      expect_identical(scalar_outcome(set.raw(), views[j], merges[j]),
-                       outcomes[j]);
+    for (const TableSet& path : sets) {
+      const auto outcomes = batch.estimate_many(
+          path.tables(), std::span<const DatasetView>(views),
+          std::span<const Merge>(merges));
+      ASSERT_EQ(outcomes.size(), jobs);
+      for (std::size_t j = 0; j < jobs; ++j) {
+        expect_identical(scalar_outcome(path.raw(), views[j], merges[j]),
+                         outcomes[j]);
+      }
     }
   }
 }
@@ -290,69 +447,151 @@ TEST(EvalBatchProperty, SinglePieceAndDuplicateSegmentTables) {
   set.metrics.push_back(static_cast<Event>(1));
   set.ranges.push_back(r1);
 
+  const std::vector<TableSet> sets = both_paths(std::move(set));
   std::mt19937 rng(7);
   EvalBatch batch;
   for (int round = 0; round < 40; ++round) {
-    const Dataset data = fuzz_workload(set, 1 + rng() % 40, rng);
+    const Dataset data = fuzz_workload(sets.front(), 1 + rng() % 40, rng);
     const DatasetView view(data);
-    expect_identical(
-        scalar_outcome(set.raw(), view, Merge::kTimeWeighted), [&] {
-          EvalOutcome k;
-          try {
-            k.estimate =
-                batch.estimate(set.tables(), view, Merge::kTimeWeighted);
-          } catch (const std::exception& e) {
-            k.error = e.what();
-          }
-          return k;
-        }());
+    for (const TableSet& path : sets) {
+      expect_identical(
+          scalar_outcome(path.raw(), view, Merge::kTimeWeighted),
+          batch_outcome(batch, path.tables(), view, Merge::kTimeWeighted));
+    }
   }
 }
 
 TEST(EvalBatchProperty, PlanCutoffBoundaryIsSeamless) {
-  // kMinPlanLanes is where the kernel switches from the scalar fallback
-  // to the planned sort/sweep path; results must be bit-identical on both
-  // sides of (and exactly at) the seam.
+  // kMinPlanLanes is where a planned model's kernel switches from the
+  // scalar fallback to the planned sort/sweep path; results must be
+  // bit-identical on both sides of (and exactly at) the seam. The tables
+  // are big enough to plan, and clean samples make the lane count exact.
   std::mt19937 rng(4242);
-  const TableSet set = fuzz_tables(rng);
+  const TableSet set =
+      sized_tables(serve::EvalPlan::kDirectMaxRegionPieces + 1, rng);
+  ASSERT_FALSE(set.tables().plan->direct);
   EvalBatch batch;
   for (std::size_t n = EvalBatch::kMinPlanLanes - 2;
        n <= EvalBatch::kMinPlanLanes + 2; ++n) {
-    const Dataset data = fuzz_workload(set, n, rng);
+    const Dataset data = clustered_workload(set, n, rng, /*clean=*/true);
     const DatasetView view(data);
+    const auto before = batch.stats();
     expect_identical(
-        scalar_outcome(set.raw(), view, Merge::kTimeWeighted), [&] {
-          EvalOutcome k;
-          try {
-            k.estimate =
-                batch.estimate(set.tables(), view, Merge::kTimeWeighted);
-          } catch (const std::exception& e) {
-            k.error = e.what();
-          }
-          return k;
-        }());
+        scalar_outcome(set.raw(), view, Merge::kTimeWeighted),
+        batch_outcome(batch, set.tables(), view, Merge::kTimeWeighted));
+    // Both sides of the seam really ran: every metric's n lanes go scalar
+    // below the cutoff and planned from it on.
+    const auto after = batch.stats();
+    const std::size_t metrics = set.metrics.size();
+    const bool planned = n >= EvalBatch::kMinPlanLanes;
+    EXPECT_EQ(after.planned_batches - before.planned_batches,
+              planned ? metrics : 0)
+        << n;
+    EXPECT_EQ(after.scalar_batches - before.scalar_batches,
+              planned ? 0 : metrics)
+        << n;
+  }
+}
+
+TEST(EvalBatchProperty, ClusteredIntensitiesMatchPerItemScalarLoop) {
+  // Consecutive samples sharing a segment, as collected windows do, on a
+  // trained-size (direct) model and on a planned one.
+  std::mt19937 rng(31337);
+  for (const std::size_t largest :
+       {std::size_t{14}, serve::EvalPlan::kDirectMaxRegionPieces + 64}) {
+    SCOPED_TRACE(testing::Message() << "largest region " << largest);
+    const TableSet set = sized_tables(largest, rng);
+    EvalBatch batch;
+    std::vector<Dataset> datasets;
+    for (int j = 0; j < 24; ++j) {
+      datasets.push_back(clustered_workload(set, 1 + rng() % 96, rng));
+    }
+    expect_batches_match_scalar(set, datasets, batch);
+  }
+}
+
+TEST(EvalBatchProperty, RegionSizesAcrossDirectPlannedCrossover) {
+  // EvalPlan::build picks the direct path up to kDirectMaxRegionPieces and
+  // the planned one beyond it; both must match the scalar loop bit for bit
+  // right at the seam, on clustered and garbage-laden workloads alike.
+  std::mt19937 rng(8086);
+  const std::size_t seam = serve::EvalPlan::kDirectMaxRegionPieces;
+  for (std::size_t largest = seam - 2; largest <= seam + 2; ++largest) {
+    SCOPED_TRACE(testing::Message() << "largest region " << largest);
+    const TableSet set = sized_tables(largest, rng);
+    EXPECT_EQ(set.tables().plan->direct, largest <= seam);
+    EvalBatch batch;
+    std::vector<Dataset> datasets;
+    for (int j = 0; j < 24; ++j) {
+      datasets.push_back(j % 2 ? clustered_workload(set, 1 + rng() % 64, rng)
+                               : fuzz_workload(set, rng() % 48, rng));
+    }
+    expect_batches_match_scalar(set, datasets, batch);
+  }
+}
+
+TEST(EvalBatchProperty, GapBeforeZeroWidthPieceMatchesScalarReference) {
+  // v3 tables need not be contiguous: an intensity inside a gap resolves
+  // to the next piece, and when that piece is zero-width the reference
+  // answers its y0 rather than dividing by zero. Checked on a direct model
+  // and on a planned one (the extra big metric forces the plan).
+  std::mt19937 rng(2718);
+  for (const std::size_t largest :
+       {std::size_t{6}, serve::EvalPlan::kDirectMaxRegionPieces + 1}) {
+    TableSet set = sized_tables(largest, rng);
+    MetricRange gapped;
+    gapped.left_begin = gapped.left_end = gapped.right_begin =
+        static_cast<std::uint32_t>(set.x0.size());
+    // [0, 2], gap, zero-width at 3, [3, 5], then a flat infinite tail.
+    const double pieces[][4] = {{0.0, 1.0, 2.0, 4.0},
+                                {3.0, 6.0, 3.0, 8.0},
+                                {3.0, 5.0, 5.0, 7.0},
+                                {5.0, 7.0, kInf, 7.0}};
+    for (const auto& piece : pieces) {
+      set.x0.push_back(piece[0]);
+      set.y0.push_back(piece[1]);
+      set.x1.push_back(piece[2]);
+      set.y1.push_back(piece[3]);
+    }
+    gapped.right_end = static_cast<std::uint32_t>(set.x0.size());
+    set.metrics.push_back(static_cast<Event>(set.metrics.size()));
+    set.ranges.push_back(gapped);
+    EXPECT_EQ(set.tables().plan->direct,
+              largest <= serve::EvalPlan::kDirectMaxRegionPieces);
+
+    EvalBatch batch;
+    std::vector<Dataset> datasets;
+    for (int j = 0; j < 12; ++j) {
+      Dataset data = clustered_workload(set, 8 + rng() % 32, rng);
+      for (const double x : {1.0, 2.0, 2.25, 2.5, 2.99, 3.0, 4.0, 9.0}) {
+        data.add(set.metrics.back(), {1.0 + j, x, 1.0});
+      }
+      datasets.push_back(std::move(data));
+    }
+    expect_batches_match_scalar(set, datasets, batch);
   }
 }
 
 TEST(EvalBatchProperty, NoSharedMetricThrowsSameErrorText) {
   std::mt19937 rng(11);
-  const TableSet set = fuzz_tables(rng);
   const Dataset empty;
   const DatasetView view(empty);
   EvalBatch batch;
-  std::string scalar_text, batch_text;
-  try {
-    serve::estimate_tables(set.raw(), view, Merge::kTimeWeighted);
-  } catch (const std::invalid_argument& e) {
-    scalar_text = e.what();
+  for (const TableSet& set : both_paths(fuzz_tables(rng))) {
+    std::string scalar_text, batch_text;
+    try {
+      serve::estimate_tables(set.raw(), view, Merge::kTimeWeighted);
+    } catch (const std::invalid_argument& e) {
+      scalar_text = e.what();
+    }
+    try {
+      batch.estimate(set.tables(), view, Merge::kTimeWeighted);
+    } catch (const std::invalid_argument& e) {
+      batch_text = e.what();
+    }
+    ASSERT_FALSE(scalar_text.empty());
+    EXPECT_EQ(scalar_text, batch_text);
   }
-  try {
-    batch.estimate(set.tables(), view, Merge::kTimeWeighted);
-  } catch (const std::invalid_argument& e) {
-    batch_text = e.what();
-  }
-  ASSERT_FALSE(scalar_text.empty());
-  EXPECT_EQ(scalar_text, batch_text);
 }
 
 TEST(EvalBatchProperty, PlanlessTablesAreRejected) {
@@ -373,8 +612,30 @@ TEST(EvalBatchProperty, PlanlessTablesAreRejected) {
 
 TEST(EvalBatchCounters, PlannedAndScalarPathsAreCounted) {
   std::mt19937 rng(5);
-  TableSet set = fuzz_tables(rng);
   EvalBatch batch;
+
+  // A trained-size model takes the direct path, counted as scalar lanes at
+  // any batch size.
+  const TableSet direct = fuzz_tables(rng);
+  ASSERT_TRUE(direct.tables().plan->direct);
+  const auto before_direct = batch.stats();
+  Dataset lanes;
+  for (std::size_t i = 0; i < 4 * EvalBatch::kMinPlanLanes; ++i) {
+    lanes.add(direct.metrics.front(), {1.0, 1.0 + static_cast<double>(i), 1.0});
+  }
+  (void)batch.estimate(direct.tables(), DatasetView(lanes),
+                       Merge::kTimeWeighted);
+  const auto after_direct = batch.stats();
+  EXPECT_EQ(after_direct.scalar_batches, before_direct.scalar_batches + 1);
+  EXPECT_EQ(after_direct.scalar_lanes,
+            before_direct.scalar_lanes + 4 * EvalBatch::kMinPlanLanes);
+  EXPECT_EQ(after_direct.planned_batches, before_direct.planned_batches);
+
+  // A model too big for the direct path plans, with the scalar fallback
+  // below the lane cutoff.
+  const TableSet set =
+      sized_tables(serve::EvalPlan::kDirectMaxRegionPieces + 1, rng);
+  ASSERT_FALSE(set.tables().plan->direct);
   const auto before = batch.stats();
 
   // Below the cutoff: scalar fallback.
@@ -408,25 +669,29 @@ TEST(EvalBatchThreads, ThreadLocalScratchIsRaceFreeAcrossPoolWorkers) {
   // estimate_batch_tables fans workloads across pool workers, each
   // evaluating through its own thread_eval_batch() scratch; under TSan
   // this is the proof no scratch (or counter) is shared unsynchronized.
+  // The planned model's 40 samples per metric clear kMinPlanLanes, so its
+  // workers stage into and evaluate from their own kernel scratch.
   std::mt19937 rng(99);
-  const TableSet set = fuzz_tables(rng);
+  const std::vector<TableSet> sets = both_paths(fuzz_tables(rng));
   std::vector<Dataset> datasets;
   std::vector<DatasetView> views;
   datasets.reserve(16);
   for (int i = 0; i < 16; ++i) {
-    datasets.push_back(fuzz_workload(set, 40, rng));
+    datasets.push_back(fuzz_workload(sets.back(), 40, rng));
     views.emplace_back(datasets.back());
   }
   util::ExecOptions exec;
   exec.threads = 4;
-  const auto parallel = serve::estimate_batch_tables(
-      set.tables(), std::span<const DatasetView>(views), exec,
-      Merge::kTimeWeighted);
-  ASSERT_EQ(parallel.size(), views.size());
-  for (std::size_t i = 0; i < views.size(); ++i) {
-    expect_identical(
-        serve::estimate_tables(set.raw(), views[i], Merge::kTimeWeighted),
-        parallel[i]);
+  for (const TableSet& set : sets) {
+    const auto parallel = serve::estimate_batch_tables(
+        set.tables(), std::span<const DatasetView>(views), exec,
+        Merge::kTimeWeighted);
+    ASSERT_EQ(parallel.size(), views.size());
+    for (std::size_t i = 0; i < views.size(); ++i) {
+      expect_identical(
+          serve::estimate_tables(set.raw(), views[i], Merge::kTimeWeighted),
+          parallel[i]);
+    }
   }
 }
 
