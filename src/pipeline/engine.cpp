@@ -125,8 +125,7 @@ Engine& Engine::estimate_batch(const std::vector<std::string>& workload_paths) {
   serve::BatchOptions options;
   options.exec = context_.exec;
   if (context_.model == nullptr) compile();
-  // Shared: the context keeps the model (and its evaluation plan) for
-  // later stages.
+  // Shared: the context keeps the model for later stages.
   const serve::EstimationService service(context_.model);
   const serve::EvalCountersSnapshot before = serve::eval_counters_snapshot();
   context_.batch_results = service.estimate_files(workload_paths, options);
@@ -137,17 +136,13 @@ Engine& Engine::estimate_batch(const std::vector<std::string>& workload_paths) {
                       << '\n';
       }
     }
-    // Kernel-path split for this stage (delta of the process-wide
-    // counters): how many metric batches took the planned sort/sweep path
-    // vs the small-batch scalar fallback, and the lanes through each.
+    // Evaluator work for this stage (delta of the process-wide counters):
+    // one metric batch per ranked metric per workload, and its samples.
     const serve::EvalCountersSnapshot after = serve::eval_counters_snapshot();
-    *context_.log << "estimate_batch: kernel planned "
-                  << after.planned_batches - before.planned_batches
-                  << " batch(es)/" << after.planned_lanes - before.planned_lanes
-                  << " lane(s), scalar "
+    *context_.log << "estimate_batch: evaluated "
                   << after.scalar_batches - before.scalar_batches
-                  << " batch(es)/" << after.scalar_lanes - before.scalar_lanes
-                  << " lane(s)\n";
+                  << " metric batch(es)/"
+                  << after.scalar_lanes - before.scalar_lanes << " lane(s)\n";
   }
   return *this;
 }

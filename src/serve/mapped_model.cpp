@@ -55,7 +55,7 @@ MappedModel MappedModel::open_image(util::MmapFile image,
 }
 
 Estimate MappedModel::estimate(DatasetView workload, Merge merge) const {
-  return thread_eval_batch().estimate(tables(), workload, merge);
+  return serve::estimate(tables(), workload, merge);
 }
 
 std::vector<Estimate> MappedModel::estimate_batch(
@@ -67,7 +67,7 @@ std::vector<Estimate> MappedModel::estimate_batch(
 std::vector<EvalOutcome> MappedModel::estimate_many(
     std::span<const DatasetView> workloads,
     std::span<const Merge> merges) const {
-  return thread_eval_batch().estimate_many(tables(), workloads, merges);
+  return serve::estimate_many(tables(), workloads, merges);
 }
 
 }  // namespace spire::serve

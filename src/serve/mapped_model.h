@@ -32,8 +32,6 @@
 #pragma once
 
 #include <cstddef>
-#include <memory>
-#include <mutex>
 #include <span>
 #include <string>
 #include <vector>
@@ -69,8 +67,7 @@ class MappedModel {
 
   /// Bit-identical to Ensemble::estimate: same throughput/ranking/skipped
   /// values and the same std::invalid_argument when the workload shares no
-  /// metric. Evaluates through the batch kernel (this thread's EvalBatch
-  /// scratch).
+  /// metric. Evaluates through the direct path (serve::estimate).
   model::Estimate estimate(sampling::DatasetView workload,
                            model::Merge merge = model::Merge::kTimeWeighted) const;
 
@@ -84,11 +81,10 @@ class MappedModel {
       util::ExecOptions exec = {},
       model::Merge merge = model::Merge::kTimeWeighted) const;
 
-  /// Coalesced single-pass kernel evaluation with per-item error
-  /// isolation: every workload's samples for a metric join ONE planned
-  /// kernel batch. Bit-identical to estimate() per workload; a workload it
-  /// would throw on gets its outcome's error text instead. `merges` must
-  /// be workloads.size() entries.
+  /// estimate() per workload in the calling thread, with per-item error
+  /// isolation (serve::estimate_many): a workload estimate() would throw
+  /// on gets its outcome's error text instead. `merges` must be
+  /// workloads.size() entries.
   std::vector<EvalOutcome> estimate_many(
       std::span<const sampling::DatasetView> workloads,
       std::span<const model::Merge> merges) const;
@@ -105,16 +101,9 @@ class MappedModel {
   std::span<const std::byte> bytes() const { return file_.bytes(); }
 
   /// The tables in the evaluator shape. All spans except `metrics` point
-  /// directly into the image. The batch-kernel plan is built lazily on
-  /// first call (so opening keeps its O(sections) cost) and cached for the
-  /// model's lifetime; call_once makes the build race-free across serving
-  /// threads. This is the only place a serving EvalPlan is built.
+  /// directly into the image.
   EvalTables tables() const {
-    EvalTables t{metrics_, view_.ranges, view_.x0, view_.y0, view_.x1,
-                 view_.y1};
-    std::call_once(lazy_->once, [&] { lazy_->plan = EvalPlan::build(t); });
-    t.plan = &lazy_->plan;
-    return t;
+    return {metrics_, view_.ranges, view_.x0, view_.y0, view_.x1, view_.y1};
   }
 
   /// The validated raw view (layout, derived slope/intercept columns,
@@ -129,17 +118,9 @@ class MappedModel {
   static MappedModel open_image(util::MmapFile image,
                                 model::v3::Verify verify);
 
-  // Lazily built batch-kernel plan. Boxed so MappedModel stays movable
-  // (std::once_flag is not) and the plan's address survives moves.
-  struct LazyPlan {
-    std::once_flag once;
-    EvalPlan plan;
-  };
-
   util::MmapFile file_;                   // a file or an anonymous image
   model::v3::FlatView view_;              // spans into file_
   std::vector<counters::Event> metrics_;  // resolved from the strings section
-  std::unique_ptr<LazyPlan> lazy_ = std::make_unique<LazyPlan>();
 };
 
 }  // namespace spire::serve

@@ -53,8 +53,7 @@ std::vector<BatchResult> EstimationService::estimate_files(
           const sampling::Dataset data = sampling::Dataset::load_csv(in);
           const sampling::DatasetView view(data);
           result.samples = view.size();
-          result.estimate =
-              thread_eval_batch().estimate(tables, view, options.merge);
+          result.estimate = serve::estimate(tables, view, options.merge);
         } catch (const std::exception& e) {
           result.error = e.what();
         }
@@ -92,7 +91,7 @@ std::vector<BatchResult> EstimationService::estimate_views(
     slots.push_back(i);
   }
 
-  const auto outcomes = thread_eval_batch().estimate_many(
+  const auto outcomes = serve::estimate_many(
       tables, std::span<const sampling::DatasetView>(views),
       std::span<const model::Merge>(merges));
   for (std::size_t k = 0; k < outcomes.size(); ++k) {

@@ -92,8 +92,8 @@ class EstimationService {
   /// Evaluates pre-parsed workloads in the caller's thread — the
   /// coalesced inner loop of a serve::Shard pump, which already owns a
   /// pool worker. Every job arrives as a view (a zero-copy binary-profile
-  /// view or a parsed-profile cache hit), so the whole call is ONE planned
-  /// batch-kernel pass (EvalBatch::estimate_many) with no Dataset
+  /// view or a parsed-profile cache hit), so the whole call is one
+  /// estimate_many pass (serve/model_eval.h) with no Dataset
   /// materialization and no string copies. Results come back in input
   /// order with per-item error isolation; an item whose deadline already
   /// expired gets `deadline_expired` set and is never evaluated. Results

@@ -113,10 +113,8 @@ void Shard::run_batch(std::vector<Request>& batch) {
     if (request.begin) request.begin();
   }
   const Clock::time_point now = Clock::now();
-  // Resolve the evaluable requests' workloads to DatasetViews, then run
-  // ONE planned batch-kernel pass over all of them (per metric: one sort,
-  // one merge sweep, one execute over every request's samples) — so
-  // coalescing buys a genuinely batched evaluation, not just a loop.
+  // Resolve the evaluable requests' workloads to DatasetViews, then
+  // evaluate all of them in one estimate_views call on this worker.
   // View-form workloads resolve for free; text workloads are parsed here,
   // and each parse is published to the fleet-wide ProfileCache when one
   // is attached (the server resolves cached profiles to views before

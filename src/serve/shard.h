@@ -16,9 +16,8 @@
 // CSVs by a parse that is then published to the fleet-wide ProfileCache),
 // feeds them all to one EstimationService::estimate_views
 // batch, and scatters the results — so a burst of same-model requests
-// costs one worker wakeup and ONE planned batch-kernel pass
-// (serve/model_eval.h: per metric, one sort + merge sweep + execute over
-// every coalesced request's samples) instead of N independent
+// costs one worker wakeup and one estimate_many call
+// (serve/model_eval.h) instead of N independently scheduled
 // evaluations. At most one pump runs per shard at any moment, which also
 // serializes evaluation per model while leaving cross-shard parallelism
 // to the pool.

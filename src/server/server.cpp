@@ -1221,10 +1221,9 @@ StatsReply EstimationServer::stats_snapshot() const {
   const serve::ProfileCache::Stats profile_cache = profile_cache_.stats();
   const serve::ModelRegistry::CacheStats registry_cache =
       registry_.cache_stats();
-  // Process-wide batch-kernel counters (serve/model_eval.h): how much of
-  // the eval traffic went through the planned sort/sweep/execute path vs
-  // the small-batch scalar fallback — the eval-layer signals the upcoming
-  // mmap'd stats segment will export.
+  // Process-wide evaluator counters (serve/model_eval.h): metric batches
+  // and sample lanes evaluated. The planned pair names a retired batch
+  // kernel and reads 0; the keys stay for stats consumers.
   const serve::EvalCountersSnapshot eval = serve::eval_counters_snapshot();
   StatsReply stats;
   stats.counters = {

@@ -1,23 +1,19 @@
-// Property tests for EvalBatch's direct and planned paths
-// (serve/model_eval.h).
+// Property tests for the serving evaluator (serve/model_eval.h).
 //
-// The contract under test: EvalBatch::estimate is bit-identical to the
-// scalar reference estimate_tables — same ulps, ranking order, skip
-// reasons, and exception text — and EvalBatch::estimate_many is
-// bit-identical to a scalar loop with per-item error capture, over fuzzed
-// tables that include duplicate and zero-width segments, infinite
-// ceilings, single-piece metrics, missing left regions, region sizes on
-// both sides of the direct/planned crossover, and sample streams that are
-// clustered or full of NaN/inf/negative garbage. The suite runs unchanged at
-// SPIRE_SIMD ON and OFF (CI builds both), which is what proves the
-// vectorized execute loop and the scalar fallback cannot drift.
+// The contract under test: serve::estimate is bit-identical to the scalar
+// reference estimate_tables — same ulps, ranking order, skip reasons, and
+// exception text — and serve::estimate_many is bit-identical to a scalar
+// loop with per-item error capture, over fuzzed tables that include
+// duplicate and zero-width segments, infinite ceilings, single-piece
+// metrics, missing left regions, regions from one piece up to the v3
+// format's cap, and sample streams that are clustered or full of
+// NaN/inf/negative garbage.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
-#include <memory>
 #include <random>
 #include <span>
 #include <stdexcept>
@@ -28,7 +24,6 @@
 #include "sampling/dataset_view.h"
 #include "serve/model_eval.h"
 #include "spire/model_bin_v3.h"
-#include "util/contract.h"
 
 namespace spire {
 namespace {
@@ -40,12 +35,15 @@ using model::v3::MetricRange;
 using sampling::Dataset;
 using sampling::DatasetView;
 using sampling::Sample;
-using serve::EvalBatch;
 using serve::EvalOutcome;
 using serve::EvalTables;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+/// Largest region the fuzzer builds: the v3 format's per-region cap, less
+/// one so it is a valid piece count for either region.
+constexpr std::size_t kNearCapPieces = model::v3::kMaxRegionCorners - 1;
 
 bool same_bits(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
@@ -60,24 +58,7 @@ struct TableSet {
   std::vector<MetricRange> ranges;
   std::vector<double> x0, y0, x1, y1;
 
-  /// The columns without a plan: what the kernel must refuse.
-  EvalTables raw() const { return {metrics, ranges, x0, y0, x1, y1}; }
-
-  /// The columns with their EvalPlan attached (built on first use, so the
-  /// set must be complete by then) — the shape MappedModel serves
-  /// through: the interleaved-row execute path, and the AVX2 select when
-  /// the build compiled it and the CPU has it. The scalar reference
-  /// ignores the plan.
-  EvalTables tables() const {
-    if (!plan) {
-      plan = std::make_unique<serve::EvalPlan>(serve::EvalPlan::build(raw()));
-    }
-    EvalTables t = raw();
-    t.plan = plan.get();
-    return t;
-  }
-
-  mutable std::unique_ptr<serve::EvalPlan> plan;
+  EvalTables tables() const { return {metrics, ranges, x0, y0, x1, y1}; }
 };
 
 /// One region of contiguous pieces starting at `x`, with degeneracy dialed
@@ -107,105 +88,57 @@ void append_region(TableSet& set, const RegionSpec& spec, std::mt19937& rng) {
   }
 }
 
+/// Appends one metric, next in event-id order: a left region of
+/// `left_pieces` (none when 0) and a right region of `right_pieces`
+/// starting where the left one ends.
+void append_metric(TableSet& set, std::size_t left_pieces,
+                   std::size_t right_pieces, bool infinite_tail,
+                   std::mt19937& rng) {
+  MetricRange range;
+  range.left_begin = static_cast<std::uint32_t>(set.x0.size());
+  double right_start = 0.0;
+  if (left_pieces > 0) {
+    append_region(set, {left_pieces, 0.0, false}, rng);
+    right_start = set.x1.back();
+    if (!std::isfinite(right_start)) right_start = set.x0.back();
+    range.left_max = right_start;
+  }
+  range.left_end = static_cast<std::uint32_t>(set.x0.size());
+  range.right_begin = range.left_end;
+  append_region(set, {right_pieces, right_start, infinite_tail}, rng);
+  range.right_end = static_cast<std::uint32_t>(set.x0.size());
+  set.metrics.push_back(static_cast<Event>(set.metrics.size()));
+  set.ranges.push_back(range);
+}
+
 /// A fuzzed model: 1-4 metrics, each with an optional left region and a
 /// non-empty right region (single-piece metrics included).
 TableSet fuzz_tables(std::mt19937& rng) {
   TableSet set;
   std::uniform_int_distribution<int> metric_count(1, 4);
-  std::uniform_int_distribution<int> piece_count(1, 6);
+  std::uniform_int_distribution<std::size_t> piece_count(1, 6);
   std::bernoulli_distribution with_left(0.6);
   std::bernoulli_distribution with_inf(0.5);
   const int metrics = metric_count(rng);
   for (int m = 0; m < metrics; ++m) {
-    MetricRange range;
-    range.left_begin = static_cast<std::uint32_t>(set.x0.size());
-    double right_start = 0.0;
-    if (with_left(rng)) {
-      RegionSpec left;
-      left.pieces = static_cast<std::size_t>(piece_count(rng));
-      append_region(set, left, rng);
-      right_start = set.x1.back();
-      if (!std::isfinite(right_start)) right_start = set.x0.back();
-      range.left_max = right_start;
-    }
-    range.left_end = static_cast<std::uint32_t>(set.x0.size());
-    range.right_begin = range.left_end;
-    RegionSpec right;
-    right.pieces = static_cast<std::size_t>(piece_count(rng));
-    right.start = right_start;
-    right.infinite_tail = with_inf(rng);
-    append_region(set, right, rng);
-    range.right_end = static_cast<std::uint32_t>(set.x0.size());
-    // Ascending event ids, like compile() emits.
-    set.metrics.push_back(static_cast<Event>(m));
-    set.ranges.push_back(range);
+    const std::size_t left = with_left(rng) ? piece_count(rng) : 0;
+    const std::size_t right = piece_count(rng);
+    append_metric(set, left, right, with_inf(rng), rng);
   }
   return set;
 }
 
 /// A model whose largest region has exactly `largest` pieces: metric 0's
 /// right region is that big (with a left region of `largest / 2` pieces),
-/// and two small fuzzed-size metrics ride along. EvalPlan::build picks the
-/// path from exactly this size, so sweeping `largest` across
-/// kDirectMaxRegionPieces drives both sides of the direct/planned seam.
+/// and two small fuzzed-size metrics ride along.
 TableSet sized_tables(std::size_t largest, std::mt19937& rng) {
   TableSet set;
   for (int m = 0; m < 3; ++m) {
-    MetricRange range;
-    range.left_begin = static_cast<std::uint32_t>(set.x0.size());
     const std::size_t right = m == 0 ? largest : 1 + rng() % 6;
     const std::size_t left = m == 0 ? largest / 2 : rng() % 4;
-    double right_start = 0.0;
-    if (left > 0) {
-      append_region(set, {left, 0.0, false}, rng);
-      right_start = set.x1.back();
-      range.left_max = right_start;
-    }
-    range.left_end = static_cast<std::uint32_t>(set.x0.size());
-    range.right_begin = range.left_end;
-    append_region(set, {right, right_start, m == 1}, rng);
-    range.right_end = static_cast<std::uint32_t>(set.x0.size());
-    set.metrics.push_back(static_cast<Event>(m));
-    set.ranges.push_back(range);
+    append_metric(set, left, right, m == 1, rng);
   }
   return set;
-}
-
-/// A copy of `set` with one more metric whose right region holds
-/// kDirectMaxRegionPieces + 1 pieces. EvalPlan::build then plans the whole
-/// model, so every original metric, its shape intact, runs through the
-/// planned kernel (stage, sweep or routed search, select) instead of the
-/// direct path.
-TableSet with_planned_metric(const TableSet& set) {
-  TableSet out;
-  out.metrics = set.metrics;
-  out.ranges = set.ranges;
-  out.x0 = set.x0;
-  out.y0 = set.y0;
-  out.x1 = set.x1;
-  out.y1 = set.y1;
-  std::mt19937 rng(static_cast<unsigned>(set.x0.size()));
-  MetricRange range;
-  range.left_begin = range.left_end = range.right_begin =
-      static_cast<std::uint32_t>(out.x0.size());
-  append_region(out, {serve::EvalPlan::kDirectMaxRegionPieces + 1, 0.0, true},
-                rng);
-  range.right_end = static_cast<std::uint32_t>(out.x0.size());
-  out.metrics.push_back(static_cast<Event>(
-      set.metrics.empty() ? 0 : static_cast<int>(set.metrics.back()) + 1));
-  out.ranges.push_back(range);
-  return out;
-}
-
-/// One table shape on both EvalBatch paths: `set` itself, which must take
-/// the direct path, then its with_planned_metric copy, which must not.
-std::vector<TableSet> both_paths(TableSet set) {
-  std::vector<TableSet> sets;
-  sets.push_back(with_planned_metric(set));
-  sets.insert(sets.begin(), std::move(set));
-  EXPECT_TRUE(sets[0].tables().plan->direct);
-  EXPECT_FALSE(sets[1].tables().plan->direct);
-  return sets;
 }
 
 /// Workload with clustered intensities, the shape collected windows have:
@@ -290,6 +223,18 @@ EvalOutcome scalar_outcome(const EvalTables& tables, DatasetView view,
   return out;
 }
 
+/// serve::estimate with the same per-item error capture.
+EvalOutcome direct_outcome(const EvalTables& tables, DatasetView view,
+                           Merge merge) {
+  EvalOutcome out;
+  try {
+    out.estimate = serve::estimate(tables, view, merge);
+  } catch (const std::exception& e) {
+    out.error = e.what();
+  }
+  return out;
+}
+
 void expect_identical(const Estimate& a, const Estimate& b) {
   EXPECT_TRUE(same_bits(a.throughput, b.throughput))
       << a.throughput << " vs " << b.throughput;
@@ -308,33 +253,20 @@ void expect_identical(const Estimate& a, const Estimate& b) {
   }
 }
 
-void expect_identical(const EvalOutcome& scalar, const EvalOutcome& batch) {
-  ASSERT_EQ(scalar.ok(), batch.ok()) << scalar.error << " vs " << batch.error;
+void expect_identical(const EvalOutcome& scalar, const EvalOutcome& direct) {
+  ASSERT_EQ(scalar.ok(), direct.ok()) << scalar.error << " vs " << direct.error;
   if (scalar.ok()) {
-    expect_identical(*scalar.estimate, *batch.estimate);
+    expect_identical(*scalar.estimate, *direct.estimate);
   } else {
-    EXPECT_EQ(scalar.error, batch.error);
+    EXPECT_EQ(scalar.error, direct.error);
   }
-}
-
-/// EvalBatch::estimate with the same per-item error capture.
-EvalOutcome batch_outcome(EvalBatch& batch, const EvalTables& tables,
-                          DatasetView view, Merge merge) {
-  EvalOutcome out;
-  try {
-    out.estimate = batch.estimate(tables, view, merge);
-  } catch (const std::exception& e) {
-    out.error = e.what();
-  }
-  return out;
 }
 
 /// estimate on every workload, and estimate_many over consecutive groups
 /// of 1, 12 and 24 workloads (mixed merge modes), each bit-identical to
 /// the per-item scalar loop.
 void expect_batches_match_scalar(const TableSet& set,
-                                 const std::vector<Dataset>& datasets,
-                                 EvalBatch& batch) {
+                                 const std::vector<Dataset>& datasets) {
   std::vector<DatasetView> views(datasets.begin(), datasets.end());
   std::vector<Merge> merges;
   for (std::size_t j = 0; j < views.size(); ++j) {
@@ -342,19 +274,14 @@ void expect_batches_match_scalar(const TableSet& set,
   }
   std::vector<EvalOutcome> scalar;
   for (std::size_t j = 0; j < views.size(); ++j) {
-    scalar.push_back(scalar_outcome(set.raw(), views[j], merges[j]));
-    EvalOutcome single;
-    try {
-      single.estimate = batch.estimate(set.tables(), views[j], merges[j]);
-    } catch (const std::exception& e) {
-      single.error = e.what();
-    }
-    expect_identical(scalar[j], single);
+    scalar.push_back(scalar_outcome(set.tables(), views[j], merges[j]));
+    expect_identical(scalar[j],
+                     direct_outcome(set.tables(), views[j], merges[j]));
   }
   for (const std::size_t group : {1, 12, 24}) {
     for (std::size_t lo = 0; lo < views.size(); lo += group) {
       const std::size_t n = std::min(group, views.size() - lo);
-      const auto outcomes = batch.estimate_many(
+      const auto outcomes = serve::estimate_many(
           set.tables(), std::span<const DatasetView>(views.data() + lo, n),
           std::span<const Merge>(merges.data() + lo, n));
       ASSERT_EQ(outcomes.size(), n);
@@ -369,29 +296,37 @@ void expect_batches_match_scalar(const TableSet& set,
 
 TEST(EvalBatchProperty, FuzzedTablesMatchScalarReferenceBitForBit) {
   std::mt19937 rng(20260808);
-  EvalBatch batch;
+  std::uniform_int_distribution<std::size_t> large(1025, 8192);
   for (int round = 0; round < 200; ++round) {
-    // Every fuzzed shape runs direct and, with a planned-size metric
-    // alongside, planned; the batch size sweeps across the kMinPlanLanes
-    // cutoff so the planned kernel's scalar fallback faces every shape too.
-    const std::vector<TableSet> sets = both_paths(fuzz_tables(rng));
+    // Every eighth shape gains a metric whose right region holds more
+    // than 1024 pieces, and the first one a region near the v3 cap, so
+    // the branchless search runs at every depth a v3 file allows; those
+    // rounds add a clustered workload, whose intensities reach the whole
+    // big region rather than its first few hundred pieces.
+    TableSet set = fuzz_tables(rng);
+    const bool big = round % 8 == 0;
+    if (big) {
+      const std::size_t pieces = round == 0 ? kNearCapPieces : large(rng);
+      append_metric(set, rng() % 2 ? pieces / 2 : 0, pieces, round % 16 == 0,
+                    rng);
+    }
     const std::size_t n = 1 + static_cast<std::size_t>(rng() % 48);
-    const Dataset data = fuzz_workload(sets.front(), n, rng);
-    const DatasetView view(data);
     const Merge merge = (round % 2) ? Merge::kUnweighted : Merge::kTimeWeighted;
-    for (const TableSet& set : sets) {
-      expect_identical(scalar_outcome(set.raw(), view, merge),
-                       batch_outcome(batch, set.tables(), view, merge));
+    std::vector<Dataset> datasets;
+    datasets.push_back(fuzz_workload(set, n, rng));
+    if (big) datasets.push_back(clustered_workload(set, 4 * n, rng));
+    for (const Dataset& data : datasets) {
+      const DatasetView view(data);
+      expect_identical(scalar_outcome(set.tables(), view, merge),
+                       direct_outcome(set.tables(), view, merge));
     }
   }
 }
 
 TEST(EvalBatchProperty, EstimateManyMatchesPerItemScalarLoop) {
   std::mt19937 rng(977);
-  EvalBatch batch;
   for (int round = 0; round < 50; ++round) {
-    const std::vector<TableSet> sets = both_paths(fuzz_tables(rng));
-    const TableSet& set = sets.front();
+    const TableSet set = fuzz_tables(rng);
     std::vector<Dataset> datasets;
     std::vector<DatasetView> views;
     std::vector<Merge> merges;
@@ -405,15 +340,13 @@ TEST(EvalBatchProperty, EstimateManyMatchesPerItemScalarLoop) {
       views.emplace_back(datasets.back());
       merges.push_back(rng() % 2 ? Merge::kUnweighted : Merge::kTimeWeighted);
     }
-    for (const TableSet& path : sets) {
-      const auto outcomes = batch.estimate_many(
-          path.tables(), std::span<const DatasetView>(views),
-          std::span<const Merge>(merges));
-      ASSERT_EQ(outcomes.size(), jobs);
-      for (std::size_t j = 0; j < jobs; ++j) {
-        expect_identical(scalar_outcome(path.raw(), views[j], merges[j]),
-                         outcomes[j]);
-      }
+    const auto outcomes =
+        serve::estimate_many(set.tables(), std::span<const DatasetView>(views),
+                             std::span<const Merge>(merges));
+    ASSERT_EQ(outcomes.size(), jobs);
+    for (std::size_t j = 0; j < jobs; ++j) {
+      expect_identical(scalar_outcome(set.tables(), views[j], merges[j]),
+                       outcomes[j]);
     }
   }
 }
@@ -447,97 +380,55 @@ TEST(EvalBatchProperty, SinglePieceAndDuplicateSegmentTables) {
   set.metrics.push_back(static_cast<Event>(1));
   set.ranges.push_back(r1);
 
-  const std::vector<TableSet> sets = both_paths(std::move(set));
   std::mt19937 rng(7);
-  EvalBatch batch;
   for (int round = 0; round < 40; ++round) {
-    const Dataset data = fuzz_workload(sets.front(), 1 + rng() % 40, rng);
+    const Dataset data = fuzz_workload(set, 1 + rng() % 40, rng);
     const DatasetView view(data);
-    for (const TableSet& path : sets) {
-      expect_identical(
-          scalar_outcome(path.raw(), view, Merge::kTimeWeighted),
-          batch_outcome(batch, path.tables(), view, Merge::kTimeWeighted));
-    }
-  }
-}
-
-TEST(EvalBatchProperty, PlanCutoffBoundaryIsSeamless) {
-  // kMinPlanLanes is where a planned model's kernel switches from the
-  // scalar fallback to the planned sort/sweep path; results must be
-  // bit-identical on both sides of (and exactly at) the seam. The tables
-  // are big enough to plan, and clean samples make the lane count exact.
-  std::mt19937 rng(4242);
-  const TableSet set =
-      sized_tables(serve::EvalPlan::kDirectMaxRegionPieces + 1, rng);
-  ASSERT_FALSE(set.tables().plan->direct);
-  EvalBatch batch;
-  for (std::size_t n = EvalBatch::kMinPlanLanes - 2;
-       n <= EvalBatch::kMinPlanLanes + 2; ++n) {
-    const Dataset data = clustered_workload(set, n, rng, /*clean=*/true);
-    const DatasetView view(data);
-    const auto before = batch.stats();
     expect_identical(
-        scalar_outcome(set.raw(), view, Merge::kTimeWeighted),
-        batch_outcome(batch, set.tables(), view, Merge::kTimeWeighted));
-    // Both sides of the seam really ran: every metric's n lanes go scalar
-    // below the cutoff and planned from it on.
-    const auto after = batch.stats();
-    const std::size_t metrics = set.metrics.size();
-    const bool planned = n >= EvalBatch::kMinPlanLanes;
-    EXPECT_EQ(after.planned_batches - before.planned_batches,
-              planned ? metrics : 0)
-        << n;
-    EXPECT_EQ(after.scalar_batches - before.scalar_batches,
-              planned ? 0 : metrics)
-        << n;
+        scalar_outcome(set.tables(), view, Merge::kTimeWeighted),
+        direct_outcome(set.tables(), view, Merge::kTimeWeighted));
   }
 }
 
 TEST(EvalBatchProperty, ClusteredIntensitiesMatchPerItemScalarLoop) {
   // Consecutive samples sharing a segment, as collected windows do, on a
-  // trained-size (direct) model and on a planned one.
+  // trained-size model and on one with a region past 1024 pieces.
   std::mt19937 rng(31337);
-  for (const std::size_t largest :
-       {std::size_t{14}, serve::EvalPlan::kDirectMaxRegionPieces + 64}) {
+  for (const std::size_t largest : {std::size_t{14}, std::size_t{1088}}) {
     SCOPED_TRACE(testing::Message() << "largest region " << largest);
     const TableSet set = sized_tables(largest, rng);
-    EvalBatch batch;
     std::vector<Dataset> datasets;
     for (int j = 0; j < 24; ++j) {
       datasets.push_back(clustered_workload(set, 1 + rng() % 96, rng));
     }
-    expect_batches_match_scalar(set, datasets, batch);
+    expect_batches_match_scalar(set, datasets);
   }
 }
 
 TEST(EvalBatchProperty, RegionSizesAcrossDirectPlannedCrossover) {
-  // EvalPlan::build picks the direct path up to kDirectMaxRegionPieces and
-  // the planned one beyond it; both must match the scalar loop bit for bit
-  // right at the seam, on clustered and garbage-laden workloads alike.
+  // 1024 pieces was where a retired batch kernel took over from the
+  // direct path. Region sizes on both sides of it still match the scalar
+  // loop bit for bit, on clustered and garbage-laden workloads alike.
   std::mt19937 rng(8086);
-  const std::size_t seam = serve::EvalPlan::kDirectMaxRegionPieces;
-  for (std::size_t largest = seam - 2; largest <= seam + 2; ++largest) {
+  for (std::size_t largest = 1022; largest <= 1026; ++largest) {
     SCOPED_TRACE(testing::Message() << "largest region " << largest);
     const TableSet set = sized_tables(largest, rng);
-    EXPECT_EQ(set.tables().plan->direct, largest <= seam);
-    EvalBatch batch;
     std::vector<Dataset> datasets;
     for (int j = 0; j < 24; ++j) {
       datasets.push_back(j % 2 ? clustered_workload(set, 1 + rng() % 64, rng)
                                : fuzz_workload(set, rng() % 48, rng));
     }
-    expect_batches_match_scalar(set, datasets, batch);
+    expect_batches_match_scalar(set, datasets);
   }
 }
 
 TEST(EvalBatchProperty, GapBeforeZeroWidthPieceMatchesScalarReference) {
   // v3 tables need not be contiguous: an intensity inside a gap resolves
   // to the next piece, and when that piece is zero-width the reference
-  // answers its y0 rather than dividing by zero. Checked on a direct model
-  // and on a planned one (the extra big metric forces the plan).
+  // answers its y0 rather than dividing by zero. Checked next to a small
+  // model and next to one with a region past 1024 pieces.
   std::mt19937 rng(2718);
-  for (const std::size_t largest :
-       {std::size_t{6}, serve::EvalPlan::kDirectMaxRegionPieces + 1}) {
+  for (const std::size_t largest : {std::size_t{6}, std::size_t{1025}}) {
     TableSet set = sized_tables(largest, rng);
     MetricRange gapped;
     gapped.left_begin = gapped.left_end = gapped.right_begin =
@@ -556,10 +447,7 @@ TEST(EvalBatchProperty, GapBeforeZeroWidthPieceMatchesScalarReference) {
     gapped.right_end = static_cast<std::uint32_t>(set.x0.size());
     set.metrics.push_back(static_cast<Event>(set.metrics.size()));
     set.ranges.push_back(gapped);
-    EXPECT_EQ(set.tables().plan->direct,
-              largest <= serve::EvalPlan::kDirectMaxRegionPieces);
 
-    EvalBatch batch;
     std::vector<Dataset> datasets;
     for (int j = 0; j < 12; ++j) {
       Dataset data = clustered_workload(set, 8 + rng() % 32, rng);
@@ -568,7 +456,7 @@ TEST(EvalBatchProperty, GapBeforeZeroWidthPieceMatchesScalarReference) {
       }
       datasets.push_back(std::move(data));
     }
-    expect_batches_match_scalar(set, datasets, batch);
+    expect_batches_match_scalar(set, datasets);
   }
 }
 
@@ -576,121 +464,87 @@ TEST(EvalBatchProperty, NoSharedMetricThrowsSameErrorText) {
   std::mt19937 rng(11);
   const Dataset empty;
   const DatasetView view(empty);
-  EvalBatch batch;
-  for (const TableSet& set : both_paths(fuzz_tables(rng))) {
-    std::string scalar_text, batch_text;
-    try {
-      serve::estimate_tables(set.raw(), view, Merge::kTimeWeighted);
-    } catch (const std::invalid_argument& e) {
-      scalar_text = e.what();
-    }
-    try {
-      batch.estimate(set.tables(), view, Merge::kTimeWeighted);
-    } catch (const std::invalid_argument& e) {
-      batch_text = e.what();
-    }
-    ASSERT_FALSE(scalar_text.empty());
-    EXPECT_EQ(scalar_text, batch_text);
-  }
-}
-
-TEST(EvalBatchProperty, PlanlessTablesAreRejected) {
-  // The kernel has one plan path: the model-owned plan. Raw tables are an
-  // oracle input only.
-  std::mt19937 rng(13);
   const TableSet set = fuzz_tables(rng);
-  const Dataset data = fuzz_workload(set, 4 * EvalBatch::kMinPlanLanes, rng);
-  const DatasetView view(data);
-  EvalBatch batch;
-  EXPECT_THROW(batch.estimate(set.raw(), view, Merge::kTimeWeighted),
-               util::ContractViolation);
-  EXPECT_THROW(batch.estimate_many(set.raw(), std::span<const DatasetView>(
-                                                  &view, 1),
-                                   Merge::kTimeWeighted),
-               util::ContractViolation);
+  std::string scalar_text, direct_text;
+  try {
+    serve::estimate_tables(set.tables(), view, Merge::kTimeWeighted);
+  } catch (const std::invalid_argument& e) {
+    scalar_text = e.what();
+  }
+  try {
+    serve::estimate(set.tables(), view, Merge::kTimeWeighted);
+  } catch (const std::invalid_argument& e) {
+    direct_text = e.what();
+  }
+  ASSERT_FALSE(scalar_text.empty());
+  EXPECT_EQ(scalar_text, direct_text);
 }
 
 TEST(EvalBatchCounters, PlannedAndScalarPathsAreCounted) {
+  // Every estimate counts one scalar batch per ranked metric and its
+  // samples as scalar lanes, at any region size; the planned counters
+  // name a retired kernel and stay 0.
   std::mt19937 rng(5);
-  EvalBatch batch;
+  for (const std::size_t largest : {std::size_t{6}, std::size_t{1025}}) {
+    SCOPED_TRACE(testing::Message() << "largest region " << largest);
+    const TableSet set = sized_tables(largest, rng);
+    Dataset lanes;
+    for (std::size_t i = 0; i < 64; ++i) {
+      lanes.add(set.metrics.front(), {1.0, 1.0 + static_cast<double>(i), 1.0});
+    }
+    const auto before = serve::eval_counters_snapshot();
+    (void)serve::estimate(set.tables(), DatasetView(lanes),
+                          Merge::kTimeWeighted);
+    const auto after = serve::eval_counters_snapshot();
+    EXPECT_EQ(after.scalar_batches, before.scalar_batches + 1);
+    EXPECT_EQ(after.scalar_lanes, before.scalar_lanes + 64);
 
-  // A trained-size model takes the direct path, counted as scalar lanes at
-  // any batch size.
-  const TableSet direct = fuzz_tables(rng);
-  ASSERT_TRUE(direct.tables().plan->direct);
-  const auto before_direct = batch.stats();
-  Dataset lanes;
-  for (std::size_t i = 0; i < 4 * EvalBatch::kMinPlanLanes; ++i) {
-    lanes.add(direct.metrics.front(), {1.0, 1.0 + static_cast<double>(i), 1.0});
+    // estimate_many counts its successful items only.
+    const Dataset empty;
+    const std::vector<DatasetView> views{DatasetView(lanes), DatasetView(empty),
+                                         DatasetView(lanes)};
+    const std::vector<Merge> merges(views.size(), Merge::kTimeWeighted);
+    const auto outcomes = serve::estimate_many(
+        set.tables(), std::span<const DatasetView>(views),
+        std::span<const Merge>(merges));
+    ASSERT_FALSE(outcomes[1].ok());
+    const auto many = serve::eval_counters_snapshot();
+    EXPECT_EQ(many.scalar_batches, after.scalar_batches + 2);
+    EXPECT_EQ(many.scalar_lanes, after.scalar_lanes + 2 * 64);
+    EXPECT_EQ(many.planned_batches, 0u);
+    EXPECT_EQ(many.planned_lanes, 0u);
   }
-  (void)batch.estimate(direct.tables(), DatasetView(lanes),
-                       Merge::kTimeWeighted);
-  const auto after_direct = batch.stats();
-  EXPECT_EQ(after_direct.scalar_batches, before_direct.scalar_batches + 1);
-  EXPECT_EQ(after_direct.scalar_lanes,
-            before_direct.scalar_lanes + 4 * EvalBatch::kMinPlanLanes);
-  EXPECT_EQ(after_direct.planned_batches, before_direct.planned_batches);
-
-  // A model too big for the direct path plans, with the scalar fallback
-  // below the lane cutoff.
-  const TableSet set =
-      sized_tables(serve::EvalPlan::kDirectMaxRegionPieces + 1, rng);
-  ASSERT_FALSE(set.tables().plan->direct);
-  const auto before = batch.stats();
-
-  // Below the cutoff: scalar fallback.
-  Dataset small;
-  for (std::size_t i = 0; i < 3; ++i) {
-    small.add(set.metrics.front(), {1.0, 2.0, 1.0});
-  }
-  (void)batch.estimate(set.tables(), DatasetView(small),
-                       Merge::kTimeWeighted);
-  const auto after_small = batch.stats();
-  EXPECT_GT(after_small.scalar_batches, before.scalar_batches);
-  EXPECT_EQ(after_small.planned_batches, before.planned_batches);
-
-  // Well above the cutoff: planned.
-  Dataset big;
-  for (std::size_t i = 0; i < 4 * EvalBatch::kMinPlanLanes; ++i) {
-    big.add(set.metrics.front(), {1.0, 1.0 + static_cast<double>(i), 1.0});
-  }
-  (void)batch.estimate(set.tables(), DatasetView(big), Merge::kTimeWeighted);
-  const auto after_big = batch.stats();
-  EXPECT_GT(after_big.planned_batches, after_small.planned_batches);
-  EXPECT_GE(after_big.planned_lanes,
-            after_small.planned_lanes + 4 * EvalBatch::kMinPlanLanes);
-
-  // The process-wide aggregate ticks the same way (monotonic).
-  const auto global = serve::eval_counters_snapshot();
-  EXPECT_GE(global.planned_batches, after_big.planned_batches);
 }
 
 TEST(EvalBatchThreads, ThreadLocalScratchIsRaceFreeAcrossPoolWorkers) {
-  // estimate_batch_tables fans workloads across pool workers, each
-  // evaluating through its own thread_eval_batch() scratch; under TSan
-  // this is the proof no scratch (or counter) is shared unsynchronized.
-  // The planned model's 40 samples per metric clear kMinPlanLanes, so its
-  // workers stage into and evaluate from their own kernel scratch.
+  // estimate_batch_tables fans workloads across pool workers over one
+  // shared, immutable table set; under TSan this is the proof that the
+  // evaluator shares nothing unsynchronized (the relaxed counters are the
+  // only shared state it writes). Run on a fuzzed model and on one with a
+  // region past 1024 pieces.
   std::mt19937 rng(99);
-  const std::vector<TableSet> sets = both_paths(fuzz_tables(rng));
-  std::vector<Dataset> datasets;
-  std::vector<DatasetView> views;
-  datasets.reserve(16);
-  for (int i = 0; i < 16; ++i) {
-    datasets.push_back(fuzz_workload(sets.back(), 40, rng));
-    views.emplace_back(datasets.back());
-  }
+  std::vector<TableSet> sets;
+  sets.push_back(fuzz_tables(rng));
+  sets.push_back(sized_tables(1025, rng));
   util::ExecOptions exec;
   exec.threads = 4;
   for (const TableSet& set : sets) {
+    std::vector<Dataset> datasets;
+    std::vector<DatasetView> views;
+    datasets.reserve(16);
+    for (int i = 0; i < 16; ++i) {
+      datasets.push_back(i % 2 ? clustered_workload(set, 40, rng, true)
+                               : fuzz_workload(set, 40, rng));
+      views.emplace_back(datasets.back());
+    }
     const auto parallel = serve::estimate_batch_tables(
         set.tables(), std::span<const DatasetView>(views), exec,
         Merge::kTimeWeighted);
     ASSERT_EQ(parallel.size(), views.size());
     for (std::size_t i = 0; i < views.size(); ++i) {
-      expect_identical(
-          serve::estimate_tables(set.raw(), views[i], Merge::kTimeWeighted),
-          parallel[i]);
+      expect_identical(serve::estimate_tables(set.tables(), views[i],
+                                              Merge::kTimeWeighted),
+                       parallel[i]);
     }
   }
 }

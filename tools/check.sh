@@ -34,11 +34,10 @@ phase_end() {
   fi
 }
 
-phase "Release build + tests (SPIRE_SIMD=ON)"
-# The release leg runs with the vectorized batch kernel; the sanitized
-# Debug leg below builds without SPIRE_SIMD, so both kernel paths (and
-# the Debug per-lane scalar cross-check) are exercised every gate run.
-cmake -B build-check-release -S . -DCMAKE_BUILD_TYPE=Release -DSPIRE_SIMD=ON
+phase "Release build + tests"
+# The sanitized Debug leg below also runs the Debug per-lane cross-check
+# of the direct eval path against the scalar reference.
+cmake -B build-check-release -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build build-check-release -j "${jobs}"
 ctest --test-dir build-check-release --output-on-failure -j "${test_jobs}"
 
