@@ -153,6 +153,9 @@ struct ModeResult {
   double p99_ms = 0.0;
   std::uint64_t chaos_injected = 0;
   std::uint64_t shed_overloaded = 0;
+  /// Frames that found no spare receive buffer on their connection, per
+  /// estimate request (warm-up included).
+  double frame_buffer_allocs_per_request = 0.0;
   bool all_ok = false;
   bool drained = false;
 };
@@ -244,9 +247,18 @@ ModeResult run_mode(serve::ModelRegistry& registry, const std::string& socket,
   result.all_ok = true;
   for (int f : failures) result.all_ok &= f == 0;
   const server::StatsReply stats = server.stats_snapshot();
+  std::uint64_t frame_buffer_allocs = 0;
+  std::uint64_t estimate_requests = 0;
   for (const auto& [k, v] : stats.counters) {
     if (k == "chaos_injected") result.chaos_injected = v;
     if (k == "shed_overloaded") result.shed_overloaded = v;
+    if (k == "frame_buffer_allocs") frame_buffer_allocs = v;
+    if (k == "estimate_requests") estimate_requests = v;
+  }
+  if (estimate_requests > 0) {
+    result.frame_buffer_allocs_per_request =
+        static_cast<double>(frame_buffer_allocs) /
+        static_cast<double>(estimate_requests);
   }
   server.begin_shutdown();
   result.drained = server.wait_until_drained();
@@ -686,6 +698,8 @@ int main(int argc, char** argv) {
       "drained: %s)\n",
       base.requests_per_s, base.p50_ms, base.p99_ms,
       base.all_ok ? "yes" : "NO", base.drained ? "yes" : "NO");
+  std::printf("clean:   %.4f receive-buffer allocations per request\n",
+              base.frame_buffer_allocs_per_request);
   const ModeResult chaos =
       run_mode(registry, socket, faulted, threads, per_thread, csv);
   std::printf(
@@ -735,7 +749,8 @@ int main(int argc, char** argv) {
        << "  \"fault_rate\": 0.05,\n"
        << "  \"clean\": {\"requests_per_s\": " << base.requests_per_s
        << ", \"p50_ms\": " << base.p50_ms << ", \"p99_ms\": " << base.p99_ms
-       << "},\n"
+       << ", \"frame_buffer_allocs_per_request\": "
+       << base.frame_buffer_allocs_per_request << "},\n"
        << "  \"chaos\": {\"requests_per_s\": " << chaos.requests_per_s
        << ", \"p50_ms\": " << chaos.p50_ms << ", \"p99_ms\": " << chaos.p99_ms
        << ", \"chaos_injected\": " << chaos.chaos_injected

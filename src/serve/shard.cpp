@@ -136,6 +136,7 @@ void Shard::run_batch(std::vector<Request>& batch) {
       expired_in_queue_.fetch_add(1, std::memory_order_relaxed);
       completed_.fetch_add(1, std::memory_order_relaxed);
       if (request.complete) request.complete({}, /*expired_in_queue=*/true);
+      request.keepalive.reset();
       continue;
     }
     evaluable.push_back(&request);
@@ -217,6 +218,9 @@ void Shard::run_batch(std::vector<Request>& batch) {
     if (request->complete) {
       request->complete(std::move(slice), /*expired_in_queue=*/false);
     }
+    // This request's slots are spent: release what its workloads borrowed
+    // now, not when the whole batch is done.
+    request->keepalive.reset();
   }
 }
 

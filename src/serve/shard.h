@@ -82,9 +82,9 @@ class Shard : public std::enable_shared_from_this<Shard> {
 
   struct Request {
     std::vector<Workload> workloads;
-    /// Pins the storage every workload borrows (decoded text CSVs, a
-    /// binary frame payload plus its ProfileViews, cached parses) until
-    /// the request completes.
+    /// Pins the storage every workload borrows (the inbound frame a text
+    /// CSV or binary profile lives in, ProfileViews, cached parses). The
+    /// pump releases it right after the request's `complete` returns.
     std::shared_ptr<const void> keepalive;
     model::Merge merge = model::Merge::kTimeWeighted;
     std::chrono::steady_clock::time_point deadline{};

@@ -60,7 +60,7 @@ class Writer {
 /// BEFORE any allocation is sized from them.
 class Reader {
  public:
-  explicit Reader(const std::string& bytes) : bytes_(bytes) {}
+  explicit Reader(std::string_view bytes) : bytes_(bytes) {}
 
   std::uint8_t u8(const char* field) {
     need(1, field);
@@ -72,13 +72,18 @@ class Reader {
   double f64(const char* field) { return scalar<double>(field); }
 
   std::string str(std::size_t max, const char* field) {
+    return std::string(view(max, field));
+  }
+
+  /// A u32-length-prefixed string as a view INTO the payload — no copy.
+  std::string_view view(std::size_t max, const char* field) {
     const std::uint32_t len = u32(field);
     if (len > max) {
       over_limit(std::string(field) + " is " + std::to_string(len) +
                  " bytes (limit " + std::to_string(max) + ")");
     }
     need(len, field);
-    std::string out(bytes_.data() + pos_, len);
+    const std::string_view out = bytes_.substr(pos_, len);
     pos_ += len;
     return out;
   }
@@ -101,7 +106,7 @@ class Reader {
     }
     pos_ += pad;
     need(len, field);
-    const std::string_view out(bytes_.data() + pos_, len);
+    const std::string_view out = bytes_.substr(pos_, len);
     pos_ += len;
     return out;
   }
@@ -138,7 +143,7 @@ class Reader {
     }
   }
 
-  const std::string& bytes_;
+  std::string_view bytes_;
   std::size_t pos_ = 0;
 };
 
@@ -276,12 +281,12 @@ std::string encode_estimate_request(const EstimateRequest& request,
   return w.take();
 }
 
-EstimateRequest decode_estimate_request(const std::string& payload,
-                                        const Limits& limits) {
+EstimateRequestView decode_estimate_request_view(std::string_view payload,
+                                                 const Limits& limits) {
   Reader r(payload);
-  EstimateRequest request;
-  request.model_class = r.str(limits.max_class_bytes, "model_class");
-  request.model_id = r.str(limits.max_class_bytes, "model_id");
+  EstimateRequestView request;
+  request.model_class = r.view(limits.max_class_bytes, "model_class");
+  request.model_id = r.view(limits.max_class_bytes, "model_id");
   request.deadline_ms = r.u32("deadline_ms");
   request.merge = r.u8("merge");
   if (request.merge > 1) malformed("merge must be 0 or 1");
@@ -289,9 +294,23 @@ EstimateRequest decode_estimate_request(const std::string& payload,
   request.workload_csvs.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     request.workload_csvs.push_back(
-        r.str(limits.max_frame_bytes, "workload_csv"));
+        r.view(limits.max_frame_bytes, "workload_csv"));
   }
   r.finish();
+  return request;
+}
+
+EstimateRequest decode_estimate_request(std::string_view payload,
+                                        const Limits& limits) {
+  const EstimateRequestView view =
+      decode_estimate_request_view(payload, limits);
+  EstimateRequest request;
+  request.model_class = view.model_class;
+  request.model_id = view.model_id;
+  request.deadline_ms = view.deadline_ms;
+  request.merge = view.merge;
+  request.workload_csvs.assign(view.workload_csvs.begin(),
+                               view.workload_csvs.end());
   return request;
 }
 
@@ -313,7 +332,7 @@ std::string encode_estimate_bin_request(const EstimateBinRequest& request,
   return w.take();
 }
 
-EstimateBinRequest decode_estimate_bin_request(const std::string& payload,
+EstimateBinRequest decode_estimate_bin_request(std::string_view payload,
                                                const Limits& limits) {
   Reader r(payload);
   EstimateBinRequest request;
@@ -339,7 +358,7 @@ std::string encode_swap_request(const SwapRequest& request,
   return w.take();
 }
 
-SwapRequest decode_swap_request(const std::string& payload,
+SwapRequest decode_swap_request(std::string_view payload,
                                 const Limits& limits) {
   Reader r(payload);
   SwapRequest request;
@@ -348,7 +367,7 @@ SwapRequest decode_swap_request(const std::string& payload,
   return request;
 }
 
-void decode_empty_request(const std::string& payload) {
+void decode_empty_request(std::string_view payload) {
   if (!payload.empty()) {
     malformed("request type carries no payload, got " +
               std::to_string(payload.size()) + " byte(s)");
@@ -370,7 +389,7 @@ std::string encode_estimate_reply(const EstimateReply& reply,
   return w.take();
 }
 
-EstimateReply decode_estimate_reply(const std::string& payload,
+EstimateReply decode_estimate_reply(std::string_view payload,
                                     const Limits& limits) {
   Reader r(payload);
   EstimateReply reply;
@@ -398,7 +417,7 @@ std::string encode_error_reply(const ErrorReply& reply, const Limits& limits) {
   return w.take();
 }
 
-ErrorReply decode_error_reply(const std::string& payload,
+ErrorReply decode_error_reply(std::string_view payload,
                               const Limits& limits) {
   Reader r(payload);
   ErrorReply reply;
@@ -415,7 +434,7 @@ std::string encode_swap_reply(const SwapReply& reply, const Limits& limits) {
   return w.take();
 }
 
-SwapReply decode_swap_reply(const std::string& payload, const Limits& limits) {
+SwapReply decode_swap_reply(std::string_view payload, const Limits& limits) {
   Reader r(payload);
   SwapReply reply;
   reply.model_id = r.str(limits.max_class_bytes, "model_id");
@@ -437,7 +456,7 @@ std::string encode_stats_reply(const StatsReply& reply, const Limits& limits) {
   return w.take();
 }
 
-StatsReply decode_stats_reply(const std::string& payload,
+StatsReply decode_stats_reply(std::string_view payload,
                               const Limits& limits) {
   Reader r(payload);
   StatsReply reply;
@@ -479,7 +498,7 @@ std::string encode_shards_reply(const ShardsReply& reply,
   return w.take();
 }
 
-ShardsReply decode_shards_reply(const std::string& payload,
+ShardsReply decode_shards_reply(std::string_view payload,
                                 const Limits& limits) {
   Reader r(payload);
   ShardsReply reply;
@@ -514,7 +533,7 @@ std::string encode_workload_result(const WorkloadResult& result,
   return w.take();
 }
 
-WorkloadResult decode_workload_result(const std::string& payload,
+WorkloadResult decode_workload_result(std::string_view payload,
                                       const Limits& limits) {
   Reader r(payload);
   WorkloadResult result = read_workload_result(r, limits);

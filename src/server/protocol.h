@@ -153,6 +153,18 @@ struct EstimateRequest {
   std::vector<std::string> workload_csvs;  // <= max_workloads entries
 };
 
+/// The borrowed form of EstimateRequest that the server decodes: every
+/// field is a view INTO the payload, which must outlive it. The server
+/// keeps the frame's receive buffer alive while any workload borrows it,
+/// so a CSV is never copied out of the frame it arrived in.
+struct EstimateRequestView {
+  std::string_view model_class;
+  std::string_view model_id;
+  std::uint32_t deadline_ms = 0;
+  std::uint8_t merge = 0;
+  std::vector<std::string_view> workload_csvs;
+};
+
 /// The v2 binary twin of EstimateRequest: workloads travel as
 /// spire-profile-bin blobs (serve/profile_bin.h) instead of CSV text. The
 /// decoder is zero-copy — `profiles` are string_views INTO the payload
@@ -236,12 +248,19 @@ struct ShardsReply {
 };
 
 // Encoders produce payload bytes (frame them with encode_frame); decoders
-// run the strict bounded parse and throw ProtocolError on any defect,
-// including trailing bytes.
+// run the strict bounded parse over any byte view (a std::string converts
+// implicitly) and throw ProtocolError on any defect, including trailing
+// bytes.
 std::string encode_estimate_request(const EstimateRequest& request,
                                     const Limits& limits);
-EstimateRequest decode_estimate_request(const std::string& payload,
+/// Owning decode for clients and tools: the view decode below, with every
+/// field copied out, so both accept and reject exactly the same inputs with
+/// the same error text.
+EstimateRequest decode_estimate_request(std::string_view payload,
                                         const Limits& limits);
+/// Zero-copy: the returned request's strings alias `payload`.
+EstimateRequestView decode_estimate_request_view(std::string_view payload,
+                                                 const Limits& limits);
 
 std::string encode_estimate_bin_request(const EstimateBinRequest& request,
                                         const Limits& limits);
@@ -249,36 +268,36 @@ std::string encode_estimate_bin_request(const EstimateBinRequest& request,
 /// to kEstimateBinRequest reuses the kEstimateReply payload encoding
 /// (framed as kEstimateBinReply), so cached per-workload result bytes are
 /// shared between the text and binary paths.
-EstimateBinRequest decode_estimate_bin_request(const std::string& payload,
+EstimateBinRequest decode_estimate_bin_request(std::string_view payload,
                                                const Limits& limits);
 
 std::string encode_swap_request(const SwapRequest& request,
                                 const Limits& limits);
-SwapRequest decode_swap_request(const std::string& payload,
+SwapRequest decode_swap_request(std::string_view payload,
                                 const Limits& limits);
 
 /// Ping and stats requests carry no payload; decoding asserts exactly that.
-void decode_empty_request(const std::string& payload);
+void decode_empty_request(std::string_view payload);
 
 std::string encode_estimate_reply(const EstimateReply& reply,
                                   const Limits& limits);
-EstimateReply decode_estimate_reply(const std::string& payload,
+EstimateReply decode_estimate_reply(std::string_view payload,
                                     const Limits& limits);
 
 std::string encode_error_reply(const ErrorReply& reply, const Limits& limits);
-ErrorReply decode_error_reply(const std::string& payload,
+ErrorReply decode_error_reply(std::string_view payload,
                               const Limits& limits);
 
 std::string encode_swap_reply(const SwapReply& reply, const Limits& limits);
-SwapReply decode_swap_reply(const std::string& payload, const Limits& limits);
+SwapReply decode_swap_reply(std::string_view payload, const Limits& limits);
 
 std::string encode_stats_reply(const StatsReply& reply, const Limits& limits);
-StatsReply decode_stats_reply(const std::string& payload,
+StatsReply decode_stats_reply(std::string_view payload,
                               const Limits& limits);
 
 std::string encode_shards_reply(const ShardsReply& reply,
                                 const Limits& limits);
-ShardsReply decode_shards_reply(const std::string& payload,
+ShardsReply decode_shards_reply(std::string_view payload,
                                 const Limits& limits);
 
 /// Standalone codec for ONE WorkloadResult, byte-compatible with the
@@ -288,7 +307,7 @@ ShardsReply decode_shards_reply(const std::string& payload,
 /// bytes is byte-identical to a recompute (DESIGN.md §14).
 std::string encode_workload_result(const WorkloadResult& result,
                                    const Limits& limits);
-WorkloadResult decode_workload_result(const std::string& payload,
+WorkloadResult decode_workload_result(std::string_view payload,
                                       const Limits& limits);
 
 }  // namespace spire::server

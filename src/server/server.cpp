@@ -64,6 +64,14 @@ extern "C" void spire_forward_shutdown_signal(int) {
 
 /// One peer. The fds are closed by the LAST holder of the shared_ptr, so a
 /// shard pump can still write its reply after the reader thread exited.
+///
+/// Inbound frames are read into buffers leased from `frames`, the
+/// connection's own FramePool (server/frame_pool.h). A frame's lease rides
+/// its request: control frames and fully memo-hit estimates hand the buffer
+/// back before the reader reads on, and an estimate whose workloads borrow
+/// the frame (text CSVs or binary profiles still to evaluate) hands it
+/// back when the shard pump releases the request. Reply payloads are
+/// separate strings written from the thread that finishes the request.
 struct EstimationServer::Connection {
   Connection(int in, int out, bool owns, std::uint64_t cid,
              const ChaosOptions& chaos_options)
@@ -73,25 +81,6 @@ struct EstimationServer::Connection {
     if (owns_fds) {
       util::close_quietly(in_fd);
       if (out_fd != in_fd) util::close_quietly(out_fd);
-    }
-  }
-
-  /// Buffer pool: a handful of strings whose heap capacity is recycled
-  /// between frame reads and reply payloads, so a steady request stream on
-  /// this connection settles into zero per-frame payload allocations.
-  std::string acquire_buffer() SPIRE_EXCLUDES(write_mutex) {
-    util::MutexLock lock(write_mutex);
-    if (buffer_pool.empty()) return {};
-    std::string buffer = std::move(buffer_pool.back());
-    buffer_pool.pop_back();
-    return buffer;
-  }
-  void recycle_buffer(std::string buffer) SPIRE_EXCLUDES(write_mutex) {
-    buffer.clear();
-    if (buffer.capacity() == 0) return;
-    util::MutexLock lock(write_mutex);
-    if (buffer_pool.size() < kBufferPoolBound) {
-      buffer_pool.push_back(std::move(buffer));
     }
   }
 
@@ -107,8 +96,7 @@ struct EstimationServer::Connection {
   /// form (the server never required one-frame-at-a-time; v2 clients
   /// finally exploit it).
   std::atomic<std::size_t> in_flight{0};
-  static constexpr std::size_t kBufferPoolBound = 4;
-  std::vector<std::string> buffer_pool SPIRE_GUARDED_BY(write_mutex);
+  const std::shared_ptr<FramePool> frames = FramePool::make();
   ChaosRng chaos;
 };
 
@@ -135,9 +123,9 @@ struct EstimationServer::PendingEstimate {
 
 namespace {
 
-/// What a shard request pins: the dispatch path's own keepalive while any
-/// workload still borrows from it, and the cached parses that text
-/// workloads resolved to before enqueue.
+/// What a shard request pins: the dispatch path's own keepalive (the
+/// frame) while any workload still borrows from it, and the cached parses
+/// that text workloads resolved to before enqueue.
 struct RequestPins {
   std::shared_ptr<const void> inputs;
   std::vector<std::shared_ptr<const serve::ParsedProfile>> parses;
@@ -156,9 +144,9 @@ struct EstimationServer::EstimateInputs {
   std::uint32_t deadline_ms = 0;
   std::uint8_t merge = 0;
   std::vector<serve::Shard::Workload> workloads;
-  /// Pins what the workloads borrow (the decoded text CSVs, or the binary
-  /// frame payload and its parsed ProfileViews) until the shard completes
-  /// the request.
+  /// Pins what the workloads borrow (the frame's lease, plus the parsed
+  /// ProfileViews on the binary path) until the shard releases the
+  /// request; its last holder hands the frame back to the connection.
   std::shared_ptr<const void> keepalive;
 };
 
@@ -195,10 +183,10 @@ bool EstimationServer::serve_one_frame(const std::shared_ptr<Connection>&) {
   return false;
 }
 void EstimationServer::dispatch_estimate(const std::shared_ptr<Connection>&,
-                                         std::uint64_t, const std::string&,
+                                         std::uint64_t, FramePool::Frame,
                                          Clock::time_point) {}
 void EstimationServer::dispatch_estimate_bin(
-    const std::shared_ptr<Connection>&, std::uint64_t, std::string,
+    const std::shared_ptr<Connection>&, std::uint64_t, FramePool::Frame,
     Clock::time_point) {}
 void EstimationServer::dispatch_estimate_common(
     const std::shared_ptr<Connection>&, std::uint64_t, EstimateInputs,
@@ -546,20 +534,14 @@ bool EstimationServer::serve_one_frame(
     send_error(conn, seq, e.code(), e.what());
     return false;
   }
-  // The payload buffer comes from the connection's pool and (for non-binary
-  // frames) goes back into it at scope exit, so a steady stream re-reads
-  // into the same allocation.
-  std::string payload = conn->acquire_buffer();
-  payload.assign(header.payload_len, '\0');
-  struct PayloadRecycler {
-    Connection* conn;
-    std::string* payload;
-    ~PayloadRecycler() {
-      if (conn) conn->recycle_buffer(std::move(*payload));
-    }
-  } recycler{conn.get(), &payload};
+  // The payload is read into a buffer leased from the connection's pool,
+  // with no zero fill; the lease ends at scope exit unless an estimate
+  // dispatch takes it over.
+  bool fresh = false;
+  FramePool::Frame frame = conn->frames->acquire(header.payload_len, &fresh);
+  if (fresh) frame_buffer_allocs_.fetch_add(1, std::memory_order_relaxed);
   if (header.payload_len > 0) {
-    st = util::read_exact(conn->in_fd, payload.data(), payload.size(),
+    st = util::read_exact(conn->in_fd, frame.data(), frame.size(),
                           options_.read_timeout_ms);
     if (st != util::IoStatus::kOk) {
       if (st == util::IoStatus::kTimeout) {
@@ -568,6 +550,7 @@ bool EstimationServer::serve_one_frame(
       return false;  // torn frame: never completed, no reply owed
     }
   }
+  const std::string_view payload = frame.view();
   bytes_read_.fetch_add(kFrameHeaderBytes + header.payload_len,
                         std::memory_order_relaxed);
   if (conn->in_flight.load(std::memory_order_acquire) > 0) {
@@ -634,13 +617,10 @@ bool EstimationServer::serve_one_frame(
                         encode_swap_reply(reply, options_.limits));
     }
     case FrameType::kEstimateRequest:
-      dispatch_estimate(conn, header.seq, payload, received);
+      dispatch_estimate(conn, header.seq, std::move(frame), received);
       return true;
     case FrameType::kEstimateBinRequest:
-      // The payload moves into the dispatcher (its decoded string_views and
-      // parsed spans alias it), so it cannot be recycled here.
-      recycler.conn = nullptr;
-      dispatch_estimate_bin(conn, header.seq, std::move(payload), received);
+      dispatch_estimate_bin(conn, header.seq, std::move(frame), received);
       return true;
     default:
       send_error(conn, header.seq, ErrorCode::kUnknownType,
@@ -652,7 +632,7 @@ bool EstimationServer::serve_one_frame(
 
 void EstimationServer::dispatch_estimate(
     const std::shared_ptr<Connection>& conn, std::uint64_t seq,
-    const std::string& payload, Clock::time_point received) {
+    FramePool::Frame frame, Clock::time_point received) {
   estimate_requests_.fetch_add(1, std::memory_order_relaxed);
   requests_text_.fetch_add(1, std::memory_order_relaxed);
   // Chaos shed stays BEFORE parsing, like real admission under a flood.
@@ -664,9 +644,12 @@ void EstimationServer::dispatch_estimate(
                    " pending requests)");
     return;
   }
-  EstimateRequest request;
+  // The frame becomes the keepalive and the workloads borrow their CSVs
+  // straight out of it, the same shape as the binary path's profiles.
+  auto keep = std::make_shared<FramePool::Frame>(std::move(frame));
+  EstimateRequestView request;
   try {
-    request = decode_estimate_request(payload, options_.limits);
+    request = decode_estimate_request_view(keep->view(), options_.limits);
   } catch (const ProtocolError& e) {
     malformed_frames_.fetch_add(1, std::memory_order_relaxed);
     send_error(conn, seq, e.code(), e.what());
@@ -674,28 +657,24 @@ void EstimationServer::dispatch_estimate(
   }
   EstimateInputs inputs;
   inputs.reply_type = FrameType::kEstimateReply;
-  inputs.model_class = std::move(request.model_class);
-  inputs.model_id = std::move(request.model_id);
+  inputs.model_class = request.model_class;
+  inputs.model_id = request.model_id;
   inputs.deadline_ms = request.deadline_ms;
   inputs.merge = request.merge;
-  // The decoded CSVs move into the keepalive once; workloads borrow them,
-  // the same shape as the binary path's views over its frame payload.
-  auto csvs = std::make_shared<std::vector<std::string>>(
-      std::move(request.workload_csvs));
-  inputs.workloads.reserve(csvs->size());
-  for (const std::string& csv : *csvs) {
+  inputs.workloads.reserve(request.workload_csvs.size());
+  for (const std::string_view csv : request.workload_csvs) {
     serve::Shard::Workload workload;
     workload.csv = csv;
     workload.hash = serve::EstimateCache::workload_hash(csv);
     inputs.workloads.push_back(workload);
   }
-  inputs.keepalive = std::move(csvs);
+  inputs.keepalive = std::move(keep);
   dispatch_estimate_common(conn, seq, std::move(inputs), received);
 }
 
 void EstimationServer::dispatch_estimate_bin(
     const std::shared_ptr<Connection>& conn, std::uint64_t seq,
-    std::string payload, Clock::time_point received) {
+    FramePool::Frame frame, Clock::time_point received) {
   estimate_requests_.fetch_add(1, std::memory_order_relaxed);
   requests_binary_.fetch_add(1, std::memory_order_relaxed);
   if (conn->chaos.force_overload()) {
@@ -706,21 +685,21 @@ void EstimationServer::dispatch_estimate_bin(
                    " pending requests)");
     return;
   }
-  // Everything the evaluation will alias lives here: the frame payload (the
+  // Everything the evaluation will alias lives here: the frame (the
   // decoded request's profile string_views point into it) and the parsed
-  // ProfileViews (their spans point into the payload too, or into their own
+  // ProfileViews (their spans point into the frame too, or into their own
   // owned storage for a misaligned buffer). The shared_ptr rides the shard
   // request as its keepalive, so eviction/reply ordering can never free
-  // bytes a batch kernel is still reading.
+  // or recycle bytes an evaluation is still reading.
   struct BinKeepalive {
-    std::string payload;
+    FramePool::Frame frame;
     std::vector<serve::profile_bin::ProfileView> views;
   };
   auto keep = std::make_shared<BinKeepalive>();
-  keep->payload = std::move(payload);
+  keep->frame = std::move(frame);
   EstimateBinRequest request;
   try {
-    request = decode_estimate_bin_request(keep->payload, options_.limits);
+    request = decode_estimate_bin_request(keep->frame.view(), options_.limits);
   } catch (const ProtocolError& e) {
     malformed_frames_.fetch_add(1, std::memory_order_relaxed);
     send_error(conn, seq, e.code(), e.what());
@@ -1046,9 +1025,6 @@ bool EstimationServer::send_frame(const std::shared_ptr<Connection>& conn,
       return false;
     }
   }
-  // The payload's heap block feeds the next frame read or reply on this
-  // connection.
-  conn->recycle_buffer(std::move(payload));
   return true;
 }
 
@@ -1245,6 +1221,8 @@ StatsReply EstimationServer::stats_snapshot() const {
       {"eval_planned_lanes", eval.planned_lanes},
       {"eval_scalar_batches", eval.scalar_batches},
       {"eval_scalar_lanes", eval.scalar_lanes},
+      {"frame_buffer_allocs",
+       frame_buffer_allocs_.load(std::memory_order_relaxed)},
       {"frames_pipelined", frames_pipelined_.load(std::memory_order_relaxed)},
       {"frames_received", frames_received_.load(std::memory_order_relaxed)},
       {"io_timeouts", io_timeouts_.load(std::memory_order_relaxed)},

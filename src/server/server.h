@@ -29,13 +29,18 @@
 //    profile the fleet has seen is resolved to that parse before enqueue,
 //    queues as a view like a binary profile, and skips straight to
 //    evaluation;
+//  * frame intake: every inbound frame is read, without zero fill, into a
+//    receive buffer leased from its connection's FramePool
+//    (server/frame_pool.h); text CSVs and binary profiles are evaluated
+//    from views into that buffer, which returns to the connection when
+//    the last workload borrowing it is done;
 //  * binary profiles + pipelining (protocol v2): kEstimateBinRequest
 //    carries spire-profile-bin workloads the reader turns into span views
-//    over the frame payload (serve/profile_bin.h) — no CSV parse, no
-//    Dataset materialization, no string copies; replies are written
-//    scatter-gather (writev, header on the stack, payload from a pooled
-//    per-connection buffer), and a connection may keep many frames in
-//    flight — replies are matched by seq and may return out of order;
+//    over the frame (serve/profile_bin.h) — no CSV parse, no Dataset
+//    materialization, no string copies; replies are written
+//    scatter-gather (writev, header on the stack, payload from its own
+//    string), and a connection may keep many frames in flight — replies
+//    are matched by seq and may return out of order;
 //  * deadlines: each request's relative deadline is pinned to an absolute
 //    steady_clock instant at frame receipt and enforced twice — when the
 //    shard pump dequeues it (an expired request is never evaluated) and
@@ -74,6 +79,7 @@
 #include "serve/registry.h"
 #include "serve/shard.h"
 #include "server/chaos.h"
+#include "server/frame_pool.h"
 #include "server/protocol.h"
 #include "util/thread_annotations.h"
 #include "util/thread_pool.h"
@@ -195,8 +201,10 @@ class EstimationServer {
 
   /// Ordering contract: every counter a request moves is published before
   /// that request's reply bytes are written, so a snapshot taken after a
-  /// client has read a reply already counts it. bytes_written and
-  /// replies_ok/replies_error count a reply when its write begins: a write
+  /// client has read a reply already counts it. frame_buffer_allocs (frames
+  /// whose connection had no spare receive buffer to lend) is counted when
+  /// the frame's buffer is leased, before its payload is read. bytes_written
+  /// and replies_ok/replies_error count a reply when its write begins: a write
   /// that then fails or stalls past write_timeout_ms stays counted (the
   /// counters never go back), its connection is closed, and a stall also
   /// counts in io_timeouts.
@@ -229,16 +237,17 @@ class EstimationServer {
   /// connection should close.
   bool serve_one_frame(const std::shared_ptr<Connection>& conn);
   /// Parses, routes, consults the cache, and enqueues on the target shard
-  /// — all on the reader thread. Full cache hits reply immediately.
+  /// — all on the reader thread. Full cache hits reply immediately. The
+  /// frame's lease pins the CSVs the workloads borrow.
   void dispatch_estimate(const std::shared_ptr<Connection>& conn,
-                         std::uint64_t seq, const std::string& payload,
+                         std::uint64_t seq, FramePool::Frame frame,
                          std::chrono::steady_clock::time_point received);
   /// The v2 binary twin: decodes kEstimateBinRequest zero-copy, parses the
-  /// spire-profile-bin workloads into span views over the payload (which it
-  /// takes ownership of and pins until the reply is sent), and enqueues
+  /// spire-profile-bin workloads into span views over the frame (whose
+  /// lease it pins until the shard releases the request), and enqueues
   /// pre-parsed Workloads — no Dataset materialization, no string copies.
   void dispatch_estimate_bin(const std::shared_ptr<Connection>& conn,
-                             std::uint64_t seq, std::string payload,
+                             std::uint64_t seq, FramePool::Frame frame,
                              std::chrono::steady_clock::time_point received);
   /// Both dispatch paths reduce their request to this neutral form before
   /// the shared tail (cache consult, routing, enqueue, inline cache reply).
@@ -373,6 +382,8 @@ class EstimationServer {
   std::atomic<std::uint64_t> frames_pipelined_{0};
   std::atomic<std::uint64_t> requests_text_{0};
   std::atomic<std::uint64_t> requests_binary_{0};
+  // Frames that found no spare receive buffer on their connection.
+  std::atomic<std::uint64_t> frame_buffer_allocs_{0};
 };
 
 }  // namespace spire::server

@@ -39,6 +39,7 @@
 #include "serve/profile_bin.h"
 #include "serve/registry.h"
 #include "server/client.h"
+#include "server/frame_pool.h"
 #include "server/protocol.h"
 #include "spire/ensemble.h"
 #include "util/posix_io.h"
@@ -1419,6 +1420,441 @@ TEST_F(ServerTest, WireAndProfileCacheCountersSurfaceInStats) {
   // resolves to it. Binary profiles never consult the cache.
   EXPECT_EQ(all["profile_parse_misses"], 1u);
   EXPECT_EQ(all["profile_parse_hits"], 1u);
+}
+
+// --------------------------------------------------------------------------
+// Frame intake: view decoders and connection-owned receive buffers
+// --------------------------------------------------------------------------
+
+/// `payload` copied into storage that is not a std::string, at an 8-aligned
+/// offset, with `trailing` junk bytes after it.
+struct ForeignBytes {
+  ForeignBytes(const std::string& payload, std::size_t trailing)
+      : size(payload.size()),
+        storage(new char[kOffset + payload.size() + trailing]) {
+    std::memset(storage.get(), 'J', kOffset + payload.size() + trailing);
+    std::memcpy(storage.get() + kOffset, payload.data(), payload.size());
+    total = payload.size() + trailing;
+  }
+  std::string_view exact() const { return {storage.get() + kOffset, size}; }
+  std::string_view with_trailing() const {
+    return {storage.get() + kOffset, total};
+  }
+  bool contains(std::string_view v) const {
+    return v.data() >= storage.get() + kOffset &&
+           v.data() + v.size() <= storage.get() + kOffset + size;
+  }
+
+  static constexpr std::size_t kOffset = 16;
+  std::size_t size = 0;
+  std::size_t total = 0;
+  std::unique_ptr<char[]> storage;
+};
+
+/// What one decode did: the decoded request, or the error it threw.
+struct DecodeOutcome {
+  bool threw = false;
+  ErrorCode code = ErrorCode::kOk;
+  std::string what;
+  EstimateRequest request;
+};
+
+DecodeOutcome decode_owning(std::string_view payload, const Limits& limits) {
+  DecodeOutcome out;
+  try {
+    out.request = decode_estimate_request(payload, limits);
+  } catch (const ProtocolError& e) {
+    out.threw = true;
+    out.code = e.code();
+    out.what = e.what();
+  }
+  return out;
+}
+
+DecodeOutcome decode_borrowed(std::string_view payload, const Limits& limits) {
+  DecodeOutcome out;
+  try {
+    const EstimateRequestView view =
+        decode_estimate_request_view(payload, limits);
+    out.request.model_class = view.model_class;
+    out.request.model_id = view.model_id;
+    out.request.deadline_ms = view.deadline_ms;
+    out.request.merge = view.merge;
+    for (const std::string_view csv : view.workload_csvs) {
+      out.request.workload_csvs.emplace_back(csv);
+    }
+  } catch (const ProtocolError& e) {
+    out.threw = true;
+    out.code = e.code();
+    out.what = e.what();
+  }
+  return out;
+}
+
+void expect_same_outcome(const DecodeOutcome& owning,
+                         const DecodeOutcome& borrowed,
+                         const std::string& label) {
+  ASSERT_EQ(owning.threw, borrowed.threw) << label << ": " << owning.what
+                                          << " | " << borrowed.what;
+  EXPECT_EQ(owning.code, borrowed.code) << label;
+  EXPECT_EQ(owning.what, borrowed.what) << label;
+  EXPECT_EQ(owning.request.model_class, borrowed.request.model_class);
+  EXPECT_EQ(owning.request.model_id, borrowed.request.model_id);
+  EXPECT_EQ(owning.request.deadline_ms, borrowed.request.deadline_ms);
+  EXPECT_EQ(owning.request.merge, borrowed.request.merge);
+  EXPECT_EQ(owning.request.workload_csvs, borrowed.request.workload_csvs);
+}
+
+TEST(Protocol, ViewDecodersReadForeignStorageAndRejectTrailingBytes) {
+  const Limits limits;
+  EstimateRequest request;
+  request.model_class = "batch";
+  request.model_id = "0123456789abcdef";
+  request.deadline_ms = 250;
+  request.merge = 1;
+  request.workload_csvs = {workload_csv(7, 4), "", workload_csv(8, 2)};
+  const ForeignBytes text(encode_estimate_request(request, limits), 13);
+
+  const EstimateRequestView view =
+      decode_estimate_request_view(text.exact(), limits);
+  EXPECT_EQ(view.model_class, request.model_class);
+  EXPECT_EQ(view.model_id, request.model_id);
+  EXPECT_EQ(view.deadline_ms, request.deadline_ms);
+  EXPECT_EQ(view.merge, request.merge);
+  ASSERT_EQ(view.workload_csvs.size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(view.workload_csvs[i], request.workload_csvs[i]);
+    if (!view.workload_csvs[i].empty()) {
+      EXPECT_TRUE(text.contains(view.workload_csvs[i])) << "csv " << i;
+    }
+  }
+  EXPECT_TRUE(text.contains(view.model_class));
+  EXPECT_TRUE(text.contains(view.model_id));
+  const EstimateRequest owned = decode_estimate_request(text.exact(), limits);
+  EXPECT_EQ(owned.workload_csvs, request.workload_csvs);
+  // The same bytes with the junk after them: both decoders refuse, naming
+  // the trailing byte count.
+  const DecodeOutcome owning = decode_owning(text.with_trailing(), limits);
+  const DecodeOutcome borrowed = decode_borrowed(text.with_trailing(), limits);
+  expect_same_outcome(owning, borrowed, "trailing");
+  EXPECT_TRUE(owning.threw);
+  EXPECT_EQ(owning.code, ErrorCode::kMalformedFrame);
+  EXPECT_NE(owning.what.find("13 trailing byte(s)"), std::string::npos)
+      << owning.what;
+
+  // Binary profiles: views alias the foreign storage, 8-aligned.
+  const std::string p1 = workload_bin(9, 3);
+  const std::string p2 = workload_bin(10, 2);
+  EstimateBinRequest bin;
+  bin.model_id = "fedcba9876543210";
+  bin.profiles = {p1, p2};
+  const ForeignBytes binary(encode_estimate_bin_request(bin, limits), 5);
+  const EstimateBinRequest bin_back =
+      decode_estimate_bin_request(binary.exact(), limits);
+  EXPECT_EQ(bin_back.model_id, bin.model_id);
+  ASSERT_EQ(bin_back.profiles.size(), 2u);
+  EXPECT_EQ(bin_back.profiles[0], p1);
+  for (const std::string_view profile : bin_back.profiles) {
+    EXPECT_TRUE(binary.contains(profile));
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(profile.data()) % 8, 0u);
+  }
+  EXPECT_THROW(decode_estimate_bin_request(binary.with_trailing(), limits),
+               ProtocolError);
+
+  // Every other decoder reads a slice too, and refuses junk after it.
+  const ForeignBytes swap(encode_swap_request(SwapRequest{"batch"}, limits),
+                          1);
+  EXPECT_EQ(decode_swap_request(swap.exact(), limits).model_class, "batch");
+  EXPECT_THROW(decode_swap_request(swap.with_trailing(), limits),
+               ProtocolError);
+  const ForeignBytes empty("", 2);
+  EXPECT_NO_THROW(decode_empty_request(empty.exact()));
+  EXPECT_THROW(decode_empty_request(empty.with_trailing()), ProtocolError);
+  WorkloadResult result;
+  result.samples = 12;
+  result.throughput = 0.5;
+  result.ranking = {{"lsd.uops", 0.25, 3}};
+  const ForeignBytes one(encode_workload_result(result, limits), 3);
+  const WorkloadResult result_back = decode_workload_result(one.exact(), limits);
+  EXPECT_EQ(result_back.samples, 12u);
+  EXPECT_EQ(result_back.ranking.at(0).metric, "lsd.uops");
+  EXPECT_THROW(decode_workload_result(one.with_trailing(), limits),
+               ProtocolError);
+  EstimateReply reply;
+  reply.model_id = "0123456789abcdef";
+  reply.results = {result};
+  const ForeignBytes estimate(encode_estimate_reply(reply, limits), 1);
+  EXPECT_EQ(decode_estimate_reply(estimate.exact(), limits).results.size(), 1u);
+  EXPECT_THROW(decode_estimate_reply(estimate.with_trailing(), limits),
+               ProtocolError);
+  StatsReply stats;
+  stats.counters = {{"frame_buffer_allocs", 4}};
+  const ForeignBytes counters(encode_stats_reply(stats, limits), 8);
+  EXPECT_EQ(decode_stats_reply(counters.exact(), limits).counters,
+            stats.counters);
+  EXPECT_THROW(decode_stats_reply(counters.with_trailing(), limits),
+               ProtocolError);
+  const ForeignBytes error(
+      encode_error_reply(ErrorReply{ErrorCode::kOverloaded, "busy"}, limits),
+      2);
+  EXPECT_EQ(decode_error_reply(error.exact(), limits).message, "busy");
+  EXPECT_THROW(decode_error_reply(error.with_trailing(), limits),
+               ProtocolError);
+  ShardsReply shards;
+  shards.shards.resize(1);
+  shards.shards[0].model_id = "0123456789abcdef";
+  shards.shards[0].classes = {"a", "b"};
+  const ForeignBytes listing(encode_shards_reply(shards, limits), 4);
+  EXPECT_EQ(decode_shards_reply(listing.exact(), limits).shards.at(0).classes,
+            shards.shards[0].classes);
+  EXPECT_THROW(decode_shards_reply(listing.with_trailing(), limits),
+               ProtocolError);
+}
+
+TEST(Protocol, ViewAndOwningDecodersRejectTheSameInputsWithTheSameText) {
+  Limits limits;
+  EstimateRequest request;
+  request.model_class = "cls";
+  request.model_id = "0123456789abcdef";
+  request.deadline_ms = 7;
+  request.workload_csvs = {workload_csv(11, 3), workload_csv(12, 1)};
+  const std::string payload = encode_estimate_request(request, limits);
+
+  for (std::size_t cut = 0; cut <= payload.size(); ++cut) {
+    const ForeignBytes prefix(payload.substr(0, cut), 0);
+    expect_same_outcome(decode_owning(prefix.exact(), limits),
+                        decode_borrowed(prefix.exact(), limits),
+                        "prefix " + std::to_string(cut));
+  }
+  util::Rng rng(2024);
+  int rejected = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    std::string bad = payload;
+    const int flips = 1 + static_cast<int>(rng.below(3));
+    for (int i = 0; i < flips; ++i) {
+      bad[rng.below(bad.size())] ^= static_cast<char>(1 + rng.below(255));
+    }
+    const ForeignBytes mutated(bad, 0);
+    const DecodeOutcome owning = decode_owning(mutated.exact(), limits);
+    expect_same_outcome(owning, decode_borrowed(mutated.exact(), limits),
+                        "trial " + std::to_string(trial));
+    rejected += owning.threw ? 1 : 0;
+  }
+  EXPECT_GT(rejected, 0);
+  // Per-field limits trip identically too.
+  Limits tight = limits;
+  tight.max_class_bytes = 2;
+  expect_same_outcome(decode_owning(payload, tight),
+                      decode_borrowed(payload, tight), "class limit");
+  tight = limits;
+  tight.max_workloads = 1;
+  expect_same_outcome(decode_owning(payload, tight),
+                      decode_borrowed(payload, tight), "workload limit");
+  tight = limits;
+  tight.max_frame_bytes = 16;
+  const DecodeOutcome csv_limit = decode_owning(payload, tight);
+  expect_same_outcome(csv_limit, decode_borrowed(payload, tight), "csv limit");
+  EXPECT_EQ(csv_limit.code, ErrorCode::kLimitExceeded);
+}
+
+TEST(ServerFramePool, SparesAreReusedBestFitAndBoundedInBytes) {
+  const std::shared_ptr<FramePool> pool = FramePool::make();
+  bool fresh = false;
+  FramePool::Frame none = pool->acquire(0, &fresh);
+  EXPECT_FALSE(fresh);
+  EXPECT_EQ(none.size(), 0u);
+  EXPECT_EQ(none.view().size(), 0u);
+
+  const char* small_block = nullptr;
+  const char* large_block = nullptr;
+  {
+    FramePool::Frame small = pool->acquire(1000, &fresh);
+    EXPECT_TRUE(fresh);
+    FramePool::Frame large = pool->acquire(60'000, &fresh);
+    EXPECT_TRUE(fresh);
+    small_block = small.data();
+    large_block = large.data();
+  }
+  EXPECT_EQ(pool->spare_count(), 2u);
+  EXPECT_EQ(pool->spare_bytes(), FramePool::kGranule + 61'440u);
+  {
+    // The smallest spare that fits, not the first or the largest.
+    FramePool::Frame frame = pool->acquire(900, &fresh);
+    EXPECT_FALSE(fresh);
+    EXPECT_EQ(frame.data(), small_block);
+    EXPECT_EQ(frame.size(), 900u);
+    FramePool::Frame next = pool->acquire(2000, &fresh);
+    EXPECT_FALSE(fresh);
+    EXPECT_EQ(next.data(), large_block);
+    // Nothing left that fits: a new buffer, sized for this frame only.
+    FramePool::Frame more = pool->acquire(3000, &fresh);
+    EXPECT_TRUE(fresh);
+  }
+
+  // Idle bytes stay under the bound: returning more than it holds evicts
+  // the spares returned longest ago.
+  const std::size_t third = FramePool::kSpareBytes / 3;
+  std::vector<FramePool::Frame> held;
+  for (int i = 0; i < 5; ++i) held.push_back(pool->acquire(third, &fresh));
+  std::vector<const char*> blocks;
+  for (FramePool::Frame& frame : held) blocks.push_back(frame.data());
+  for (FramePool::Frame& frame : held) frame = FramePool::Frame();
+  EXPECT_LE(pool->spare_bytes(), FramePool::kSpareBytes);
+  {
+    FramePool::Frame a = pool->acquire(third, &fresh);
+    FramePool::Frame b = pool->acquire(third, &fresh);
+    EXPECT_FALSE(fresh);
+    // The most recently returned big buffers survived the eviction.
+    EXPECT_TRUE(a.data() == blocks[3] || a.data() == blocks[4]);
+    EXPECT_TRUE(b.data() == blocks[3] || b.data() == blocks[4]);
+  }
+  // A buffer bigger than the bound is freed, never pooled.
+  const std::size_t before = pool->spare_bytes();
+  { FramePool::Frame huge = pool->acquire(FramePool::kSpareBytes + 1); }
+  EXPECT_EQ(pool->spare_bytes(), before);
+}
+
+TEST(ServerFramePool, LeasesOutliveTheirOwnerAndComeBackPoisonedInCheckedBuilds) {
+  std::shared_ptr<FramePool> pool = FramePool::make();
+  const std::weak_ptr<FramePool> weak = pool;
+  FramePool::Frame frame = pool->acquire(64);
+  std::memset(frame.data(), 'x', frame.size());
+  const char* block = frame.data();
+  pool.reset();
+  // The lease keeps the pool alive until it comes back.
+  ASSERT_FALSE(weak.expired());
+  std::shared_ptr<FramePool> again = weak.lock();
+  frame = FramePool::Frame();
+  EXPECT_EQ(again->spare_count(), 1u);
+  bool fresh = true;
+  FramePool::Frame reused = again->acquire(64, &fresh);
+  EXPECT_FALSE(fresh);
+  ASSERT_EQ(reused.data(), block);
+#if SPIRE_DCHECK_ENABLED
+  for (std::size_t i = 0; i < reused.size(); ++i) {
+    ASSERT_EQ(static_cast<unsigned char>(reused.data()[i]),
+              FramePool::kPoison)
+        << "byte " << i;
+  }
+#endif
+}
+
+// The frame lifetime contract under pressure: with both caches off, every
+// text workload is parsed by a shard pump straight out of its borrowed
+// frame, while the reader keeps filling recycled buffers with the frames
+// pipelined behind it. Sizes alternate small/large/small, so buffers move
+// between frames of different sizes. In Debug/SPIRE_CHECKED builds a
+// returned buffer is poisoned, so a frame handed back before its pump was
+// done would parse poison or another request's bytes and miss the oracle.
+TEST_F(ServerTest, PipelinedMixedSizeTextRepliesSurviveBufferRecycling) {
+  ServerOptions options;
+  options.workers = 2;
+  options.cache_entries = 0;
+  options.profile_cache_entries = 0;
+  options.limits.max_frame_bytes = 64u << 20;
+  boot(options);
+  Client client(client_options());
+  const Limits& limits = client.options().limits;
+  const Ensemble local = trained_ensemble(17);
+
+  constexpr int kFrames = 30;
+  const auto per_metric = [](int i) { return i % 3 == 1 ? 1500 : 12; };
+  std::vector<Client::PipelineRequest> requests;
+  for (int i = 0; i < kFrames; ++i) {
+    EstimateRequest request;
+    request.workload_csvs = {
+        workload_csv(static_cast<std::uint64_t>(300 + i), per_metric(i))};
+    requests.push_back({FrameType::kEstimateRequest,
+                        encode_estimate_request(request, limits)});
+  }
+  const std::uint64_t allocs_before = counter("frame_buffer_allocs");
+  std::vector<Client::PipelineResult> results;
+  ASSERT_EQ(client.pipeline(requests, &results, /*window=*/4),
+            static_cast<std::size_t>(kFrames));
+  for (int i = 0; i < kFrames; ++i) {
+    const Client::PipelineResult& res = results[static_cast<std::size_t>(i)];
+    ASSERT_TRUE(res.ok) << res.error;
+    ASSERT_EQ(res.header.type, FrameType::kEstimateReply) << "frame " << i;
+    const EstimateReply reply = decode_estimate_reply(res.payload, limits);
+    ASSERT_EQ(reply.results.size(), 1u);
+    const WorkloadResult& got = reply.results[0];
+    ASSERT_EQ(got.status, ErrorCode::kOk) << "frame " << i << ": " << got.error;
+    const Dataset workload =
+        mixed_workload(static_cast<std::uint64_t>(300 + i), per_metric(i));
+    const model::Estimate expected = local.estimate(DatasetView(workload));
+    EXPECT_EQ(got.samples, workload.size()) << "frame " << i;
+    EXPECT_EQ(std::memcmp(&got.throughput, &expected.throughput,
+                          sizeof(double)),
+              0)
+        << "frame " << i;
+    ASSERT_EQ(got.ranking.size(), expected.ranking.size()) << "frame " << i;
+    for (std::size_t j = 0; j < got.ranking.size(); ++j) {
+      EXPECT_EQ(got.ranking[j].metric,
+                counters::event_name(expected.ranking[j].metric));
+      EXPECT_EQ(std::memcmp(&got.ranking[j].p_bar, &expected.ranking[j].p_bar,
+                            sizeof(double)),
+                0);
+      EXPECT_EQ(got.ranking[j].samples, expected.ranking[j].samples);
+    }
+  }
+  // Buffers were recycled: far fewer allocations than frames.
+  EXPECT_LT(counter("frame_buffer_allocs") - allocs_before,
+            static_cast<std::uint64_t>(kFrames) / 2);
+  EXPECT_EQ(counter("malformed_frames"), 0u);
+}
+
+// Steady state: same-size frames on one connection reuse the connection's
+// buffers, so fresh allocations stop at the pipeline's peak and do not grow
+// with the number of requests. A frame's buffer is held from its read until
+// the shard pump releases its request: at most `window` unanswered frames,
+// plus at most `window` answered ones whose pump batch is still being
+// released. Frames this size never reach the spare byte bound, so nothing
+// is evicted and every later frame finds a spare.
+TEST_F(ServerTest, SteadyPipelinedFramesStopAllocatingReceiveBuffers) {
+  ServerOptions options;
+  options.cache_entries = 0;
+  options.profile_cache_entries = 0;
+  boot(options);
+  const Limits limits = client_options().limits;
+
+  EstimateRequest text;
+  text.workload_csvs = {workload_csv(77, 20)};
+  const std::string blob = workload_bin(78, 20);
+  EstimateBinRequest binary;
+  binary.profiles = {blob};
+  const Client::PipelineRequest text_frame{
+      FrameType::kEstimateRequest, encode_estimate_request(text, limits)};
+  const Client::PipelineRequest bin_frame{
+      FrameType::kEstimateBinRequest,
+      encode_estimate_bin_request(binary, limits)};
+  ASSERT_LT(8 * std::max(text_frame.payload.size(), bin_frame.payload.size()),
+            FramePool::kSpareBytes);
+
+  constexpr std::size_t kWindow = 4;
+  for (const Client::PipelineRequest* frame : {&text_frame, &bin_frame}) {
+    // A fresh connection per kind: its own pool, starting empty.
+    Client connection(client_options());
+    const auto run = [&](int n) {
+      std::vector<Client::PipelineRequest> requests(
+          static_cast<std::size_t>(n), *frame);
+      std::vector<Client::PipelineResult> results;
+      ASSERT_EQ(connection.pipeline(requests, &results, kWindow),
+                static_cast<std::size_t>(n));
+      for (const Client::PipelineResult& res : results) {
+        ASSERT_NE(res.header.type, FrameType::kErrorReply);
+      }
+    };
+    const std::uint64_t base = counter("frame_buffer_allocs");
+    run(16);
+    const std::uint64_t after_short = counter("frame_buffer_allocs") - base;
+    run(160);
+    const std::uint64_t after_long = counter("frame_buffer_allocs") - base;
+    EXPECT_GE(after_short, 1u);
+    EXPECT_LE(after_long, 2 * kWindow) << "after 176 frames";
+    EXPECT_LE(after_long - after_short, kWindow)
+        << "allocations kept growing with the number of frames";
+  }
+  EXPECT_EQ(counter("estimate_requests"), 2u * 176u);
 }
 
 }  // namespace
