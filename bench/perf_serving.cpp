@@ -1,24 +1,27 @@
 // Serving-path performance: tree-walk Ensemble vs serve::MappedModel,
-// compiled in memory or mapped from a v3 file.
+// compiled in memory or mapped from a v4 image file.
 //
 // Measures estimates/sec over the full workload suite for three modes —
 // the train-time object graph evaluated serially (the pre-serve baseline),
 // the compiled model evaluated serially, and the compiled batch path across
-// a pool — plus the model artifact load times (text v1 parse vs binary v2
-// deserialize vs compile vs v3 mmap) and the cold/warm first-estimate
-// latency of the mmap path, and emits everything as BENCH_serving.json.
+// a pool — plus the model load times (text v1 parse vs the fully verified
+// v4 -> Ensemble rebuild vs compile vs v4 mmap), the image sizes, the
+// cold/warm first-estimate latency of the mmap path and the process's peak
+// RSS, and emits everything as BENCH_serving.json.
 //
 // Hard contracts verified on every run:
 //  * bit-identity: the compiled AND mapped single/batch paths (at 1, 4,
 //    and 8 threads) must reproduce Ensemble::estimate exactly — same
 //    throughput bits, ranking order, sample counts, and skip reasons;
 //  * the binary-load + compile floor: standing up a serving instance from
-//    the v2 artifact must take <= 0.1 s (full mode; --smoke skips timing
-//    floors but never the identity checks);
-//  * cold-start elimination: opening the v3 artifact (median mmap +
-//    structure-tier validation) must be >= 5x faster than deserializing
-//    the v2 artifact (full mode only — micro-timings in a throttled smoke
-//    container measure the machine). Measured on a fleet-scale model —
+//    the v4 image — the fully verified Ensemble rebuild plus an in-memory
+//    compile — must take <= 0.1 s (full mode; --smoke skips timing floors
+//    but never the identity checks);
+//  * cold-start elimination: opening the v4 image (median mmap +
+//    structure-tier validation) must be >= 5x faster than loading it into
+//    an Ensemble (full verification + rebuild; full mode only —
+//    micro-timings in a throttled smoke container measure the machine).
+//    Measured on a fleet-scale model —
 //    every roofline piece split into collinear sub-pieces, preserving the
 //    function — because at trained-model sizes (tens of KB) both paths
 //    cost microseconds and the ratio measures syscall noise; the mmap
@@ -53,6 +56,8 @@
 #include <thread>
 #include <utility>
 #include <vector>
+
+#include <sys/resource.h>
 
 #include "bench_util.h"
 #include "geom/piecewise_linear.h"
@@ -229,9 +234,9 @@ int main(int argc, char** argv) {
       exec.threads, smoke ? " [smoke]" : "");
 
   // --- bit-identity: compiled and mapped, single and batch at 1/4/8 -------
-  const std::string v3_path = bench::cache_dir() + "/serving_model.v3.bin";
-  serve::save_model_v3_file(ensemble, v3_path);
-  const auto mapped = serve::MappedModel::map_file(v3_path);
+  const std::string image_path = bench::cache_dir() + "/serving_model.bin";
+  serve::save_model_v3_file(ensemble, image_path);
+  const auto mapped = serve::MappedModel::map_file(image_path);
   std::vector<model::Estimate> reference;
   reference.reserve(views.size());
   for (const auto& view : views) reference.push_back(ensemble.estimate(view));
@@ -255,16 +260,14 @@ int main(int argc, char** argv) {
   std::printf("bit-identical to Ensemble::estimate (compiled + mmap): %s\n",
               bit_identical ? "yes" : "NO");
 
-  // --- artifact load times -------------------------------------------------
+  // --- model load times ----------------------------------------------------
   const std::string text_path = bench::cache_dir() + "/serving_model.model";
-  const std::string bin_path = bench::cache_dir() + "/serving_model.bin";
   model::save_model_file(ensemble, text_path);
-  model::save_model_bin_file(ensemble, bin_path);
   auto start = Clock::now();
   const auto from_text = model::load_model_file(text_path);
   const double text_load_s = seconds_since(start);
   start = Clock::now();
-  const auto from_bin = model::load_model_bin_file(bin_path);
+  const auto from_bin = model::load_model_any_file(image_path);
   const double bin_load_s = seconds_since(start);
   start = Clock::now();
   const auto recompiled = serve::MappedModel::compile(from_bin);
@@ -272,9 +275,10 @@ int main(int argc, char** argv) {
   const bool lossless = from_text.rooflines() == from_bin.rooflines() &&
                         recompiled.piece_count() == compiled.piece_count();
   std::printf(
-      "artifact load: text %.4f s, binary %.4f s, compile %.4f s "
-      "(lossless: %s)\n",
-      text_load_s, bin_load_s, compile_s, lossless ? "yes" : "NO");
+      "model load: text %.4f s, binary v4 -> Ensemble %.4f s, compile "
+      "%.4f s (lossless: %s); v4 image %zu bytes\n",
+      text_load_s, bin_load_s, compile_s, lossless ? "yes" : "NO",
+      mapped.bytes().size());
 
   // --- profile ingest: the per-request cost the wire format removes --------
   // Three ways a profile reaches the evaluator: the legacy istream CSV
@@ -328,9 +332,11 @@ int main(int argc, char** argv) {
       inplace_pps, istream_pps > 0.0 ? inplace_pps / istream_pps : 0.0,
       bin_view_pps, istream_pps > 0.0 ? bin_view_pps / istream_pps : 0.0);
 
-  // --- cold-start: mmap open vs deserialize, at fleet scale ----------------
-  // Medians over repeated loads; the v2 number is re-measured the same way
-  // so the ratio compares like with like. "Cold" includes mapping +
+  // --- cold-start: mmap open vs Ensemble load, at fleet scale --------------
+  // Medians over repeated loads of the same image file, so the ratio
+  // compares like with like: the Ensemble load verifies every byte and
+  // rebuilds the rooflines, the open maps and checks the structure tier
+  // only. "Cold" includes mapping +
   // structure-tier validation + the first estimate through the fresh
   // mapping (first touch faults the pages in); "warm" reuses a standing
   // mapping. Fleet artifacts are function-identical to the trained model
@@ -338,23 +344,19 @@ int main(int argc, char** argv) {
   // size regime where cold start actually matters.
   const auto fleet = fleet_scale(ensemble, 50);
   const auto fleet_compiled = serve::MappedModel::compile(fleet);
-  const std::string fleet_bin_path =
-      bench::cache_dir() + "/serving_fleet.bin";
-  const std::string fleet_v3_path =
-      bench::cache_dir() + "/serving_fleet.v3.bin";
-  model::save_model_bin_file(fleet, fleet_bin_path);
-  serve::save_model_v3_file(fleet, fleet_v3_path);
-  const auto fleet_mapped = serve::MappedModel::map_file(fleet_v3_path);
+  const std::string fleet_path = bench::cache_dir() + "/serving_fleet.bin";
+  serve::save_model_v3_file(fleet, fleet_path);
+  const auto fleet_mapped = serve::MappedModel::map_file(fleet_path);
   const bool fleet_identical =
       identical({fleet_compiled.estimate(views.front())},
                 {fleet_mapped.estimate(views.front())});
   const int load_reps = smoke ? 3 : 15;
   const double bin_load_median_s = median_seconds(
-      load_reps, [&] { (void)model::load_model_bin_file(fleet_bin_path); });
+      load_reps, [&] { (void)model::load_model_any_file(fleet_path); });
   const double mmap_load_s = median_seconds(
-      load_reps, [&] { (void)serve::MappedModel::map_file(fleet_v3_path); });
+      load_reps, [&] { (void)serve::MappedModel::map_file(fleet_path); });
   const double cold_estimate_s = median_seconds(load_reps, [&] {
-    const auto fresh = serve::MappedModel::map_file(fleet_v3_path);
+    const auto fresh = serve::MappedModel::map_file(fleet_path);
     (void)fresh.estimate(views.front());
   });
   const double warm_estimate_s = median_seconds(
@@ -362,9 +364,9 @@ int main(int argc, char** argv) {
   const double mmap_ratio =
       mmap_load_s > 0.0 ? bin_load_median_s / mmap_load_s : 0.0;
   std::printf(
-      "cold start at fleet scale (%zu pieces, v3 %zu bytes): v2 deserialize "
-      "%.6f s, v3 mmap open %.6f s (%.1fx), first estimate cold %.6f s / "
-      "warm %.6f s\n",
+      "cold start at fleet scale (%zu pieces, v4 image %zu bytes): v4 -> "
+      "Ensemble %.6f s, v4 mmap open %.6f s (%.1fx), first estimate cold "
+      "%.6f s / warm %.6f s\n",
       fleet_compiled.piece_count(), fleet_mapped.bytes().size(),
       bin_load_median_s, mmap_load_s, mmap_ratio, cold_estimate_s,
       warm_estimate_s);
@@ -437,7 +439,7 @@ int main(int argc, char** argv) {
 
   // The lookup-bound model (~5.9M pieces, per-metric tables far beyond the
   // cache, so both searches pay ~log2(pieces) dependent uncached probes per
-  // sample) is compiled in memory, never written to disk: its v3 artifact
+  // sample) is compiled in memory, never written to disk: its image
   // would be tens of MB of disk traffic that measures the filesystem, not
   // the evaluator.
   const auto lookup_compiled =
@@ -503,6 +505,14 @@ int main(int argc, char** argv) {
     std::printf("mmap load assertion skipped: smoke mode\n");
   }
 
+  // Peak RSS over the whole run; the lookup-bound model's in-memory image
+  // (one copy of its tables) dominates it.
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  const double peak_rss_mib = static_cast<double>(usage.ru_maxrss) / 1024.0;
+  std::printf("peak RSS %.1f MiB (lookup-bound image %zu bytes)\n",
+              peak_rss_mib, lookup_compiled.bytes().size());
+
   std::ofstream json("BENCH_serving.json");
   json << "{\n  \"bench\": \"serving\",\n"
        << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
@@ -510,6 +520,10 @@ int main(int argc, char** argv) {
        << "  \"batch_threads\": " << exec.threads << ",\n"
        << "  \"workloads\": " << views.size() << ",\n"
        << "  \"model_pieces\": " << compiled.piece_count() << ",\n"
+       << "  \"peak_rss_mib\": " << peak_rss_mib << ",\n"
+       << "  \"image_bytes\": {\"trained\": " << mapped.bytes().size()
+       << ", \"fleet\": " << fleet_mapped.bytes().size()
+       << ", \"lookup\": " << lookup_compiled.bytes().size() << "},\n"
        << "  \"estimates_per_s\": {\"tree_walk_serial\": " << tree_walk_eps
        << ", \"compiled_serial\": " << compiled_eps
        << ", \"compiled_batch\": " << batch_eps << "},\n"
@@ -536,8 +550,8 @@ int main(int argc, char** argv) {
        << ", \"csv_inplace_per_s\": " << inplace_pps
        << ", \"profile_bin_view_per_s\": " << bin_view_pps << "},\n"
        << "  \"fleet_scale\": {\"pieces\": " << fleet_compiled.piece_count()
-       << ", \"v3_bytes\": " << fleet_mapped.bytes().size()
-       << ", \"v2_deserialize_median_s\": " << bin_load_median_s
+       << ", \"image_bytes\": " << fleet_mapped.bytes().size()
+       << ", \"ensemble_load_median_s\": " << bin_load_median_s
        << ", \"mmap_open_median_s\": " << mmap_load_s << "},\n"
        << "  \"first_estimate_seconds\": {\"cold_mmap\": " << cold_estimate_s
        << ", \"warm_mmap\": " << warm_estimate_s << "},\n"
@@ -590,8 +604,8 @@ int main(int argc, char** argv) {
   }
   if (check_mmap && mmap_ratio < 5.0) {
     std::fprintf(stderr,
-                 "FAIL: v3 mmap load only %.2fx faster than v2 deserialize, "
-                 "need >= 5x\n",
+                 "FAIL: v4 mmap open only %.2fx faster than the v4 -> "
+                 "Ensemble load, need >= 5x\n",
                  mmap_ratio);
     failed = true;
   }

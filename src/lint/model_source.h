@@ -58,26 +58,23 @@ struct RawModel {
   std::vector<RawMetricModel> metrics;
   std::vector<ParseIssue> issues;
 
-  /// True when the file was a binary artifact (v2 or v3; `binary_version`
-  /// says which). Binary files have no lenient line structure, so they are
-  /// linted through the STRICT loader plus a lossless conversion to the
-  /// text form: on success the fields above describe the converted text
-  /// (line numbers refer to it), on failure `binary_error` carries the
-  /// loader's message (with section and byte offset) and everything else
-  /// stays empty — the binary-load rule turns it into a finding.
-  ///
-  /// v3 artifacts additionally carry the flattened serving tables, which
-  /// are linted INDEPENDENTLY of the v2 body so one corrupt region never
-  /// hides the other's findings: `flat_issues` holds the flat validator's
-  /// diagnostics (section + byte offset; the flat-structure rule), and
-  /// `flat_mismatch` is non-empty when the flat tables validate but differ
-  /// from the tables the strict model would compile to (the flat-mismatch
-  /// rule — a drifted table serves different estimates than the ensemble).
+  /// True when the file starts with a binary magic line;
+  /// `binary_version` is its N ("spire-model-bin vN"). Only v4 is read
+  /// further — any other N is left for the format-version rule. A v4 image
+  /// has no lenient line structure, so it is linted through the strict
+  /// reader plus a lossless conversion to the text form: on success the
+  /// fields above describe the converted text (line numbers refer to it).
+  /// On failure everything else stays empty and the reader's diagnostic
+  /// (with section and byte offset) lands in one of two places:
+  /// `flat_issues` when the image opens but fails full verification
+  /// (section or whole-file CRC, value policy; the flat-structure rule),
+  /// `binary_error` for everything else — an image that cannot be opened
+  /// (truncated, reshaped) or whose tables do not rebuild into rooflines
+  /// (the binary-load rule).
   bool binary = false;
   int binary_version = 0;
   std::string binary_error;
   std::vector<std::string> flat_issues;
-  std::string flat_mismatch;
 
   bool structurally_sound() const { return issues.empty(); }
 };

@@ -89,6 +89,13 @@ class FormatVersionRule final : public LintRule {
   }
   void check(const LintContext& context, LintReport& report) const override {
     const RawModel& model = context.model;
+    if (model.binary &&
+        model.binary_version != spire::model::kModelBinFormatVersion) {
+      add_finding(report, id(), LintSeverity::kError, "", 1,
+                  spire::model::unsupported_binary_version(
+                      model.binary_version));
+      return;
+    }
     if (model.header_line == 0) return;  // empty file: model-structure fired
     if (model.version < 0) {
       add_finding(report, id(), LintSeverity::kError, "", model.header_line,
@@ -119,11 +126,12 @@ class EmptyModelRule final : public LintRule {
   }
 };
 
-/// Binary artifacts are linted through the strict loader plus a lossless
-/// conversion to the text form (model_source.h). When that load fails there
-/// is no lenient line structure for the other rules to point at, so the
-/// loader's message — which carries the metric section and byte offset —
-/// becomes the file's one typed finding.
+/// Binary images are linted through the strict reader plus a lossless
+/// conversion to the text form (model_source.h). When the image cannot be
+/// opened or its tables do not rebuild into rooflines there is no lenient
+/// line structure for the other rules to point at, so the reader's
+/// message — which carries the section and byte offset — becomes the
+/// file's one typed finding.
 class BinaryLoadRule final : public LintRule {
  public:
   std::string_view id() const override { return "binary-load"; }
@@ -137,38 +145,20 @@ class BinaryLoadRule final : public LintRule {
   }
 };
 
-/// v3 artifacts append the flattened serving tables the mmap reader points
-/// spans into; model_source runs the byte-level validator (the exact checks
-/// serve::MappedModel performs at map time) independently of the v2 body,
-/// so a corrupt flat region gets its own section/offset finding even when
-/// the body still loads — and vice versa.
+/// An image that opens (its layout is sound) but fails full verification —
+/// a section or whole-file CRC mismatch, a value the policy forbids — gets
+/// the byte-level validator's own section/offset finding: the checks
+/// serve::MappedModel runs at Verify::kFull and publish runs on entry.
 class FlatStructureRule final : public LintRule {
  public:
   std::string_view id() const override { return "flat-structure"; }
   std::string_view summary() const override {
-    return "v3 flat serving tables pass the byte-level validator";
+    return "binary image tables pass full byte-level verification";
   }
   void check(const LintContext& context, LintReport& report) const override {
     for (const std::string& message : context.model.flat_issues) {
       add_finding(report, id(), LintSeverity::kError, "", 0, message);
     }
-  }
-};
-
-/// A v3 file whose flat tables validate but disagree with the tables its
-/// own v2 body compiles to would serve different estimates through the
-/// mmap path than through the ensemble — the worst kind of drift, because
-/// both halves look healthy in isolation.
-class FlatMismatchRule final : public LintRule {
- public:
-  std::string_view id() const override { return "flat-mismatch"; }
-  std::string_view summary() const override {
-    return "v3 flat tables equal the tables the strict model compiles to";
-  }
-  void check(const LintContext& context, LintReport& report) const override {
-    if (context.model.flat_mismatch.empty()) return;
-    add_finding(report, id(), LintSeverity::kError, "", 0,
-                context.model.flat_mismatch);
   }
 };
 
@@ -715,7 +705,6 @@ LintRegistry LintRegistry::builtin() {
   registry.add(std::make_unique<EmptyModelRule>());
   registry.add(std::make_unique<BinaryLoadRule>());
   registry.add(std::make_unique<FlatStructureRule>());
-  registry.add(std::make_unique<FlatMismatchRule>());
   registry.add(std::make_unique<UnknownMetricRule>());
   registry.add(std::make_unique<DuplicateMetricRule>());
   registry.add(std::make_unique<NonFiniteValueRule>());

@@ -10,6 +10,7 @@
 #include "serve/model_v3.h"
 #include "serve/registry.h"
 #include "sim/core.h"
+#include "spire/model_bin.h"
 #include "spire/model_io.h"
 #include "workloads/profile_stream.h"
 
@@ -115,9 +116,8 @@ Engine& Engine::resolve_model(const std::string& registry_root,
   context_.model = registry.open(resolved);
   context_.resolved_id = resolved;
   // The ensemble form feeds the non-serving stages (estimate, analyze);
-  // the stream loader revalidates the artifact end to end on the way.
-  context_.ensemble =
-      model::load_model_bin_file(registry.object_path(resolved));
+  // the rebuild fully verifies the mapped image on the way.
+  context_.ensemble = model::bin::load_model_image(context_.model->bytes());
   return *this;
 }
 

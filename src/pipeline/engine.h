@@ -66,7 +66,7 @@ struct PipelineContext {
   std::optional<counters::CounterSet> counter_delta;  // whole-run TMA delta
   std::optional<quality::QualityReport> quality_report;
   std::optional<model::Ensemble> ensemble;
-  /// The serving model: compile stage output (an in-memory v3 image), or
+  /// The serving model: compile stage output (an in-memory v4 image), or
   /// resolve_model output (a shared registry mapping).
   std::shared_ptr<const serve::MappedModel> model;
   std::string published_id;  // publish stage output (registry content id)
@@ -115,21 +115,21 @@ class Engine {
   /// context().ensemble.
   Engine& train();
 
-  /// Loads a serialized ensemble (text v1, binary v2/v3, sniffed) instead
+  /// Loads a serialized ensemble (text v1 or binary v4, sniffed) instead
   /// of training one.
   Engine& load_model(const std::string& path);
 
-  /// Flattens the trained/loaded ensemble into an in-memory v3 image
+  /// Flattens the trained/loaded ensemble into an in-memory v4 image
   /// served as a serve::MappedModel (context().model) — the immutable,
   /// lock-free artifact the batch serving stages evaluate through.
   Engine& compile();
 
-  /// Serializes the trained/loaded ensemble as a binary v3 artifact at
+  /// Serializes the trained/loaded ensemble as a binary v4 image at
   /// `out_path`: the same bytes compile() serves from memory, mappable by
   /// serve::MappedModel::map_file.
   Engine& compile_v3(const std::string& out_path);
 
-  /// Publishes the ensemble's canonical v3 form to the content-addressed
+  /// Publishes the ensemble's canonical v4 image to the content-addressed
   /// registry at `registry_root`; the id lands in context().published_id.
   Engine& publish(const std::string& registry_root);
 

@@ -1,9 +1,9 @@
-// The one serving model type: a binary v3 image served zero-copy.
+// The one serving model type: a binary v4 image served zero-copy.
 //
 // Two ways to get one, one representation after that:
 //
-//  * map_file maps a v3 artifact read-only. The artifact IS the tables
-//    (spire/model_bin_v3.h), so open pays a page fault instead of a
+//  * map_file maps a v4 image read-only. The image IS the tables
+//    (spire/model_bin.h), so open pays a page fault instead of a
 //    parse: the bytes are validated BEFORE any span is formed and then
 //    served straight out of the mapping. The default open runs the
 //    structure tier — footer/header/section geometry against the fstat'd
@@ -15,7 +15,7 @@
 //    unknown provenance. Open cost therefore never scales with table
 //    bytes, cold-start drops to the first faulted pages, and concurrent
 //    processes serving the same artifact share one page-cache copy.
-//  * compile serializes a live Ensemble with the v3 writer
+//  * compile serializes a live Ensemble with the image writer
 //    (serve/model_v3.h) into a read-only anonymous mapping and opens it
 //    through the same code as map_file. A compiled model is therefore
 //    byte-for-byte the artifact the same ensemble would publish.
@@ -40,7 +40,7 @@
 #include "sampling/dataset_view.h"
 #include "serve/model_eval.h"
 #include "spire/ensemble.h"
-#include "spire/model_bin_v3.h"
+#include "spire/model_bin.h"
 #include "util/mmap_file.h"
 #include "util/thread_pool.h"
 
@@ -48,20 +48,21 @@ namespace spire::serve {
 
 class MappedModel {
  public:
-  /// Maps and validates a binary v3 artifact. Throws std::runtime_error —
-  /// "mmap: ..." for filesystem failures, "model-v3: ..." (naming section
-  /// and byte offset) for any defect the chosen tier covers: structural
+  /// Maps and validates a binary v4 image. Throws std::runtime_error —
+  /// "mmap: ..." for filesystem failures, "model-bin: ..." (naming section
+  /// and byte offset) for an image of another version and for any defect
+  /// the chosen tier covers: structural
   /// damage (truncation, resized or reshaped sections) at either tier,
   /// plus every CRC and value-policy violation at Verify::kFull. Never
   /// SIGBUSes on a file that passed validation and is not modified
   /// afterwards (registry objects are immutable-once-published).
   static MappedModel map_file(
       const std::string& path,
-      model::v3::Verify verify = model::v3::Verify::kStructure);
+      model::bin::Verify verify = model::bin::Verify::kStructure);
 
-  /// Flattens a trained ensemble into an in-memory v3 image (exactly
+  /// Flattens a trained ensemble into an in-memory v4 image (exactly
   /// model_v3_bytes(ensemble)) and serves it. The ensemble can be
-  /// discarded afterwards. Throws what the v3 writer throws (an empty
+  /// discarded afterwards. Throws what the image writer throws (an empty
   /// right region, an over-cap model).
   static MappedModel compile(const model::Ensemble& ensemble);
 
@@ -106,9 +107,9 @@ class MappedModel {
     return {metrics_, view_.ranges, view_.x0, view_.y0, view_.x1, view_.y1};
   }
 
-  /// The validated raw view (layout, derived slope/intercept columns,
-  /// name strings) for diagnostics and tooling.
-  const model::v3::FlatView& view() const { return view_; }
+  /// The validated raw view (layout, name strings, the per-metric apex
+  /// records) for diagnostics and tooling.
+  const model::bin::FlatView& view() const { return view_; }
 
  private:
   MappedModel() = default;
@@ -116,10 +117,10 @@ class MappedModel {
   /// map_file and compile's shared tail: validates `image` at `verify`,
   /// forms the view, and resolves the metric names.
   static MappedModel open_image(util::MmapFile image,
-                                model::v3::Verify verify);
+                                model::bin::Verify verify);
 
   util::MmapFile file_;                   // a file or an anonymous image
-  model::v3::FlatView view_;              // spans into file_
+  model::bin::FlatView view_;              // spans into file_
   std::vector<counters::Event> metrics_;  // resolved from the strings section
 };
 

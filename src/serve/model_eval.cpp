@@ -13,7 +13,7 @@ namespace spire::serve {
 using model::Estimate;
 using model::Merge;
 using model::MetricEstimate;
-using model::v3::MetricRange;
+using model::bin::MetricRange;
 using sampling::DatasetView;
 using sampling::Sample;
 

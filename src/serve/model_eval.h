@@ -1,6 +1,6 @@
 // The flattened-table evaluator behind serve::MappedModel.
 //
-// A MappedModel (spans straight into a v3 image, mapped from a file or
+// A MappedModel (spans straight into a v4 image, mapped from a file or
 // compiled in memory) presents a structure-of-arrays shape: per-metric
 // piece-index ranges over shared x0/y0/x1/y1 endpoint columns. EvalTables
 // is that shape as non-owning spans, and the functions here are THE single
@@ -22,7 +22,7 @@
 //    of std::lower_bound. At trained size the columns are cache-resident
 //    and std::lower_bound's cost is a mispredicted branch per probe,
 //    which the branchless search lacks; at any size it is the same
-//    O(log n) search, so regions up to model::v3::kMaxRegionCorners
+//    O(log n) search, so regions up to model::bin::kMaxRegionCorners
 //    pieces evaluate through it unchanged.
 //    Debug/SPIRE_CHECKED builds re-verify every lane against the scalar
 //    reference bit-for-bit.
@@ -41,7 +41,7 @@
 #include "counters/events.h"
 #include "sampling/dataset_view.h"
 #include "spire/ensemble.h"
-#include "spire/model_bin_v3.h"
+#include "spire/model_bin.h"
 #include "util/thread_pool.h"
 
 namespace spire::serve {
@@ -53,7 +53,7 @@ namespace spire::serve {
 /// bit-identity contract replicates.
 struct EvalTables {
   std::span<const counters::Event> metrics;
-  std::span<const model::v3::MetricRange> ranges;
+  std::span<const model::bin::MetricRange> ranges;
   std::span<const double> x0, y0, x1, y1;
 
   std::size_t metric_count() const { return ranges.size(); }
@@ -64,7 +64,7 @@ struct EvalTables {
 /// [begin, end) slices of the tables. SCALAR REFERENCE — the serving path
 /// must reproduce this bit-for-bit for every lane.
 double eval_roofline(const EvalTables& tables,
-                     const model::v3::MetricRange& range, double intensity);
+                     const model::bin::MetricRange& range, double intensity);
 
 /// Ensemble-wide estimate, bit-identical to Ensemble::estimate on the
 /// source ensemble: same throughput/ranking/skipped values and the same

@@ -5,19 +5,15 @@
 #include <string_view>
 #include <vector>
 
-#include "spire/model_bin_v3.h"
-#include "spire/model_io.h"
+#include "spire/model_bin.h"
 #include "util/contract.h"
 
 namespace spire::serve {
 
-using model::v3::MetricRange;
+using model::bin::MetricInfo;
+using model::bin::MetricRange;
 
 std::string model_v3_bytes(const model::Ensemble& ensemble) {
-  std::string out;
-  out.append(model::kModelBinMagicV3);
-  model::append_model_bin_body(out, ensemble);
-
   // The flatten walk: every roofline's pieces, left region then right,
   // appended to shared endpoint columns. std::map iteration = ascending
   // Event order, the same order Ensemble::estimate materializes its
@@ -34,8 +30,10 @@ std::string model_v3_bytes(const model::Ensemble& ensemble) {
   y1.reserve(pieces);
   std::vector<std::string_view> names;
   std::vector<MetricRange> ranges;
+  std::vector<MetricInfo> info;
   names.reserve(ensemble.rooflines().size());
   ranges.reserve(ensemble.rooflines().size());
+  info.reserve(ensemble.rooflines().size());
 
   const auto append_region = [&](const geom::PiecewiseLinear& region) {
     for (const geom::LinearPiece& p : region.pieces()) {
@@ -61,18 +59,19 @@ std::string model_v3_bytes(const model::Ensemble& ensemble) {
                  counters::event_name(metric));
     names.push_back(counters::event_name(metric));
     ranges.push_back(range);
+    info.push_back({roofline.apex_intensity(), roofline.apex_throughput(),
+                    roofline.training_sample_count()});
   }
-  model::v3::append_flat(out, {names, ranges, x0, y0, x1, y1});
-  return out;
+  return model::bin::write_image({names, ranges, info, x0, y0, x1, y1});
 }
 
 void save_model_v3_file(const model::Ensemble& ensemble,
                         const std::string& path) {
   const std::string bytes = model_v3_bytes(ensemble);
   std::ofstream out(path, std::ios::binary);
-  if (!out) throw std::runtime_error("model-v3: cannot write " + path);
+  if (!out) throw std::runtime_error("model-bin: cannot write " + path);
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  if (!out) throw std::runtime_error("model-v3: write failed: " + path);
+  if (!out) throw std::runtime_error("model-bin: write failed: " + path);
 }
 
 }  // namespace spire::serve

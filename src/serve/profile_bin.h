@@ -70,9 +70,9 @@ struct Limits {
   std::size_t max_name_bytes = 128;
 };
 
-/// Verification tiers, mirroring model-v3: kStructure is the pure
-/// bounds/cross-check pass (O(sections), no data read); kFull adds the two
-/// CRCs (O(bytes), still allocation-free).
+/// Verification tiers, mirroring the model image's (spire/model_bin.h):
+/// kStructure is the pure bounds/cross-check pass (O(sections), no data
+/// read); kFull adds the two CRCs (O(bytes), still allocation-free).
 enum class Verify { kStructure, kFull };
 
 /// The parse result: a DatasetView whose per-metric spans alias the caller's

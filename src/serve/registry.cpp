@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -16,7 +15,7 @@
 #endif
 
 #include "serve/model_v3.h"
-#include "spire/model_bin_v3.h"
+#include "spire/model_bin.h"
 #include "spire/model_io.h"
 #include "util/hash.h"
 #include "util/posix_io.h"
@@ -116,23 +115,16 @@ std::string ModelRegistry::publish(const model::Ensemble& ensemble) {
 }
 
 std::string ModelRegistry::publish_file(const std::string& path) {
-  // Any source format normalizes through the deterministic v3 writer, so
+  // Either source format normalizes through the deterministic writer, so
   // the same model always lands on the same id.
   return publish(model::load_model_any_file(path));
 }
 
 std::string ModelRegistry::publish_bytes(const std::string& bytes) {
-  if (bytes.size() < model::kModelBinMagicV3.size() ||
-      std::memcmp(bytes.data(), model::kModelBinMagicV3.data(),
-                  model::kModelBinMagicV3.size()) != 0) {
-    throw std::runtime_error(
-        "model-v3: publish_bytes requires a v3 artifact (bad magic)");
-  }
-  // Full structural validation (CRCs, layout, semantics) before storing;
-  // alignment-safe, so the heap buffer is fine here.
-  model::v3::check_flat_region(
-      std::as_bytes(std::span(bytes.data(), bytes.size())), 0,
-      util::crc32_init());
+  // Full verification (magic and version, layout, CRCs, value policy)
+  // before storing; alignment-safe, so the heap buffer is fine here.
+  model::bin::check_flat_region(
+      std::as_bytes(std::span(bytes.data(), bytes.size())));
   util::MutexLock lock(mutex_);
   return store_bytes_locked(bytes);
 }

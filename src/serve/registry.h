@@ -1,13 +1,13 @@
-// Content-addressed model registry: the deployment store for v3 artifacts.
+// Content-addressed model registry: the deployment store for v4 images.
 //
-// An artifact's id IS the fnv1a64 hex of its bytes (util/hash.h). The v3
-// writer is deterministic, so publishing the same model — from an Ensemble,
-// a text v1 file, a binary v2 file, or an existing v3 file — always
+// An image's id IS the fnv1a64 hex of its bytes (util/hash.h). The image
+// writer is deterministic, so publishing the same model — from an
+// Ensemble, a text v1 file, or an existing v4 file — always
 // converges on the same id and the same stored bytes; publish is
 // idempotent and safe to race from any number of threads or processes.
 //
 // On-disk layout under the registry root (default ".spire-registry"):
-//   objects/<id>    the v3 artifact, immutable once published
+//   objects/<id>    the v4 image, immutable once published
 //   pins/<id>       empty marker: gc() must keep this object
 //
 // Publish writes to a unique temp file in objects/ and renames into place:
@@ -52,16 +52,17 @@ class ModelRegistry {
   explicit ModelRegistry(std::string root = std::string(kDefaultRoot),
                          std::size_t cache_capacity = kDefaultCacheCapacity);
 
-  /// Publishes the canonical v3 serialization of `ensemble`; returns its id.
+  /// Publishes the canonical v4 image of `ensemble`; returns its id.
   std::string publish(const model::Ensemble& ensemble) SPIRE_EXCLUDES(mutex_);
 
-  /// Loads any model format (text v1, binary v2/v3) from `path` and
-  /// publishes its canonical v3 form. Returns the id.
+  /// Loads either model format (text v1, binary v4) from `path` and
+  /// publishes its canonical v4 image. Returns the id.
   std::string publish_file(const std::string& path);
 
-  /// Publishes pre-serialized v3 artifact bytes after validating them.
-  /// Throws "model-v3: ..." if the bytes are not a structurally valid v3
-  /// artifact. Returns the id (the hash of exactly these bytes).
+  /// Publishes pre-serialized v4 image bytes after full verification.
+  /// Throws "model-bin: ..." if the bytes are not a valid v4 image (an
+  /// image of another version gets unsupported_binary_version's text).
+  /// Returns the id (the hash of exactly these bytes).
   std::string publish_bytes(const std::string& bytes) SPIRE_EXCLUDES(mutex_);
 
   /// Maps the object with `id`, through the LRU cache: repeated opens of

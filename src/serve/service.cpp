@@ -24,12 +24,10 @@ EstimationService::EstimationService(std::shared_ptr<const MappedModel> model)
 }
 
 EstimationService EstimationService::from_file(const std::string& path) {
-  if (model::binary_model_file_version(path) ==
-      model::kModelBinV3FormatVersion) {
+  if (model::binary_model_file_version(path) != 0) {
     return EstimationService(MappedModel::map_file(path));
   }
-  return EstimationService(
-      MappedModel::compile(model::load_model_any_file(path)));
+  return EstimationService(MappedModel::compile(model::load_model_file(path)));
 }
 
 EstimationService EstimationService::from_registry(ModelRegistry& registry,

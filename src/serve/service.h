@@ -69,9 +69,10 @@ class EstimationService {
   /// Throws std::invalid_argument on a null model.
   explicit EstimationService(std::shared_ptr<const MappedModel> model);
 
-  /// Loads a model from `path`: binary v3 maps zero-copy; text v1 and
-  /// binary v2 load the ensemble and compile it into an in-memory v3
-  /// image. Either way estimates are bit-identical.
+  /// Loads a model from `path`: a binary v4 image maps zero-copy; text v1
+  /// loads the ensemble and compiles it into an in-memory image. Either
+  /// way estimates are bit-identical. A binary file of another version is
+  /// rejected (model::unsupported_binary_version).
   static EstimationService from_file(const std::string& path);
 
   /// Resolves a content-addressed id through `registry` (shared mapping,

@@ -1,16 +1,14 @@
-// Binary model format v3: the flattened-tables wire layout.
+// Binary model format v4: the one binary model image.
 //
-// v3 is a strict superset of v2. The file opens with the v2 payload (magic
-// line aside, byte-identical encoding: metric count + per-metric sections),
-// so the stream deserializer keeps working; it then appends the flattened
+// A v4 image holds each metric's roofline exactly once, as the flattened
 // serving tables, laid out so a reader can point spans straight into an
-// mmap of the file — ZERO deserialization:
+// mmap of the file — ZERO deserialization — and so the Ensemble can be
+// rebuilt from the same bytes (load_model_image):
 //
-//   "spire-model-bin v3\n"                     19 bytes
-//   u32 metric count + v2 metric sections      (identical to v2)
-//   zero padding to the next 8-byte boundary
-//   FlatHeader                                 24 bytes, 8-aligned
-//   SectionEntry x 9                           24 bytes each
+//   "spire-model-bin v4\n"                     19 bytes
+//   zero padding to byte 24
+//   FlatHeader                                 24 bytes at byte 24
+//   SectionEntry x 8                           24 bytes each
 //   section payloads                           each 8-aligned, zero-padded
 //   Footer                                     32 bytes, last in file
 //
@@ -19,14 +17,13 @@
 //   name-index     NameRef x M       (offset, length) into `strings`
 //   strings        bytes             metric names, concatenated in order
 //   x0,y0,x1,y1    f64 x P           shared SoA segment-endpoint tables
-//   slopes         f64 x P           (y1-y0)/(x1-x0); 0 for vertical/inf
-//   intercepts     f64 x P           y0 - slope*x0; y0 for vertical/inf
+//   metric-info    MetricInfo x M    apex and trained_on per metric
 //
-// Evaluation uses the ENDPOINT tables only — the bit-identity contract
-// replays LinearPiece::at's exact arithmetic. slopes/intercepts are
-// precomputed convenience tables for downstream fast paths and are
-// CRC-protected like everything else, but never consulted by the
-// bit-identical evaluator.
+// A metric's left region is the pieces [left_begin, left_end), a
+// continuous knot chain; its right region is [right_begin, right_end). The
+// evaluator reads only the ranges and the endpoint columns; metric-info
+// carries what the Ensemble needs beyond them, so text v1 -> v4 -> text v1
+// is lossless.
 //
 // Integrity model — two tiers (see Verify below), both running BEFORE any
 // pointer or span is formed:
@@ -42,9 +39,10 @@
 //   * FULL (publish / strict load / lint): everything above, plus each
 //     section's CRC (pinpoint diagnostics), the whole-file CRC covering
 //     every byte before the footer (any bit flip anywhere is detected),
-//     and the per-piece value policy (NaN/inf placement).
-// Every failure throws std::runtime_error("model-v3: ...") naming the
-// section and absolute byte offset.
+//     and the value policy (NaN/inf placement, left_max consistency).
+// Every failure throws std::runtime_error("model-bin: ...") naming the
+// section and absolute byte offset. An image of another binary version is
+// rejected with unsupported_binary_version's text.
 #pragma once
 
 #include <array>
@@ -53,17 +51,22 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <vector>
 
-namespace spire::model::v3 {
+#include "counters/events.h"
+#include "spire/ensemble.h"
 
-// Shared hardening caps (the v2 loader enforces the same bounds).
+namespace spire::model::bin {
+
+// Hardening caps, shared with the text loader's bounds.
 inline constexpr std::size_t kMaxMetricSections = 65'536;
 inline constexpr std::size_t kMaxRegionCorners = 65'536;
 inline constexpr std::size_t kMaxNameBytes = 256;
 
-inline constexpr std::uint64_t kFlatMagic = 0x33544C4652495053ull;    // "SPIRFLT3"
-inline constexpr std::uint64_t kFooterMagic = 0x444E453352495053ull;  // "SPIR3END"
+inline constexpr std::uint64_t kFlatMagic = 0x34544C4652495053ull;    // "SPIRFLT4"
+inline constexpr std::uint64_t kFooterMagic = 0x444E453452495053ull;  // "SPIR4END"
 inline constexpr std::size_t kFlatAlignment = 8;
+inline constexpr std::size_t kFlatHeaderOffset = 24;
 inline constexpr std::size_t kFlatHeaderBytes = 24;
 inline constexpr std::size_t kSectionEntryBytes = 24;
 inline constexpr std::size_t kFooterBytes = 32;
@@ -77,10 +80,9 @@ enum class Section : std::uint32_t {
   kY0 = 4,
   kX1 = 5,
   kY1 = 6,
-  kSlopes = 7,
-  kIntercepts = 8,
+  kMetricInfo = 7,
 };
-inline constexpr std::uint32_t kSectionCount = 9;
+inline constexpr std::uint32_t kSectionCount = 8;
 
 std::string_view section_name(Section section);
 
@@ -99,7 +101,7 @@ struct MetricRange {
   bool has_left() const { return left_begin != left_end; }
 };
 static_assert(sizeof(MetricRange) == 24 && alignof(MetricRange) == 8,
-              "MetricRange must match the v3 metric-ranges record layout");
+              "MetricRange must match the metric-ranges record layout");
 
 /// One name-index record: a metric name's (offset, length) in `strings`.
 struct NameRef {
@@ -107,7 +109,16 @@ struct NameRef {
   std::uint32_t length = 0;
 };
 static_assert(sizeof(NameRef) == 8,
-              "NameRef must match the v3 name-index record layout");
+              "NameRef must match the name-index record layout");
+
+/// One metric-info record: the roofline fields the tables do not hold.
+struct MetricInfo {
+  double apex_x = 0.0;  // apex intensity; may be +inf
+  double apex_y = 0.0;  // apex throughput
+  std::uint64_t trained_on = 0;
+};
+static_assert(sizeof(MetricInfo) == 24 && alignof(MetricInfo) == 8,
+              "MetricInfo must match the metric-info record layout");
 
 struct SectionExtent {
   std::size_t offset = 0;  // absolute file offset, 8-aligned
@@ -115,10 +126,9 @@ struct SectionExtent {
   std::uint32_t crc = 0;
 };
 
-/// The byte-level validated layout of a v3 artifact's flat region.
+/// The byte-level validated layout of an image.
 struct FlatLayout {
-  std::size_t flat_offset = 0;  // absolute offset of the FlatHeader
-  std::size_t file_size = 0;    // total artifact bytes, footer included
+  std::size_t file_size = 0;  // total image bytes, footer included
   std::uint32_t metric_count = 0;
   std::uint32_t piece_count = 0;
   std::array<SectionExtent, kSectionCount> sections{};
@@ -131,47 +141,55 @@ struct FlatLayout {
 /// Verification tiers (see the integrity model above). kStructure is every
 /// check required for memory safety of a zero-copy reader, in
 /// O(sections + metrics); kFull adds the per-byte work — section CRCs,
-/// whole-file CRC, per-piece value policy. Artifacts are fully verified
-/// when they enter the system (publish, strict load, lint); readers of
-/// immutable published objects open at kStructure so cold-start cost never
-/// scales with table bytes.
+/// whole-file CRC, value policy. Images are fully verified when they enter
+/// the system (publish, strict load, lint); readers of immutable published
+/// objects open at kStructure so cold-start cost never scales with table
+/// bytes.
 enum class Verify { kStructure, kFull };
 
-/// Validates the flat region + footer that occupy the tail of a v3
-/// artifact. `region` holds the artifact bytes [region_base, file_size);
-/// `crc_before_region` is the streaming CRC state (util::crc32_init() /
-/// crc32_update()) of the bytes before the region, so the whole-file CRC
-/// can be verified regardless of how the caller obtained the tail (it is
-/// ignored at Verify::kStructure). All reads are alignment-safe and
-/// endianness-independent; no allocation is proportional to file contents.
-/// Throws std::runtime_error("model-v3: ...") with the section and
-/// absolute byte offset on any defect.
-FlatLayout check_flat_region(std::span<const std::byte> region,
-                             std::size_t region_base,
-                             std::uint32_t crc_before_region,
+/// Validates `file` — an entire image, magic line included. All reads are
+/// alignment-safe and endianness-independent; no allocation is
+/// proportional to file contents. Throws std::runtime_error
+/// ("model-bin: ...") with the section and absolute byte offset on any
+/// defect.
+FlatLayout check_flat_region(std::span<const std::byte> file,
                              Verify verify = Verify::kFull);
 
-/// Typed zero-copy view over a fully validated artifact. Spans point into
-/// the caller's (typically mmap'd) buffer; no table is copied.
+/// Typed zero-copy view over a validated image. Spans point into the
+/// caller's (typically mmap'd) buffer; no table is copied.
 struct FlatView {
   FlatLayout layout;
   std::span<const MetricRange> ranges;
   std::span<const NameRef> names;
   std::string_view strings;
-  std::span<const double> x0, y0, x1, y1, slopes, intercepts;
+  std::span<const double> x0, y0, x1, y1;
+  std::span<const MetricInfo> info;
 
   std::string_view name(const NameRef& ref) const {
     return strings.substr(ref.offset, ref.length);
   }
 };
 
-/// Validates `file` — an entire v3 artifact, magic line included — and
-/// forms the typed view. Beyond check_flat_region this also requires a
-/// little-endian IEEE-754 host and 8-aligned storage (an mmap base is
-/// page-aligned, and every section offset is 8-aligned, so both hold for
-/// mapped files). Throws std::runtime_error("model-v3: ...").
+/// check_flat_region plus the typed view. Also requires a little-endian
+/// IEEE-754 host and 8-aligned storage (an mmap base is page-aligned, and
+/// every section offset is 8-aligned, so both hold for mapped files).
+/// Throws std::runtime_error("model-bin: ...").
 FlatView map_flat(std::span<const std::byte> file,
                   Verify verify = Verify::kFull);
+
+/// Resolves the name index to Events. Throws std::runtime_error
+/// ("model-bin: ...") on an unknown name or when the names do not ascend
+/// by event id — the order the writer emits (std::map iteration) and the
+/// order the bit-identity contract's ranking accumulation assumes.
+std::vector<counters::Event> resolve_metrics(const FlatView& view);
+
+/// Rebuilds the Ensemble from an image, fully verified first: each
+/// metric's left and right PiecewiseLinear come from its piece slices, the
+/// apex and trained_on from metric-info. Lossless: model_v3_bytes of the
+/// result reproduces `image`. Throws std::runtime_error("model-bin: ...")
+/// on any defect, including a left region that is not a continuous chain
+/// (text v1 could not express it).
+Ensemble load_model_image(std::span<const std::byte> image);
 
 /// The writer's input: flattened tables spanning caller-owned storage
 /// (built by serve::model_v3_bytes, the one flatten walk, which
@@ -179,12 +197,12 @@ FlatView map_flat(std::span<const std::byte> file,
 struct FlatTables {
   std::span<const std::string_view> names;  // per metric, file order
   std::span<const MetricRange> ranges;      // parallel to names
+  std::span<const MetricInfo> info;         // parallel to names
   std::span<const double> x0, y0, x1, y1;   // shared segment tables
 };
 
-/// Appends padding + FlatHeader + section table + payloads + Footer to
-/// `out`, which must already hold the v3 magic and the v2 payload. Derives
-/// the slopes/intercepts tables from the endpoints.
-void append_flat(std::string& out, const FlatTables& tables);
+/// The complete image of `tables`: magic line, header, section table,
+/// payloads and footer.
+std::string write_image(const FlatTables& tables);
 
-}  // namespace spire::model::v3
+}  // namespace spire::model::bin

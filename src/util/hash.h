@@ -1,8 +1,8 @@
 // Stateless byte-hashing primitives for artifact integrity and identity.
 //
 // Three different jobs, three different functions:
-//   * crc32 — corruption detection inside the binary model v3 format
-//     (spire/model_bin_v3.h) and the spire-profile-bin wire format
+//   * crc32 — corruption detection inside the binary model image
+//     (spire/model_bin.h) and the spire-profile-bin wire format
 //     (serve/profile_bin.h). IEEE 802.3 polynomial, the same CRC zip/png
 //     use, so artifacts can be cross-checked with standard tools. Every
 //     binary request's parse pays it over the whole profile, so it runs a

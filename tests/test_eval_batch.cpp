@@ -5,7 +5,7 @@
 // exception text — and serve::estimate_many is bit-identical to a scalar
 // loop with per-item error capture, over fuzzed tables that include
 // duplicate and zero-width segments, infinite ceilings, single-piece
-// metrics, missing left regions, regions from one piece up to the v3
+// metrics, missing left regions, regions from one piece up to the image
 // format's cap, and sample streams that are clustered or full of
 // NaN/inf/negative garbage.
 #include <gtest/gtest.h>
@@ -23,7 +23,7 @@
 #include "sampling/dataset.h"
 #include "sampling/dataset_view.h"
 #include "serve/model_eval.h"
-#include "spire/model_bin_v3.h"
+#include "spire/model_bin.h"
 
 namespace spire {
 namespace {
@@ -31,7 +31,7 @@ namespace {
 using counters::Event;
 using model::Estimate;
 using model::Merge;
-using model::v3::MetricRange;
+using model::bin::MetricRange;
 using sampling::Dataset;
 using sampling::DatasetView;
 using sampling::Sample;
@@ -41,16 +41,16 @@ using serve::EvalTables;
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
-/// Largest region the fuzzer builds: the v3 format's per-region cap, less
+/// Largest region the fuzzer builds: the image format's per-region cap, less
 /// one so it is a valid piece count for either region.
-constexpr std::size_t kNearCapPieces = model::v3::kMaxRegionCorners - 1;
+constexpr std::size_t kNearCapPieces = model::bin::kMaxRegionCorners - 1;
 
 bool same_bits(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
 
 /// Owns fuzzable table columns and exposes them in the evaluator shape.
-/// The v3 writer's invariants hold by construction: per-region x1 ascends
+/// The image writer's invariants hold by construction: per-region x1 ascends
 /// (lower_bound requirement), the right region is never empty, metrics
 /// ascend by event id.
 struct TableSet {
@@ -299,8 +299,8 @@ TEST(EvalBatchProperty, FuzzedTablesMatchScalarReferenceBitForBit) {
   std::uniform_int_distribution<std::size_t> large(1025, 8192);
   for (int round = 0; round < 200; ++round) {
     // Every eighth shape gains a metric whose right region holds more
-    // than 1024 pieces, and the first one a region near the v3 cap, so
-    // the branchless search runs at every depth a v3 file allows; those
+    // than 1024 pieces, and the first one a region near the image cap, so
+    // the branchless search runs at every depth an image allows; those
     // rounds add a clustered workload, whose intensities reach the whole
     // big region rather than its first few hundred pieces.
     TableSet set = fuzz_tables(rng);
@@ -423,7 +423,7 @@ TEST(EvalBatchProperty, RegionSizesAcrossDirectPlannedCrossover) {
 }
 
 TEST(EvalBatchProperty, GapBeforeZeroWidthPieceMatchesScalarReference) {
-  // v3 tables need not be contiguous: an intensity inside a gap resolves
+  // Image tables need not be contiguous: an intensity inside a gap resolves
   // to the next piece, and when that piece is zero-width the reference
   // answers its y0 rather than dividing by zero. Checked next to a small
   // model and next to one with a region past 1024 pieces.

@@ -7,14 +7,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
 #include <sstream>
 #include <string>
 
 #include "quality/fault_injector.h"
 #include "quality/quality.h"
 #include "sampling/collector.h"
-#include "spire/model_io.h"
+#include "serve/model_v3.h"
 #include "sim/core.h"
+#include "spire/model_bin.h"
+#include "spire/model_io.h"
 #include "spire/ensemble.h"
 #include "spire/metric_roofline.h"
 #include "util/rng.h"
@@ -240,41 +243,30 @@ class FuzzModelBin : public ::testing::TestWithParam<int> {};
 TEST_P(FuzzModelBin, MutatedBinaryModelLoadsOrThrows) {
   util::Rng rng(static_cast<std::uint64_t>(GetParam()) * 130'363 + 5);
   const auto ensemble = small_trained_ensemble(11);
-  std::ostringstream out(std::ios::binary);
-  model::save_model_bin(ensemble, out);
-  const std::string clean = out.str();
+  const std::string clean = serve::model_v3_bytes(ensemble);
+  const auto load = [](const std::string& bytes) {
+    return model::bin::load_model_image(
+        std::as_bytes(std::span(bytes.data(), bytes.size())));
+  };
 
   // The unmutated bytes must round-trip to a serialization fixpoint.
-  {
-    std::istringstream in(clean, std::ios::binary);
-    const auto loaded = model::load_model_bin(in);
-    std::ostringstream again(std::ios::binary);
-    model::save_model_bin(loaded, again);
-    EXPECT_EQ(clean, again.str());
-  }
+  EXPECT_EQ(clean, serve::model_v3_bytes(load(clean)));
 
   for (int round = 0; round < 25; ++round) {
     const std::string mutated =
         rng.chance(0.5)
             ? quality::flip_bits(clean, rng, 1 + rng.below(8))
             : quality::truncate_tail(clean, rng);
-    std::istringstream in(mutated, std::ios::binary);
     try {
-      const auto loaded = model::load_model_bin(in);
-      // A mutation that still loads (bit flips inside double payloads can
-      // keep every invariant intact) must be a well-formed model:
+      const auto loaded = load(mutated);
+      // A mutation that still loads must be a well-formed model:
       // re-serializing reaches a fixpoint immediately — the writer emits
       // raw bit patterns, so no precision is lost to round-tripping.
-      std::ostringstream first(std::ios::binary);
-      model::save_model_bin(loaded, first);
-      std::istringstream in2(first.str(), std::ios::binary);
-      const auto reloaded = model::load_model_bin(in2);
-      std::ostringstream second(std::ios::binary);
-      model::save_model_bin(reloaded, second);
-      EXPECT_EQ(first.str(), second.str());
+      const std::string first = serve::model_v3_bytes(loaded);
+      EXPECT_EQ(first, serve::model_v3_bytes(load(first)));
     } catch (const std::exception& e) {
-      // Rejection must be the hardened loader's own diagnostic — with the
-      // metric section and byte offset — never a crash, hang, or
+      // Rejection must be the hardened reader's own diagnostic — with the
+      // section and byte offset — never a crash, hang, or
       // over-allocation.
       EXPECT_EQ(std::string(e.what()).rfind("model-bin:", 0), 0u) << e.what();
     }

@@ -9,6 +9,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "lint/lint.h"
 #include "lint/model_source.h"
@@ -216,6 +217,33 @@ TEST(LintRules, FormatVersion) {
       "right 2 4 2 8 1 8 1 inf 1\n");
   EXPECT_TRUE(has_finding(report, "format-version", LintSeverity::kError));
   EXPECT_EQ(report.count("format-version"), 1u);
+}
+
+TEST(LintRules, BinaryVersionsThisBuildDoesNotReadAreFormatVersionErrors) {
+  // A v3 image (the checked-in fixture) and a future v9 header alike: the
+  // file is binary, so it must never reach the text parser, whose
+  // model-structure finding would quote raw bytes. The one finding names
+  // the version and the one this build reads.
+  const std::string v9 = ::testing::TempDir() + "/future_v9.bin";
+  {
+    std::ofstream out(v9, std::ios::binary);
+    out << "spire-model-bin v9\n" << std::string("\x01\x02\x03\x04", 4);
+  }
+  const std::pair<std::string, int> files[] = {
+      {testdata("lint/v3_artifact.model"), 3}, {v9, 9}};
+  for (const auto& [path, version] : files) {
+    const auto report = lint::lint_model_file(path);
+    EXPECT_EQ(report.count("format-version"), 1u) << report.describe();
+    EXPECT_EQ(report.findings.size(), 1u) << report.describe();
+    ASSERT_FALSE(report.findings.empty());
+    EXPECT_NE(report.findings[0].message.find(
+                  "binary model format v" + std::to_string(version) +
+                  " is not supported (this build reads v4)"),
+              std::string::npos)
+        << report.findings[0].message;
+    EXPECT_EQ(report.findings[0].message,
+              model::unsupported_binary_version(version));
+  }
 }
 
 TEST(LintRules, ModelStructure) {

@@ -2,9 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cmath>
+#include <fstream>
+#include <span>
 #include <sstream>
 
+#include "serve/mapped_model.h"
+#include "serve/model_v3.h"
+#include "spire/model_bin.h"
 #include "util/rng.h"
 
 namespace spire::model {
@@ -140,14 +147,40 @@ TEST(ModelIo, FileRoundTrip) {
 }
 
 // --------------------------------------------------------------------------
-// Binary format v2
+// Binary format v4
 // --------------------------------------------------------------------------
+
+std::string image_of(const Ensemble& ensemble) {
+  return serve::model_v3_bytes(ensemble);
+}
+
+Ensemble load_image(const std::string& bytes) {
+  return bin::load_model_image(std::as_bytes(std::span(bytes.data(), bytes.size())));
+}
+
+/// The error text of load_image(bytes); "" when it loads.
+std::string load_error(const std::string& bytes) {
+  try {
+    (void)load_image(bytes);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return {};
+}
+
+void write_bytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+std::string temp_file(const std::string& name) {
+  // ctest runs each case as its own process: pid-suffix shared names.
+  return ::testing::TempDir() + "/" + std::to_string(::getpid()) + "_" + name;
+}
 
 TEST(ModelIoBin, RoundTripPreservesRooflinesExactly) {
   const Ensemble original = make_ensemble(11);
-  std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
-  save_model_bin(original, buf);
-  const Ensemble loaded = load_model_bin(buf);
+  const Ensemble loaded = load_image(image_of(original));
   ASSERT_EQ(loaded.metric_count(), original.metric_count());
   for (const auto& [metric, roofline] : original.rooflines()) {
     const auto it = loaded.rooflines().find(metric);
@@ -162,114 +195,127 @@ TEST(ModelIoBin, ConversionIsLosslessBothWays) {
   // binary reproduces the binary bytes.
   std::stringstream text1;
   save_model(original, text1);
-  std::stringstream bin1(std::ios::in | std::ios::out | std::ios::binary);
-  save_model_bin(load_model(text1), bin1);
+  const std::string bin1 = image_of(load_model(text1));
   std::stringstream text2;
-  save_model(load_model_bin(bin1), text2);
+  save_model(load_image(bin1), text2);
   EXPECT_EQ(text1.str(), text2.str());
-  std::stringstream bin2(std::ios::in | std::ios::out | std::ios::binary);
   text2.seekg(0);
-  save_model_bin(load_model(text2), bin2);
-  EXPECT_EQ(bin1.str(), bin2.str());
+  EXPECT_EQ(bin1, image_of(load_model(text2)));
 }
 
 TEST(ModelIoBin, MagicLeadsTheFile) {
-  const Ensemble original = make_ensemble(3);
-  std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
-  save_model_bin(original, buf);
-  EXPECT_EQ(buf.str().substr(0, kModelBinMagic.size()), kModelBinMagic);
+  const std::string bytes = image_of(make_ensemble(3));
+  EXPECT_EQ(bytes.substr(0, kModelImageMagic.size()), kModelImageMagic);
+  EXPECT_EQ(binary_model_version(bytes), kModelBinFormatVersion);
 }
 
 TEST(ModelIoBin, BadMagicThrows) {
-  std::istringstream in("spire-model v1\nmetric ...");
-  EXPECT_THROW(load_model_bin(in), std::runtime_error);
+  EXPECT_NE(load_error(std::string("spire-model v1\nmetric ...") +
+                       std::string(300, '\0'))
+                .find("bad magic"),
+            std::string::npos);
+  EXPECT_EQ(binary_model_version("spire-model v1\n"), 0);
+  EXPECT_EQ(binary_model_version("spire-model-bin v\n"), 0);
+  EXPECT_EQ(binary_model_version("spire-model-bin v04\n"), 0);
+  EXPECT_EQ(binary_model_version("spire-model-bin v4"), 0);
 }
 
 TEST(ModelIoBin, FutureVersionNamesAllSupportedVersions) {
-  std::istringstream in("spire-model-bin v4\n\x01\x00\x00\x00");
-  try {
-    load_model_bin(in);
-    FAIL() << "future version must not load";
-  } catch (const std::runtime_error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("v4"), std::string::npos) << what;
-    EXPECT_NE(what.find("v2"), std::string::npos) << what;
-    EXPECT_NE(what.find("v3"), std::string::npos) << what;
+  // Any other version, older or newer, is named next to the one this
+  // build reads, with the way back: recompile from text.
+  for (const int version : {2, 3, 9, 123456789}) {
+    const std::string magic =
+        "spire-model-bin v" + std::to_string(version) + "\n";
+    EXPECT_EQ(binary_model_version(magic), version);
+    const std::string what = load_error(magic + std::string(300, '\x01'));
+    EXPECT_EQ(what.rfind("model-bin:", 0), 0u) << what;
+    EXPECT_NE(what.find(unsupported_binary_version(version)), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("binary model format v" + std::to_string(version) +
+                        " is not supported (this build reads v4)"),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("recompile"), std::string::npos) << what;
   }
 }
 
 TEST(ModelIoBin, TruncationAtEveryByteThrowsCleanly) {
-  const Ensemble original = make_ensemble(7);
-  std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
-  save_model_bin(original, buf);
-  const std::string bytes = buf.str();
-  // Every prefix must be rejected with the "model-bin:" prefix — never a
-  // crash, hang, or silent partial model.
-  for (std::size_t len = 0; len < bytes.size(); len += 7) {
-    std::istringstream in(bytes.substr(0, len));
+  const std::string bytes = image_of(make_ensemble(7));
+  const std::string path = temp_file("truncated.bin");
+  // Every prefix must be rejected by both readers — the Ensemble rebuild
+  // and the full-tier mapping — with the hardened validator's own
+  // diagnostic: never a crash, hang, or silent partial model.
+  for (std::size_t len = 0; len < bytes.size(); ++len) {
+    const std::string prefix = bytes.substr(0, len);
+    const std::string what = load_error(prefix);
+    EXPECT_EQ(what.rfind("model-bin:", 0), 0u) << len << ": " << what;
+    write_bytes(path, prefix);
     try {
-      load_model_bin(in);
-      FAIL() << "prefix of " << len << " bytes must not load";
+      (void)serve::MappedModel::map_file(path, bin::Verify::kFull);
+      ADD_FAILURE() << "prefix of " << len << " bytes must not map";
     } catch (const std::runtime_error& e) {
-      EXPECT_EQ(std::string(e.what()).rfind("model-bin:", 0), 0u) << e.what();
+      const std::string mapped = e.what();
+      EXPECT_TRUE(mapped.rfind("model-bin:", 0) == 0 ||
+                  mapped.rfind("mmap:", 0) == 0)
+          << len << ": " << mapped;
     }
   }
 }
 
 TEST(ModelIoBin, OversizedSectionCountIsRejectedBeforeAllocation) {
-  // Magic + a metric count of 2^32-1: must throw on the bound, not try to
-  // read four billion sections.
-  std::string bytes(kModelBinMagic);
-  bytes += std::string("\xff\xff\xff\xff", 4);
-  std::istringstream in(bytes);
-  try {
-    load_model_bin(in);
-    FAIL() << "oversized metric count must not load";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("metric count"), std::string::npos)
-        << e.what();
+  // Header counts of 2^32-1 must throw on the bound, not size anything by
+  // them.
+  const std::string clean = image_of(make_ensemble(7));
+  const std::size_t metric_count_at = bin::kFlatHeaderOffset + 8;
+  for (const std::size_t at : {metric_count_at, metric_count_at + 4}) {
+    std::string bytes = clean;
+    bytes.replace(at, 4, "\xff\xff\xff\xff");
+    const std::string what = load_error(bytes);
+    EXPECT_NE(what.find(at == metric_count_at ? "flat metric count"
+                                              : "flat piece count"),
+              std::string::npos)
+        << what;
   }
 }
 
 TEST(ModelIoBin, SectionByteCountMustMatchTables) {
-  const Ensemble original = make_ensemble(7);
-  std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
-  save_model_bin(original, buf);
-  std::string bytes = buf.str();
-  // Grow the first section's declared byte count by one: the cross-check
-  // against the declared table sizes must reject it.
-  const std::size_t size_at = kModelBinMagic.size() + 4;
-  bytes[size_at] = static_cast<char>(bytes[size_at] + 1);
-  std::istringstream in(bytes);
-  EXPECT_THROW(load_model_bin(in), std::runtime_error);
+  std::string bytes = image_of(make_ensemble(7));
+  // Grow the x0 section's declared byte count by one double: the
+  // cross-check against the header's piece count must reject it.
+  const std::size_t entry_at = bin::kFlatHeaderOffset + bin::kFlatHeaderBytes +
+                               3 * bin::kSectionEntryBytes;
+  bytes[entry_at + 16] = static_cast<char>(bytes[entry_at + 16] + 8);
+  const std::string what = load_error(bytes);
+  EXPECT_NE(what.find("section x0 has"), std::string::npos) << what;
 }
 
 TEST(ModelIoBin, TrailingGarbageIsRejected) {
-  const Ensemble original = make_ensemble(7);
-  std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
-  save_model_bin(original, buf);
-  const std::string bytes = buf.str() + "x";
-  std::istringstream in(bytes);
-  try {
-    load_model_bin(in);
-    FAIL() << "trailing garbage must not load";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("trailing garbage"),
-              std::string::npos)
-        << e.what();
+  const std::string clean = image_of(make_ensemble(7));
+  // Bytes appended after the footer move the footer window.
+  EXPECT_EQ(load_error(clean + "x").rfind("model-bin:", 0), 0u);
+  // Bytes between the last section and the footer, even with the footer's
+  // file size patched to match, are caught by the contiguity walk.
+  const std::size_t footer_at = clean.size() - bin::kFooterBytes;
+  std::string padded = clean.substr(0, footer_at) + std::string(8, '\0') +
+                       clean.substr(footer_at);
+  const std::uint64_t size = padded.size();
+  for (int i = 0; i < 8; ++i) {
+    padded[footer_at + 8 + 8 + i] = static_cast<char>(size >> (8 * i));
   }
+  const std::string what = load_error(padded);
+  EXPECT_NE(what.find("trailing garbage"), std::string::npos) << what;
 }
 
 TEST(ModelIoBin, FileWrappersAndSniffing) {
   const Ensemble original = make_ensemble(31);
-  const std::string bin_path = ::testing::TempDir() + "/spire_model.bin";
-  const std::string text_path = ::testing::TempDir() + "/spire_model_v2.txt";
-  save_model_bin_file(original, bin_path);
+  const std::string bin_path = temp_file("spire_model.bin");
+  const std::string text_path = temp_file("spire_model_v1.txt");
+  serve::save_model_v3_file(original, bin_path);
   save_model_file(original, text_path);
 
-  EXPECT_TRUE(is_binary_model_file(bin_path));
-  EXPECT_FALSE(is_binary_model_file(text_path));
-  EXPECT_FALSE(is_binary_model_file("/nonexistent/model.bin"));
+  EXPECT_EQ(binary_model_file_version(bin_path), kModelBinFormatVersion);
+  EXPECT_EQ(binary_model_file_version(text_path), 0);
+  EXPECT_EQ(binary_model_file_version("/nonexistent/model.bin"), 0);
 
   // load_model_any_file dispatches on the leading bytes; both routes land
   // on the same rooflines.
@@ -277,7 +323,7 @@ TEST(ModelIoBin, FileWrappersAndSniffing) {
   const Ensemble from_text = load_model_any_file(text_path);
   EXPECT_EQ(from_bin.rooflines(), from_text.rooflines());
   EXPECT_EQ(from_bin.rooflines(), original.rooflines());
-  EXPECT_THROW(load_model_bin_file("/nonexistent/model.bin"),
+  EXPECT_THROW(load_model_any_file("/nonexistent/model.bin"),
                std::runtime_error);
 }
 

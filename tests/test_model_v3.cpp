@@ -1,12 +1,12 @@
-// Binary v3 + zero-copy serving: the mapped path's promises are (a) bit
-// identity with the tree-walk at any thread count (the ServedModel suite in
-// test_serve.cpp), (b) zero per-table copying (every table span points
-// into the mapping),
-// and (c) no crafted or corrupted artifact ever gets a pointer formed into
-// it — every defect is a clean "model-v3: ..." diagnostic naming a section
-// or byte offset. The registry adds content-addressed identity: publishing
-// the same model from any source format converges on one id, publish is
-// atomic and race-safe, and gc never removes pinned or live-mapped objects.
+// Binary v4 images + zero-copy serving: the mapped path's promises are (a)
+// bit identity with the tree-walk at any thread count (the ServedModel
+// suite in test_serve.cpp), (b) zero per-table copying (every table span
+// points into the mapping), and (c) no crafted or corrupted image ever
+// gets a pointer formed into it — every defect is a clean
+// "model-bin: ..." diagnostic naming a section or byte offset. The
+// registry adds content-addressed identity: publishing the same model from
+// either source format converges on one id, publish is atomic and
+// race-safe, and gc never removes pinned or live-mapped objects.
 #include "serve/mapped_model.h"
 
 #include <gtest/gtest.h>
@@ -18,6 +18,7 @@
 #include <cmath>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -35,7 +36,7 @@
 #include "serve/registry.h"
 #include "serve/service.h"
 #include "spire/ensemble.h"
-#include "spire/model_bin_v3.h"
+#include "spire/model_bin.h"
 #include "spire/model_io.h"
 #include "util/hash.h"
 #include "util/rng.h"
@@ -123,61 +124,55 @@ void write_file(const std::string& path, const std::string& bytes) {
 // Format: stream round-trip, sniffing, superset property
 // --------------------------------------------------------------------------
 
-TEST(ModelV3, StreamLoaderRoundTripsAndV2PrefixIsByteIdentical) {
-  const Ensemble ensemble = trained_ensemble(17);
-  const std::string v3 = model_v3_bytes(ensemble);
+/// The parent format's image of testdata/models/handwritten.model, kept as
+/// a lint fixture: the one v3 file the suite still reads bytes of.
+std::string v3_fixture_path() {
+  return std::string(SPIRE_TESTDATA_DIR) + "/lint/v3_artifact.model";
+}
 
-  // Stream deserialize (no mmap) reconstructs the exact rooflines.
-  std::istringstream in(v3, std::ios::binary);
-  const Ensemble reloaded = model::load_model_bin(in);
-  EXPECT_EQ(ensemble.rooflines(), reloaded.rooflines());
-
-  // v3 is a strict superset of v2: magic aside, the v2 body bytes are
-  // byte-identical to a v2 serialization of the same ensemble.
-  std::ostringstream v2s(std::ios::binary);
-  model::save_model_bin(ensemble, v2s);
-  const std::string v2 = v2s.str();
-  ASSERT_EQ(model::kModelBinMagic.size(), model::kModelBinMagicV3.size());
-  const std::string v2_body = v2.substr(model::kModelBinMagic.size());
-  EXPECT_EQ(v2_body, v3.substr(model::kModelBinMagicV3.size(), v2_body.size()));
-
-  // Determinism: serializing again yields the same bytes (the registry's
-  // content addressing rests on this).
-  EXPECT_EQ(v3, model_v3_bytes(reloaded));
+std::span<const std::byte> as_span(const std::string& bytes) {
+  return std::as_bytes(std::span(bytes.data(), bytes.size()));
 }
 
 TEST(ModelV3, FileVersionSniffingRoutesAllThreeFormats) {
   const Ensemble ensemble = trained_ensemble(17);
   const std::string v1 = temp_path("sniff_v1.model");
-  const std::string v2 = temp_path("sniff_v2.bin");
-  const std::string v3 = temp_path("sniff_v3.bin");
+  const std::string v4 = temp_path("sniff_v4.bin");
   model::save_model_file(ensemble, v1);
-  model::save_model_bin_file(ensemble, v2);
-  save_model_v3_file(ensemble, v3);
+  save_model_v3_file(ensemble, v4);
 
   EXPECT_EQ(model::binary_model_file_version(v1), 0);
-  EXPECT_EQ(model::binary_model_file_version(v2), 2);
-  EXPECT_EQ(model::binary_model_file_version(v3), 3);
+  EXPECT_EQ(model::binary_model_file_version(v3_fixture_path()), 3);
+  EXPECT_EQ(model::binary_model_file_version(v4), 4);
   EXPECT_EQ(model::binary_model_file_version(temp_path("sniff_none")), 0);
-  EXPECT_TRUE(model::is_binary_model_file(v3));
 
-  for (const std::string& path : {v1, v2, v3}) {
+  for (const std::string& path : {v1, v4}) {
     EXPECT_EQ(ensemble.rooflines(),
               model::load_model_any_file(path).rooflines())
         << path;
+  }
+  // A v3 file is routed to the binary reader, which names its version
+  // instead of mis-parsing it as text.
+  try {
+    (void)model::load_model_any_file(v3_fixture_path());
+    FAIL() << "a v3 file must not load";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(model::unsupported_binary_version(3)),
+              std::string::npos)
+        << e.what();
   }
 }
 
 TEST(ModelV3, CheckedInModelsSerializeToPinnedBytes) {
   // Registry ids of the checked-in models, recorded with `spire_cli
-  // registry publish`. The id is the fnv1a64 of the v3 bytes, so any byte
-  // the flatten walk or the v2 body writer changes moves an id; a
+  // registry publish`. The id is the fnv1a64 of the v4 bytes, so any byte
+  // the flatten walk or the image writer changes moves an id; a
   // deliberate format change updates these literals.
   const std::string dir = std::string(SPIRE_TESTDATA_DIR) + "/models/";
   const std::pair<const char*, const char*> pinned[] = {
-      {"handwritten", "ba4282b26557ca48"},
-      {"trained_parboil", "e592658f6fb015d3"},
-      {"trained_multi", "bf200e29c4e409ed"},
+      {"handwritten", "31b293318044c9d7"},
+      {"trained_parboil", "f46ca41be83f57f4"},
+      {"trained_multi", "abd864602906a6a9"},
   };
   for (const auto& [name, id] : pinned) {
     const Ensemble ensemble =
@@ -194,13 +189,49 @@ TEST(ModelV3, CheckedInModelsSerializeToPinnedBytes) {
   }
 }
 
+TEST(ModelV3, EvalTablesAreTheV3TablesByteForByte) {
+  // The evaluator reads the metric ranges and the four endpoint columns.
+  // Their payloads are the ones the v3 format carried: these are the
+  // CRC-32s of those v3 sections for the checked-in models, so no
+  // estimate can move with the format.
+  using model::bin::Section;
+  const std::string dir = std::string(SPIRE_TESTDATA_DIR) + "/models/";
+  struct Pinned {
+    const char* name;
+    std::uint32_t ranges, x0, y0, x1, y1;
+  };
+  const Pinned pinned[] = {
+      {"handwritten", 0x266618b4, 0x62cd9613, 0x6bd04d6d, 0x79da2279,
+       0x364cd4db},
+      {"trained_parboil", 0x60a570ab, 0x9395eec8, 0xfc6281c6, 0x1edf039b,
+       0x5c1a727b},
+      {"trained_multi", 0x5d87b659, 0x09ddb097, 0x85c05120, 0x4828ef8c,
+       0xbfc25420},
+  };
+  for (const Pinned& p : pinned) {
+    const std::string bytes = model_v3_bytes(
+        model::load_model_file(dir + p.name + ".model"));
+    const auto layout = model::bin::check_flat_region(as_span(bytes));
+    const auto crc_of = [&](Section s) {
+      const auto& extent = layout.section(s);
+      return util::crc32(std::string_view(bytes).substr(extent.offset,
+                                                        extent.bytes));
+    };
+    EXPECT_EQ(crc_of(Section::kMetricRanges), p.ranges) << p.name;
+    EXPECT_EQ(crc_of(Section::kX0), p.x0) << p.name;
+    EXPECT_EQ(crc_of(Section::kY0), p.y0) << p.name;
+    EXPECT_EQ(crc_of(Section::kX1), p.x1) << p.name;
+    EXPECT_EQ(crc_of(Section::kY1), p.y1) << p.name;
+  }
+}
+
 // --------------------------------------------------------------------------
 // MappedModel: zero-copy structure
 // --------------------------------------------------------------------------
 
 TEST(MappedModel, TableSpansPointIntoTheMappingNotCopies) {
   const Ensemble ensemble = trained_ensemble(17);
-  const std::string path = temp_path("mapped_spans.v3.bin");
+  const std::string path = temp_path("mapped_spans.bin");
   save_model_v3_file(ensemble, path);
   const MappedModel mapped = MappedModel::map_file(path);
 
@@ -213,7 +244,7 @@ TEST(MappedModel, TableSpansPointIntoTheMappingNotCopies) {
   const auto distance_to = [&](const void* p) {
     return reinterpret_cast<const char*>(p) - ranges;
   };
-  using model::v3::Section;
+  using model::bin::Section;
   const std::ptrdiff_t base =
       static_cast<std::ptrdiff_t>(layout.section(Section::kMetricRanges).offset);
   EXPECT_EQ(distance_to(t.x0.data()),
@@ -251,16 +282,19 @@ TEST_P(FuzzModelV3, EveryMutationIsRejectedWithADiagnostic) {
   util::Rng rng(static_cast<std::uint64_t>(GetParam()) * 86'243 + 3);
   const Ensemble ensemble = trained_ensemble(11);
   const std::string clean = model_v3_bytes(ensemble);
-  const std::string path = temp_path("fuzz_v3.bin");
+  const std::string path = temp_path("fuzz_v4.bin");
 
-  // The unmutated artifact maps and stream-loads.
+  // The unmutated image maps and rebuilds.
   write_file(path, clean);
   EXPECT_NO_THROW(MappedModel::map_file(path));
-  {
-    std::istringstream in(clean, std::ios::binary);
-    EXPECT_NO_THROW(model::load_model_bin(in));
-  }
+  EXPECT_NO_THROW(model::bin::load_model_image(as_span(clean)));
 
+  const auto expect_diagnostic = [](const std::exception& e) {
+    const std::string what = e.what();
+    EXPECT_TRUE(what.rfind("model-bin:", 0) == 0 ||
+                what.rfind("mmap:", 0) == 0)
+        << what;
+  };
   for (int round = 0; round < 25; ++round) {
     const std::string mutated =
         rng.chance(0.5) ? quality::flip_bits(clean, rng, 1 + rng.below(8))
@@ -268,22 +302,18 @@ TEST_P(FuzzModelV3, EveryMutationIsRejectedWithADiagnostic) {
     if (mutated == clean) continue;
     write_file(path, mutated);
     // Full verification: the whole-file CRC covers every byte before the
-    // footer and the footer is fully cross-checked, so — unlike v2, where
-    // payload bit flips can survive — EVERY mutation must be rejected,
-    // with the hardened validator's own diagnostic. Never a crash or
-    // SIGBUS.
+    // footer and the footer is fully cross-checked, so EVERY mutation must
+    // be rejected, with the hardened validator's own diagnostic. Never a
+    // crash or SIGBUS.
     try {
-      MappedModel::map_file(path, model::v3::Verify::kFull);
+      MappedModel::map_file(path, model::bin::Verify::kFull);
       FAIL() << "mutation must be rejected (round " << round << ")";
     } catch (const std::exception& e) {
-      const std::string what = e.what();
-      EXPECT_TRUE(what.rfind("model-v3:", 0) == 0 ||
-                  what.rfind("mmap:", 0) == 0)
-          << what;
+      expect_diagnostic(e);
     }
     // The structure tier (the default serving open) may accept damage the
     // CRCs would catch, but it must never crash, SIGBUS, or index out of
-    // bounds — a mutated artifact either rejects with a diagnostic or
+    // bounds — a mutated image either rejects with a diagnostic or
     // serves estimates without UB (ASan/UBSan runs enforce the latter).
     try {
       const MappedModel survived = MappedModel::map_file(path);
@@ -292,22 +322,15 @@ TEST_P(FuzzModelV3, EveryMutationIsRejectedWithADiagnostic) {
       }
       (void)survived.view().strings;
     } catch (const std::exception& e) {
-      const std::string what = e.what();
-      EXPECT_TRUE(what.rfind("model-v3:", 0) == 0 ||
-                  what.rfind("mmap:", 0) == 0)
-          << what;
+      expect_diagnostic(e);
     }
-    // The stream loader rejects the same bytes (possibly at an earlier
-    // layer: v2-body parsing or the magic check).
-    std::istringstream in(mutated, std::ios::binary);
+    // The Ensemble rebuild fully verifies first, so it rejects the same
+    // bytes.
     try {
-      model::load_model_bin(in);
-      FAIL() << "stream load must reject (round " << round << ")";
+      model::bin::load_model_image(as_span(mutated));
+      FAIL() << "rebuild must reject (round " << round << ")";
     } catch (const std::exception& e) {
-      const std::string what = e.what();
-      EXPECT_TRUE(what.rfind("model-bin:", 0) == 0 ||
-                  what.rfind("model-v3:", 0) == 0)
-          << what;
+      expect_diagnostic(e);
     }
   }
 }
@@ -317,11 +340,11 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FuzzModelV3, ::testing::Range(1, 9));
 TEST(ModelV3Hardening, TargetedCorruptionsNameTheSectionAndOffset) {
   const Ensemble ensemble = trained_ensemble(11);
   const std::string clean = model_v3_bytes(ensemble);
-  const std::string path = temp_path("corrupt_v3.bin");
+  const std::string path = temp_path("corrupt_v4.bin");
 
   const auto expect_rejected_at = [&](const std::string& bytes,
                                       const std::string& needle,
-                                      model::v3::Verify verify) {
+                                      model::bin::Verify verify) {
     write_file(path, bytes);
     try {
       MappedModel::map_file(path, verify);
@@ -335,15 +358,13 @@ TEST(ModelV3Hardening, TargetedCorruptionsNameTheSectionAndOffset) {
   // open gives up nothing on geometry/bounds safety.
   const auto expect_rejected = [&](const std::string& bytes,
                                    const std::string& needle) {
-    expect_rejected_at(bytes, needle, model::v3::Verify::kStructure);
-    expect_rejected_at(bytes, needle, model::v3::Verify::kFull);
+    expect_rejected_at(bytes, needle, model::bin::Verify::kStructure);
+    expect_rejected_at(bytes, needle, model::bin::Verify::kFull);
   };
 
   // Recover the layout to aim precisely.
-  const auto layout = model::v3::check_flat_region(
-      std::as_bytes(std::span(clean.data(), clean.size())), 0,
-      util::crc32_init());
-  using model::v3::Section;
+  const auto layout = model::bin::check_flat_region(as_span(clean));
+  using model::bin::Section;
 
   // A flipped byte inside a payload: full verification's per-section CRC
   // pinpoints it. The structure tier, by contract, maps such bytes — CRC
@@ -352,7 +373,7 @@ TEST(ModelV3Hardening, TargetedCorruptionsNameTheSectionAndOffset) {
     std::string bytes = clean;
     bytes[layout.section(Section::kX0).offset + 3] ^= 0x40;
     expect_rejected_at(bytes, "section x0 CRC mismatch",
-                       model::v3::Verify::kFull);
+                       model::bin::Verify::kFull);
     write_file(path, bytes);
     EXPECT_NO_THROW(MappedModel::map_file(path));
   }
@@ -360,7 +381,7 @@ TEST(ModelV3Hardening, TargetedCorruptionsNameTheSectionAndOffset) {
     std::string bytes = clean;
     bytes[layout.section(Section::kStrings).offset] ^= 0x01;
     expect_rejected_at(bytes, "section strings CRC mismatch",
-                       model::v3::Verify::kFull);
+                       model::bin::Verify::kFull);
   }
   // Footer file_size that disagrees with the actual byte count.
   {
@@ -374,78 +395,61 @@ TEST(ModelV3Hardening, TargetedCorruptionsNameTheSectionAndOffset) {
     bytes[bytes.size() - 1] ^= 0xFF;
     expect_rejected(bytes, "bad footer magic");
   }
-  // Misaligned flat offset in the footer.
+  // A flat offset in the footer other than the fixed header position.
   {
     std::string bytes = clean;
     bytes[bytes.size() - 32] ^= 0x04;  // footer.flat_offset low byte
-    expect_rejected(bytes, "aligned");
+    expect_rejected(bytes, "flat header offset");
   }
   // Truncation: structural rejection before any pointer is formed.
   expect_rejected(clean.substr(0, clean.size() - 7), "footer");
-  expect_rejected(clean.substr(0, layout.flat_offset + 16), "footer");
+  expect_rejected(clean.substr(0, model::bin::kFlatHeaderOffset + 16),
+                  "truncated");
   // Growth after write (appended garbage) moves the footer window.
   expect_rejected(clean + std::string(64, 'x'), "footer");
   // Flat magic corruption.
   {
     std::string bytes = clean;
-    bytes[layout.flat_offset] ^= 0x10;
+    bytes[model::bin::kFlatHeaderOffset] ^= 0x10;
     expect_rejected(bytes, "flat magic");
   }
-  // Wrong v2 magic byte: not even routed to the v3 path.
+  // Wrong magic byte.
   {
     std::string bytes = clean;
     bytes[2] ^= 0x20;
     expect_rejected(bytes, "magic");
   }
-}
-
-TEST(ModelV3Hardening, StreamLoaderCrossChecksFlatCountsAndCrc) {
-  const Ensemble ensemble = trained_ensemble(11);
-  const std::string clean = model_v3_bytes(ensemble);
-
-  // Flip one byte of a double payload in the flat region: the v2 body
-  // still parses, the flat validation must catch it.
-  const auto layout = model::v3::check_flat_region(
-      std::as_bytes(std::span(clean.data(), clean.size())), 0,
-      util::crc32_init());
-  std::string bytes = clean;
-  bytes[layout.section(model::v3::Section::kY1).offset + 9] ^= 0x01;
-  std::istringstream in(bytes, std::ios::binary);
-  try {
-    model::load_model_bin(in);
-    FAIL() << "expected flat-region rejection";
-  } catch (const std::exception& e) {
-    EXPECT_EQ(std::string(e.what()).rfind("model-v3:", 0), 0u) << e.what();
-    EXPECT_NE(std::string(e.what()).find("y1"), std::string::npos) << e.what();
+  // An image of another version is named, at either tier.
+  {
+    std::string bytes = clean;
+    bytes[model::kModelImageMagic.size() - 2] = '3';
+    expect_rejected(bytes, model::unsupported_binary_version(3));
   }
 }
 
 TEST(ModelV3Hardening, VerificationTiersSplitCrcWorkFromBoundsSafety) {
   const Ensemble ensemble = trained_ensemble(11);
   const std::string clean = model_v3_bytes(ensemble);
-  const std::string path = temp_path("tiers_v3.bin");
-  const auto layout = model::v3::check_flat_region(
-      std::as_bytes(std::span(clean.data(), clean.size())), 0,
-      util::crc32_init());
+  const std::string path = temp_path("tiers_v4.bin");
+  const auto layout = model::bin::check_flat_region(as_span(clean));
 
   // Clean artifacts pass both tiers.
   write_file(path, clean);
   EXPECT_NO_THROW(MappedModel::map_file(path));
-  EXPECT_NO_THROW(MappedModel::map_file(path, model::v3::Verify::kFull));
+  EXPECT_NO_THROW(MappedModel::map_file(path, model::bin::Verify::kFull));
 
-  // Flip a byte in the derived slopes table. The full tier names the
-  // section; the structure tier maps the file — and because the
-  // bit-identity evaluator never reads derived columns, estimates remain
-  // bit-identical to a clean in-memory compile even on the damaged
-  // artifact.
+  // Flip a byte in a trained_on count. The full tier names the section;
+  // the structure tier maps the file — and because the bit-identity
+  // evaluator never reads metric-info, estimates remain bit-identical to
+  // a clean in-memory compile even on the damaged image.
   std::string bytes = clean;
-  bytes[layout.section(model::v3::Section::kSlopes).offset + 2] ^= 0x10;
+  bytes[layout.section(model::bin::Section::kMetricInfo).offset + 16] ^= 0x10;
   write_file(path, bytes);
   try {
-    MappedModel::map_file(path, model::v3::Verify::kFull);
-    FAIL() << "full verification must reject the slopes flip";
+    MappedModel::map_file(path, model::bin::Verify::kFull);
+    FAIL() << "full verification must reject the metric-info flip";
   } catch (const std::exception& e) {
-    EXPECT_NE(std::string(e.what()).find("slopes"), std::string::npos)
+    EXPECT_NE(std::string(e.what()).find("metric-info"), std::string::npos)
         << e.what();
   }
   const MappedModel mapped = MappedModel::map_file(path);
@@ -478,20 +482,17 @@ TEST(ModelRegistry, PublishConvergesAcrossEverySourceFormat) {
   ModelRegistry registry(fresh_registry_root("reg_converge"));
 
   const std::string v1 = temp_path("reg_src.model");
-  const std::string v2 = temp_path("reg_src.bin");
-  const std::string v3 = temp_path("reg_src.v3.bin");
+  const std::string v4 = temp_path("reg_src.bin");
   model::save_model_file(ensemble, v1);
-  model::save_model_bin_file(ensemble, v2);
-  save_model_v3_file(ensemble, v3);
+  save_model_v3_file(ensemble, v4);
 
   const std::string id = registry.publish(ensemble);
   EXPECT_EQ(id.size(), 16u);
   EXPECT_EQ(id, util::fnv1a64_hex(model_v3_bytes(ensemble)));
   EXPECT_EQ(id, registry.publish_file(v1));
-  EXPECT_EQ(id, registry.publish_file(v2));
-  EXPECT_EQ(id, registry.publish_file(v3));
+  EXPECT_EQ(id, registry.publish_file(v4));
   {
-    std::ifstream raw(v3, std::ios::binary);
+    std::ifstream raw(v4, std::ios::binary);
     std::stringstream buf;
     buf << raw.rdbuf();
     EXPECT_EQ(id, registry.publish_bytes(buf.str()));
@@ -509,9 +510,26 @@ TEST(ModelRegistry, PublishConvergesAcrossEverySourceFormat) {
 TEST(ModelRegistry, PublishBytesValidatesBeforeStoring) {
   ModelRegistry registry(fresh_registry_root("reg_validate"));
   EXPECT_THROW(registry.publish_bytes("garbage"), std::runtime_error);
-  std::string forged(std::string(model::kModelBinMagicV3) +
+  std::string forged(std::string(model::kModelImageMagic) +
                      std::string(512, '\0'));
   EXPECT_THROW(registry.publish_bytes(forged), std::runtime_error);
+  // A v3 image is refused by version, through either entry point.
+  std::ifstream v3(v3_fixture_path(), std::ios::binary);
+  std::stringstream v3_bytes;
+  v3_bytes << v3.rdbuf();
+  for (const auto& publish :
+       {std::function<void()>([&] { registry.publish_bytes(v3_bytes.str()); }),
+        std::function<void()>([&] { registry.publish_file(v3_fixture_path()); })}) {
+    try {
+      publish();
+      ADD_FAILURE() << "a v3 image must not publish";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(
+          std::string(e.what()).find(model::unsupported_binary_version(3)),
+          std::string::npos)
+          << e.what();
+    }
+  }
   EXPECT_TRUE(registry.list().empty());
 }
 
@@ -798,22 +816,22 @@ TEST(EstimationService, FromRegistryServesBitIdentically) {
 
 TEST(EngineServe, CompileV3PublishAndResolveStages) {
   const Ensemble ensemble = trained_ensemble(17);
-  const std::string model_path = temp_path("engine_v3_src.bin");
-  model::save_model_bin_file(ensemble, model_path);
+  const std::string model_path = temp_path("engine_v4_src.bin");
+  save_model_v3_file(ensemble, model_path);
   const std::string csv_path = temp_path("engine_v3.csv");
   {
     std::ofstream out(csv_path);
     mixed_workload(7).save_csv(out);
   }
   const std::string root = fresh_registry_root("reg_engine");
-  const std::string v3_path = temp_path("engine_out.v3.bin");
+  const std::string image_path = temp_path("engine_out.bin");
 
-  // Train-side: load, write a v3 artifact, publish to the registry.
+  // Train-side: load, write an image, publish to the registry.
   pipeline::Engine producer;
-  producer.load_model(model_path).compile_v3(v3_path).publish(root);
+  producer.load_model(model_path).compile_v3(image_path).publish(root);
   const std::string id = producer.context().published_id;
   ASSERT_EQ(id.size(), 16u);
-  EXPECT_NO_THROW(MappedModel::map_file(v3_path));
+  EXPECT_NO_THROW(MappedModel::map_file(image_path));
 
   // Serve-side: resolve by content id, estimate through the mapping.
   pipeline::Engine consumer;
@@ -827,12 +845,12 @@ TEST(EngineServe, CompileV3PublishAndResolveStages) {
 }
 
 // --------------------------------------------------------------------------
-// Lint over v3 artifacts
+// Lint over v4 images
 // --------------------------------------------------------------------------
 
 TEST(LintV3, CleanV3ArtifactLintsClean) {
   const Ensemble ensemble = trained_ensemble(17);
-  const std::string path = temp_path("lint_v3.bin");
+  const std::string path = temp_path("lint_v4.bin");
   save_model_v3_file(ensemble, path);
   const auto report = lint::lint_model_file(path);
   EXPECT_TRUE(report.clean()) << report.describe();
@@ -842,11 +860,9 @@ TEST(LintV3, CleanV3ArtifactLintsClean) {
 TEST(LintV3, FlatCorruptionGetsTypedFinding) {
   const Ensemble ensemble = trained_ensemble(17);
   std::string bytes = model_v3_bytes(ensemble);
-  const auto layout = model::v3::check_flat_region(
-      std::as_bytes(std::span(bytes.data(), bytes.size())), 0,
-      util::crc32_init());
-  bytes[layout.section(model::v3::Section::kX1).offset + 5] ^= 0x02;
-  const std::string path = temp_path("lint_v3_bad.bin");
+  const auto layout = model::bin::check_flat_region(as_span(bytes));
+  bytes[layout.section(model::bin::Section::kX1).offset + 5] ^= 0x02;
+  const std::string path = temp_path("lint_v4_bad.bin");
   write_file(path, bytes);
 
   const auto report = lint::lint_model_file(path);

@@ -4,7 +4,7 @@
 //
 // serve::MappedModel is the only model type, and ServedModel below runs
 // the identity contract over every way to obtain one: compiled in memory,
-// mapped from a v3 file, or opened through the registry.
+// mapped from a v4 file, or opened through the registry.
 #include "serve/mapped_model.h"
 
 #include <gtest/gtest.h>
@@ -18,6 +18,7 @@
 #include <limits>
 #include <memory>
 #include <ostream>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -30,6 +31,7 @@
 #include "serve/registry.h"
 #include "serve/service.h"
 #include "spire/ensemble.h"
+#include "spire/model_bin.h"
 #include "spire/model_io.h"
 #include "util/rng.h"
 
@@ -143,7 +145,7 @@ std::shared_ptr<const MappedModel> obtain(Source source,
       return std::make_shared<const MappedModel>(
           MappedModel::compile(ensemble));
     case Source::kMappedFile: {
-      const std::string path = temp_path("served_model.v3.bin");
+      const std::string path = temp_path("served_model.bin");
       save_model_v3_file(ensemble, path);
       return std::make_shared<const MappedModel>(MappedModel::map_file(path));
     }
@@ -274,10 +276,10 @@ TEST(MappedModel, CheckedInModelsRoundTripAndServeIdentically) {
     if (entry.path().extension() != ".model") continue;
     ++models;
     const Ensemble original = model::load_model_file(entry.path().string());
-    // v1 -> v2 -> ensemble must be lossless...
-    std::stringstream bin(std::ios::in | std::ios::out | std::ios::binary);
-    model::save_model_bin(original, bin);
-    const Ensemble reloaded = model::load_model_bin(bin);
+    // v1 -> v4 -> ensemble must be lossless...
+    const std::string image = model_v3_bytes(original);
+    const Ensemble reloaded = model::bin::load_model_image(
+        std::as_bytes(std::span(image.data(), image.size())));
     EXPECT_EQ(original.rooflines(), reloaded.rooflines())
         << entry.path().string();
     // ...and the compiled form of the reloaded artifact must serve the
@@ -295,14 +297,14 @@ TEST(MappedModel, CheckedInModelsRoundTripAndServeIdentically) {
   EXPECT_GE(models, 3u);
 }
 
-// A model compiled from either pre-v3 artifact (text v1 or binary v2,
-// told apart by load_model_any_file's sniff) serves the tree-walk's bits.
+// A model compiled from either format (text v1 or binary v4, told apart
+// by load_model_any_file's sniff) serves the tree-walk's bits.
 TEST(CompiledModel, FromFileSniffsBothFormats) {
   const Ensemble ensemble = trained_ensemble(41);
   const std::string text_path = temp_path("serve_model.model");
   const std::string bin_path = temp_path("serve_model.bin");
   model::save_model_file(ensemble, text_path);
-  model::save_model_bin_file(ensemble, bin_path);
+  save_model_v3_file(ensemble, bin_path);
   const MappedModel from_text =
       MappedModel::compile(model::load_model_any_file(text_path));
   const MappedModel from_bin =
@@ -362,16 +364,17 @@ TEST(EstimationService, IsolatesPerFileFailures) {
 }
 
 TEST(EstimationService, FromFilePicksTheBackendByFormat) {
-  // One backend, two ways in: a v3 file is mapped as is; text v1 and
-  // binary v2 load the ensemble and compile it into an in-memory image.
-  // Every format serves the same file to the tree-walk's bits.
+  // One backend, two ways in: a v4 image is mapped as is; text v1 loads
+  // the ensemble and compiles it into an in-memory image. Both serve the
+  // same file to the tree-walk's bits; a v3 file is refused by version.
   const Ensemble ensemble = trained_ensemble(41);
   const std::string text_path = temp_path("serve_service.model");
-  const std::string v2_path = temp_path("serve_service.bin");
-  const std::string v3_path = temp_path("serve_service.v3.bin");
+  const std::string v4_path = temp_path("serve_service.bin");
   model::save_model_file(ensemble, text_path);
-  model::save_model_bin_file(ensemble, v2_path);
-  save_model_v3_file(ensemble, v3_path);
+  save_model_v3_file(ensemble, v4_path);
+  EXPECT_THROW(EstimationService::from_file(std::string(SPIRE_TESTDATA_DIR) +
+                                            "/lint/v3_artifact.model"),
+               std::runtime_error);
 
   const std::string csv_path = temp_path("serve_service.csv");
   {
@@ -380,7 +383,7 @@ TEST(EstimationService, FromFilePicksTheBackendByFormat) {
   }
   const std::vector<std::string> paths = {csv_path};
   const Estimate reference = ensemble.estimate(DatasetView(mixed_workload(11)));
-  for (const std::string& path : {text_path, v2_path, v3_path}) {
+  for (const std::string& path : {text_path, v4_path}) {
     const EstimationService service = EstimationService::from_file(path);
     EXPECT_EQ(service.metric_count(), ensemble.metric_count()) << path;
     const auto results = service.estimate_files(paths);
@@ -396,7 +399,7 @@ TEST(EstimationService, FromFilePicksTheBackendByFormat) {
 TEST(EngineServe, CompileAndEstimateBatchStages) {
   const Ensemble ensemble = trained_ensemble(17);
   const std::string model_path = ::testing::TempDir() + "/serve_engine.bin";
-  model::save_model_bin_file(ensemble, model_path);
+  save_model_v3_file(ensemble, model_path);
   const std::string csv_path = ::testing::TempDir() + "/serve_engine.csv";
   {
     std::ofstream out(csv_path);
@@ -446,7 +449,7 @@ TEST(EngineServe, CompileRequiresAnEnsemble) {
 TEST(LintBinary, CleanBinaryArtifactLintsClean) {
   const Ensemble ensemble = trained_ensemble(17);
   const std::string bin_path = ::testing::TempDir() + "/serve_lint.bin";
-  model::save_model_bin_file(ensemble, bin_path);
+  save_model_v3_file(ensemble, bin_path);
   const auto report = lint::lint_model_file(bin_path);
   EXPECT_TRUE(report.clean()) << report.describe();
   EXPECT_EQ(report.metrics_scanned, ensemble.metric_count());
@@ -454,9 +457,7 @@ TEST(LintBinary, CleanBinaryArtifactLintsClean) {
 
 TEST(LintBinary, CorruptBinaryArtifactGetsTypedFinding) {
   const Ensemble ensemble = trained_ensemble(17);
-  std::stringstream bin(std::ios::in | std::ios::out | std::ios::binary);
-  model::save_model_bin(ensemble, bin);
-  const std::string truncated = bin.str().substr(0, 64);
+  const std::string truncated = model_v3_bytes(ensemble).substr(0, 64);
   const std::string bad_path = ::testing::TempDir() + "/serve_lint_bad.bin";
   {
     std::ofstream out(bad_path, std::ios::binary);
@@ -465,7 +466,7 @@ TEST(LintBinary, CorruptBinaryArtifactGetsTypedFinding) {
   const auto report = lint::lint_model_file(bad_path);
   EXPECT_TRUE(report.has_errors());
   ASSERT_EQ(report.count("binary-load"), 1u) << report.describe();
-  // The finding carries the strict loader's diagnostic, prefix included.
+  // The finding carries the strict reader's diagnostic, prefix included.
   for (const auto& finding : report.findings) {
     if (finding.rule_id == "binary-load") {
       EXPECT_EQ(finding.message.rfind("model-bin:", 0), 0u) << finding.message;

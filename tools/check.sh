@@ -65,11 +65,10 @@ else
        "static gate (CI runs it)"
 fi
 
-phase "Binary model v2/v3 round-trip (spire_cli compile)"
-# Compile every checked-in text model to the v2 and v3 binary formats and
-# back; the text bytes must survive unchanged either way. Artifacts live in
-# a throwaway directory — testdata/models/ is linted as-is and must stay
-# clean.
+phase "Binary model v4 round-trip (spire_cli compile)"
+# Compile every checked-in text model to the binary v4 image and back; the
+# text bytes must survive unchanged. Images live in a throwaway directory —
+# testdata/models/ is linted as-is and must stay clean.
 roundtrip_dir=$(mktemp -d)
 trap 'rm -rf "${roundtrip_dir}"' EXIT
 cli=build-check-release/tools/spire_cli
@@ -79,13 +78,9 @@ for model in testdata/models/*.model; do
   "${cli}" compile --text "${roundtrip_dir}/${base}.bin" \
     --out "${roundtrip_dir}/${base}.model"
   diff "${model}" "${roundtrip_dir}/${base}.model"
-  "${cli}" compile --v3 "${model}" --out "${roundtrip_dir}/${base}.v3.bin"
-  "${cli}" compile --text "${roundtrip_dir}/${base}.v3.bin" \
-    --out "${roundtrip_dir}/${base}.v3.model"
-  diff "${model}" "${roundtrip_dir}/${base}.v3.model"
-  # v3 artifacts must also pass the static lint gate (flat-structure,
-  # flat-mismatch) on top of the geometric rules.
-  "${cli}" lint "${roundtrip_dir}/${base}.v3.bin"
+  # Images must also pass the static lint gate (binary-load,
+  # flat-structure) on top of the geometric rules.
+  "${cli}" lint "${roundtrip_dir}/${base}.bin"
 done
 
 phase "Registry smoke (publish / resolve / serve by content id)"
@@ -96,7 +91,8 @@ registry_root="${roundtrip_dir}/registry"
 model=testdata/models/trained_parboil.model
 id=$("${cli}" registry publish "${model}" --registry-root "${registry_root}")
 "${cli}" registry list --registry-root "${registry_root}" | grep -q "${id}"
-# Publishing the v2 form must converge on the same content id.
+# Publishing the text model and its compiled v4 image must converge on
+# the same content id.
 "${cli}" compile "${model}" --out "${roundtrip_dir}/registry_smoke.bin"
 id2=$("${cli}" registry publish "${roundtrip_dir}/registry_smoke.bin" \
   --registry-root "${registry_root}")

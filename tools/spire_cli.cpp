@@ -19,10 +19,10 @@
 //       (region shapes, peak continuity, format version, ...) without
 //       running estimation; with --against, also verify the upper-bound
 //       property over a sample CSV. Exits nonzero on error findings.
-//   spire_cli compile MODEL --out MODEL.bin [--text|--v3]
-//       Convert a model to the binary v2 deployment artifact, the binary
-//       v3 zero-copy serving artifact (--v3), or back to text v1 (--text).
-//       Conversion is lossless in every direction.
+//   spire_cli compile MODEL --out MODEL.bin [--text]
+//       Convert a model to the binary v4 image (served zero-copy), or back
+//       to text v1 (--text). Conversion is lossless in both directions.
+//       Binary v2/v3 files are not read: recompile them from text.
 //   spire_cli profile compile FILE --out FILE
 //       Convert a workload profile between the sample-CSV format and the
 //       spire-profile-bin v1 binary columnar format (direction is sniffed
@@ -31,15 +31,16 @@
 //   spire_cli registry publish MODEL | list | pin ID | unpin ID | gc
 //               [--registry-root DIR]
 //       Content-addressed model store (default root .spire-registry).
-//       `publish` converts any model format to canonical v3 and stores it
-//       under the hash of its bytes — idempotent, atomic, safe to race.
+//       `publish` converts either model format to its canonical v4 image
+//       and stores it under the hash of its bytes — idempotent, atomic,
+//       safe to race.
 //       `gc` removes objects that are neither pinned nor currently mapped.
 //   spire_cli estimate --model MODEL | --registry ID [--registry-root DIR]
 //               FILE [FILE...] [--threads N]
 //       Batch estimation: attainable throughput + top bottleneck for every
 //       workload CSV against one compiled model, one pool task per file.
 //       With --registry the model is resolved by content id and served
-//       zero-copy from an mmap of the stored v3 artifact (bit-identical to
+//       zero-copy from an mmap of the stored v4 image (bit-identical to
 //       the compiled path). A file that fails to load or estimate is
 //       reported and the batch continues; exits nonzero when any file
 //       failed.
@@ -95,7 +96,7 @@
 // forces serial). Results are bit-identical at any thread count.
 //
 // Model-consuming subcommands (analyze, estimate, show, lint) accept every
-// model format — the line-oriented text v1 and the binary v2/v3 artifacts
+// model format — the line-oriented text v1 and the binary v4 image
 // `compile` writes — sniffing the leading bytes.
 //
 // Each subcommand is a thin wrapper over pipeline::Engine: it parses flags
@@ -390,24 +391,21 @@ int cmd_lint(const Args& args) {
 }
 
 int cmd_compile(const Args& args) {
+  for (const auto& [key, value] : args.flags) {
+    if (key != "out" && key != "text") throw UsageError("unknown flag --" + key);
+  }
   const auto out_path = args.flag("out");
   if (!out_path) throw UsageError("--out is required");
   if (args.positional.size() != 1) {
     throw UsageError("need exactly one model file");
   }
-  if (args.has("text") && args.has("v3")) {
-    throw UsageError("--text and --v3 are mutually exclusive");
-  }
   const auto ensemble = model::load_model_any_file(args.positional.front());
-  const char* format = "binary v2";
+  const char* format = "binary v4";
   if (args.has("text")) {
     model::save_model_file(ensemble, *out_path);
     format = "text v1";
-  } else if (args.has("v3")) {
-    serve::save_model_v3_file(ensemble, *out_path);
-    format = "binary v3";
   } else {
-    model::save_model_bin_file(ensemble, *out_path);
+    serve::save_model_v3_file(ensemble, *out_path);
   }
   std::fprintf(stderr, "compiled %zu rooflines: %s -> %s (%s)\n",
                ensemble.metric_count(), args.positional.front().c_str(),
@@ -921,7 +919,7 @@ const std::vector<Command>& commands() {
       {"analyze", {}, cmd_analyze},
       {"validate", {}, cmd_validate},
       {"lint", {"rules"}, cmd_lint},
-      {"compile", {"text", "v3"}, cmd_compile},
+      {"compile", {"text"}, cmd_compile},
       {"profile", {}, cmd_profile},
       {"registry", {}, cmd_registry},
       {"estimate", {"binary", "pipeline"}, cmd_estimate},
@@ -946,7 +944,7 @@ int usage() {
                "  validate FILE...                          report data-quality defects\n"
                "  lint    MODEL... [--against CSV]...       check model invariants\n"
                "  lint    --rules                           list the lint rules\n"
-               "  compile MODEL --out F [--text|--v3]       convert between model formats\n"
+               "  compile MODEL --out F [--text]            text v1 <-> binary v4 image\n"
                "  profile compile FILE --out F              workload CSV <-> profile-bin\n"
                "  registry publish MODEL | list | pin ID | unpin ID | gc\n"
                "          [--registry-root DIR]             content-addressed model store\n"
@@ -974,7 +972,7 @@ int usage() {
                "train/analyze/validate/estimate accept --threads N (default: "
                "all\nhardware threads; 0 forces serial). Results are identical "
                "at any\nthread count. Model-consuming commands accept text v1 "
-               "and binary v2/v3.\n");
+               "and binary v4.\n");
   return 2;
 }
 
