@@ -62,8 +62,7 @@ class EstimateCache {
   /// util::xxh64 of a workload's exact wire bytes (text CSV or
   /// spire-profile-bin): the one key this cache and ProfileCache share.
   /// Every request pays it over its whole payload, so it is the fast hash,
-  /// not the registry's fnv1a64; nothing persists it. A result of 0 is
-  /// the caller's "uncacheable" sentinel (Shard::Workload::hash).
+  /// not the registry's fnv1a64; nothing persists it.
   static std::uint64_t workload_hash(std::string_view csv_bytes);
 
   /// Returns the cached value and refreshes its LRU position, or nullopt.

@@ -12,13 +12,13 @@
 // to evaluation.
 //
 // Values are shared_ptr<const ParsedProfile>: eviction never invalidates a
-// batch that is still evaluating through the parse, and concurrent pumps
-// share one copy. Striping, LRU discipline, and the counter design mirror
-// EstimateCache; the per-stripe mutexes sit at rank kProfileCache = 52,
-// acquired with no other serving lock held: by the server's connection
-// readers to look a memo-missed text workload up before enqueue (a hit
-// queues as a view of the cached parse), and by shard pumps to publish
-// each fresh parse.
+// batch that is still evaluating through the parse, and concurrent
+// requests share one copy. Striping, LRU discipline, and the counter
+// design mirror EstimateCache; the per-stripe mutexes sit at rank
+// kProfileCache = 52, acquired with no other serving lock held, and only
+// by the server's connection readers: each memo-missed text workload is
+// looked up before enqueue (a hit queues as a view of the cached parse),
+// and each parse the reader makes on a miss is published here.
 #pragma once
 
 #include <atomic>

@@ -35,10 +35,9 @@ struct BatchResult {
   std::size_t samples = 0;  // samples loaded (0 when loading failed)
   std::optional<model::Estimate> estimate;
   std::string error;      // why estimation failed, "" on success
-  /// True when the item's deadline expired before it was evaluated
-  /// (estimate_views, or a shard pump's parse pass); distinguishes "out of
-  /// time" from "bad input" so callers can report the two with different
-  /// status codes.
+  /// True when the item's deadline expired before estimate_views evaluated
+  /// it; distinguishes "out of time" from "bad input" so callers can
+  /// report the two with different status codes.
   bool deadline_expired = false;
 
   bool ok() const { return estimate.has_value(); }

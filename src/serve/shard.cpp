@@ -1,8 +1,7 @@
 #include "serve/shard.h"
 
 #include <algorithm>
-#include <exception>
-#include <string_view>
+#include <iterator>
 #include <utility>
 
 namespace spire::serve {
@@ -15,14 +14,13 @@ using Clock = std::chrono::steady_clock;
 
 Shard::Shard(std::string model_id, std::shared_ptr<const MappedModel> model,
              util::ThreadPool& pool, std::size_t queue_bound,
-             std::size_t max_batch, ProfileCache* profile_cache)
+             std::size_t max_batch)
     : model_id_(std::move(model_id)),
       model_(std::move(model)),
       service_(model_),
       pool_(pool),
       queue_bound_(std::max<std::size_t>(queue_bound, 1)),
-      max_batch_(std::max<std::size_t>(max_batch, 1)),
-      profile_cache_(profile_cache) {}
+      max_batch_(std::max<std::size_t>(max_batch, 1)) {}
 
 Shard::Enqueue Shard::enqueue(Request request) {
   bool schedule = false;
@@ -112,25 +110,13 @@ void Shard::run_batch(std::vector<Request>& batch) {
   for (Request& request : batch) {
     if (request.begin) request.begin();
   }
-  const Clock::time_point now = Clock::now();
-  // Resolve the evaluable requests' workloads to DatasetViews, then
-  // evaluate all of them in one estimate_views call on this worker.
-  // View-form workloads resolve for free; text workloads are parsed here,
-  // and each parse is published to the fleet-wide ProfileCache when one
-  // is attached (the server resolves cached profiles to views before
-  // enqueue, so text reaching the pump is a profile the cache lacked).
   // Requests that waited out their deadline in the queue are completed
-  // immediately and contribute nothing.
-  struct Slot {
-    BatchResult early;           // parse failure or expiry at resolve time
-    bool has_early = false;
-    const sampling::DatasetView* view = nullptr;
-  };
-  std::vector<Slot> slots;
-  // Pins fresh parses until the kernel is done with their spans (an
-  // eviction mid-batch must not free evaluated storage).
-  std::vector<std::shared_ptr<const ParsedProfile>> pinned;
+  // immediately and contribute nothing; the views of the rest are
+  // evaluated in one estimate_views call on this worker, which checks
+  // each slice's deadline again before the kernel runs.
+  const Clock::time_point now = Clock::now();
   std::vector<Request*> evaluable;
+  std::vector<ViewJob> jobs;
   for (Request& request : batch) {
     if (request.has_deadline && now >= request.deadline) {
       expired_in_queue_.fetch_add(1, std::memory_order_relaxed);
@@ -140,62 +126,14 @@ void Shard::run_batch(std::vector<Request>& batch) {
       continue;
     }
     evaluable.push_back(&request);
-    for (const Workload& workload : request.workloads) {
-      Slot slot;
-      if (workload.view != nullptr) {
-        slot.view = workload.view;
-        slot.early.samples = workload.view->size();
-      } else if (request.has_deadline && Clock::now() >= request.deadline) {
-        // The deadline is checked per item before its parse, because
-        // parsing dominates per-item cost.
-        slot.has_early = true;
-        slot.early.deadline_expired = true;
-        slot.early.error = "deadline expired";
-      } else {
-        try {
-          std::shared_ptr<const ParsedProfile> parsed =
-              ParsedProfile::make(sampling::Dataset::load_csv(workload.csv));
-          if (profile_cache_ != nullptr && workload.hash != 0) {
-            profile_cache_->insert(workload.hash, parsed);
-          }
-          slot.view = &parsed->view;
-          slot.early.samples = parsed->view.size();
-          pinned.push_back(std::move(parsed));
-        } catch (const std::exception& e) {
-          slot.has_early = true;
-          slot.early.error = e.what();
-        }
-      }
-      slots.push_back(std::move(slot));
+    for (const sampling::DatasetView* view : request.views) {
+      jobs.push_back(
+          {view, request.merge, request.deadline, request.has_deadline});
     }
   }
   if (evaluable.empty()) return;
 
-  std::vector<ViewJob> jobs;
-  std::vector<std::size_t> job_slot;
-  jobs.reserve(slots.size());
-  job_slot.reserve(slots.size());
-  {
-    std::size_t flat = 0;
-    for (Request* request : evaluable) {
-      for (std::size_t i = 0; i < request->workloads.size(); ++i, ++flat) {
-        if (slots[flat].has_early) continue;
-        ViewJob job;
-        job.view = slots[flat].view;
-        job.merge = request->merge;
-        job.deadline = request->deadline;
-        job.has_deadline = request->has_deadline;
-        jobs.push_back(job);
-        job_slot.push_back(flat);
-      }
-    }
-  }
-  std::vector<BatchResult> evaluated = service_.estimate_views(jobs);
-  for (std::size_t k = 0; k < evaluated.size(); ++k) {
-    Slot& slot = slots[job_slot[k]];
-    slot.early = std::move(evaluated[k]);
-    slot.has_early = true;
-  }
+  std::vector<BatchResult> results = service_.estimate_views(jobs);
 
   batches_.fetch_add(1, std::memory_order_relaxed);
   batched_requests_.fetch_add(evaluable.size(), std::memory_order_relaxed);
@@ -204,21 +142,17 @@ void Shard::run_batch(std::vector<Request>& batch) {
          !max_batch_requests_.compare_exchange_weak(
              seen, evaluable.size(), std::memory_order_relaxed)) {
   }
-  // Scatter the flat slot vector back into per-request slices.
-  std::size_t offset = 0;
+  // Scatter the flat result vector back into per-request slices.
+  auto next = std::make_move_iterator(results.begin());
   for (Request* request : evaluable) {
-    const std::size_t count = request->workloads.size();
-    std::vector<BatchResult> slice;
-    slice.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      slice.push_back(std::move(slots[offset + i].early));
-    }
-    offset += count;
+    const auto end = next + static_cast<std::ptrdiff_t>(request->views.size());
+    std::vector<BatchResult> slice(next, end);
+    next = end;
     completed_.fetch_add(1, std::memory_order_relaxed);
     if (request->complete) {
       request->complete(std::move(slice), /*expired_in_queue=*/false);
     }
-    // This request's slots are spent: release what its workloads borrowed
+    // This request's results are spent: release what its views borrowed
     // now, not when the whole batch is done.
     request->keepalive.reset();
   }

@@ -9,18 +9,20 @@
 // in-flight requests) wrapped in an EstimationService, plus a FIFO of
 // pending requests bounded at construction.
 //
+// One request shape: every workload arrives as a DatasetView. The server's
+// connection reader resolves each one before enqueue (a binary profile
+// parsed in place, or a text profile parsed or found already parsed), so
+// a shard never sees wire bytes and never parses.
+//
 // Coalescing: requests are not evaluated one-per-worker. The first enqueue
 // into an idle shard schedules one "pump" task on the shared ThreadPool;
-// the pump repeatedly drains up to max_batch queued requests, resolves
-// their workloads to DatasetViews (view-form workloads for free, text
-// CSVs by a parse that is then published to the fleet-wide ProfileCache),
-// feeds them all to one EstimationService::estimate_views
-// batch, and scatters the results — so a burst of same-model requests
-// costs one worker wakeup and one estimate_many call
-// (serve/model_eval.h) instead of N independently scheduled
-// evaluations. At most one pump runs per shard at any moment, which also
-// serializes evaluation per model while leaving cross-shard parallelism
-// to the pool.
+// the pump repeatedly drains up to max_batch queued requests, feeds all
+// their views to one EstimationService::estimate_views batch, and
+// scatters the results — so a burst of same-model requests costs one
+// worker wakeup and one estimate_many call (serve/model_eval.h) instead
+// of N independently scheduled evaluations. At most one pump runs per
+// shard at any moment, which also serializes evaluation per model while
+// leaving cross-shard parallelism to the pool.
 //
 // Lifecycle: retire() flips the shard to reject NEW requests (the router
 // repoints or sheds) while everything already queued still drains through
@@ -46,12 +48,10 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "sampling/dataset_view.h"
 #include "serve/mapped_model.h"
-#include "serve/profile_cache.h"
 #include "serve/service.h"
 #include "spire/ensemble.h"
 #include "util/thread_annotations.h"
@@ -65,26 +65,13 @@ class Shard : public std::enable_shared_from_this<Shard> {
   /// taking ownership of it; the caller sheds or re-routes.
   enum class Enqueue { kAccepted, kFull, kRetired };
 
-  /// One workload inside a request, in exactly one of two forms, both
-  /// borrowed: the request's `keepalive` pins what they point at.
-  ///  * text — `csv` views the CSV bytes; the pump parses them and, when a
-  ///    ProfileCache is attached and `hash` is set, publishes the parse
-  ///    there;
-  ///  * pre-parsed — `view` points at a DatasetView (a binary profile
-  ///    parsed in place, or a parse the server found in the ProfileCache
-  ///    before enqueue); `csv` stays empty.
-  struct Workload {
-    std::string_view csv;
-    const sampling::DatasetView* view = nullptr;
-    /// EstimateCache::workload_hash of the wire bytes; 0 = uncacheable.
-    std::uint64_t hash = 0;
-  };
-
   struct Request {
-    std::vector<Workload> workloads;
-    /// Pins the storage every workload borrows (the inbound frame a text
-    /// CSV or binary profile lives in, ProfileViews, cached parses). The
-    /// pump releases it right after the request's `complete` returns.
+    /// The workloads, in order. Borrowed: `keepalive` pins what they
+    /// point at.
+    std::vector<const sampling::DatasetView*> views;
+    /// Pins the storage every view borrows (a binary request's frame and
+    /// its parsed profiles, or a text request's parses). The pump
+    /// releases it right after the request's `complete` returns.
     std::shared_ptr<const void> keepalive;
     model::Merge merge = model::Merge::kTimeWeighted;
     std::chrono::steady_clock::time_point deadline{};
@@ -92,7 +79,7 @@ class Shard : public std::enable_shared_from_this<Shard> {
     /// Runs once as the request leaves the queue (queued -> active
     /// accounting hook for the router's drain predicate).
     std::function<void()> begin;
-    /// Runs once with one BatchResult per workload (in order), or with an
+    /// Runs once with one BatchResult per view (in order), or with an
     /// empty vector and expired_in_queue = true when the deadline passed
     /// before evaluation started.
     std::function<void(std::vector<BatchResult> results,
@@ -117,12 +104,10 @@ class Shard : public std::enable_shared_from_this<Shard> {
   /// `max_batch` caps how many requests one pump round coalesces. Both are
   /// clamped to at least 1. `pool` must outlive the shard. The shard must
   /// be owned by shared_ptr before the first enqueue() (the pump task holds
-  /// a self-reference). `profile_cache` (optional, must outlive the shard)
-  /// receives every text-workload parse, keyed on the workload's `hash`,
-  /// so later requests for that profile skip the parse.
+  /// a self-reference).
   Shard(std::string model_id, std::shared_ptr<const MappedModel> model,
         util::ThreadPool& pool, std::size_t queue_bound,
-        std::size_t max_batch = 16, ProfileCache* profile_cache = nullptr);
+        std::size_t max_batch = 16);
 
   Shard(const Shard&) = delete;
   Shard& operator=(const Shard&) = delete;
@@ -149,7 +134,6 @@ class Shard : public std::enable_shared_from_this<Shard> {
   util::ThreadPool& pool_;
   const std::size_t queue_bound_;
   const std::size_t max_batch_;
-  ProfileCache* const profile_cache_;  // nullable, not owned
 
   mutable util::Mutex mutex_{util::lock_rank::Rank::kShardQueue,
                              "shard-queue"};

@@ -3,13 +3,14 @@
 // Every inbound frame, text or binary, is read into a buffer its
 // connection's FramePool lends out. The buffer is never zero-filled: the
 // read overwrites exactly the bytes a decoder will look at. Workloads
-// borrow views into the frame (binary profiles and text CSVs alike), and
-// the lease — wrapped in the request's keepalive — returns the buffer to
-// the pool when the last workload borrowing it is done: right after an
-// inline memo-hit reply on the reader thread, or as a shard pump finishes
-// the request. A steady stream of similar frames therefore reuses the same
-// few buffers instead of allocating, first-touching and freeing one per
-// frame on another thread.
+// borrow views into the frame, and the lease returns the buffer to the
+// pool when the last workload borrowing it is done: a text request's CSVs
+// are parsed before its dispatch returns on the reader thread, and a
+// binary request's profiles, pinned by the request's keepalive, are done
+// after an inline reply or as a shard pump finishes the request. A steady
+// stream of similar frames therefore reuses the same few buffers instead
+// of allocating, first-touching and freeing one per frame on another
+// thread.
 //
 // Buffers are anonymous mappings, not heap blocks. Heap buffers held
 // across frames pinned memory in glibc's per-thread arenas: the same pool

@@ -66,12 +66,12 @@ extern "C" void spire_forward_shutdown_signal(int) {
 /// shard pump can still write its reply after the reader thread exited.
 ///
 /// Inbound frames are read into buffers leased from `frames`, the
-/// connection's own FramePool (server/frame_pool.h). A frame's lease rides
-/// its request: control frames and fully memo-hit estimates hand the buffer
-/// back before the reader reads on, and an estimate whose workloads borrow
-/// the frame (text CSVs or binary profiles still to evaluate) hands it
-/// back when the shard pump releases the request. Reply payloads are
-/// separate strings written from the thread that finishes the request.
+/// connection's own FramePool (server/frame_pool.h). Control frames, text
+/// estimates (parsed before the reader reads on) and binary estimates
+/// answered without evaluation hand the buffer back before the reader
+/// reads on; a binary estimate whose profiles still have to be evaluated
+/// hands it back when the shard pump releases the request. Reply payloads
+/// are separate strings written from the thread that finishes the request.
 struct EstimationServer::Connection {
   Connection(int in, int out, bool owns, std::uint64_t cid,
              const ChaosOptions& chaos_options)
@@ -101,9 +101,9 @@ struct EstimationServer::Connection {
 };
 
 /// One estimate request in flight on a shard: everything finish_estimate
-/// needs to assemble the reply after the pump evaluated the cache misses.
+/// needs to assemble the reply after the pump evaluated the rest.
 /// Indices are positions in the ORIGINAL request's workload list; the shard
-/// only ever sees the misses.
+/// only ever sees the workloads the reader could not answer.
 struct EstimationServer::PendingEstimate {
   std::shared_ptr<Connection> conn;
   std::uint64_t seq = 0;
@@ -113,29 +113,39 @@ struct EstimationServer::PendingEstimate {
   std::string model_id;
   std::uint8_t merge_byte = 0;
   std::size_t total_workloads = 0;
-  /// Encoded WorkloadResult bytes per original workload; "" = cache miss
-  /// (an encoded result is never empty, so "" is unambiguous).
+  /// Encoded WorkloadResult bytes per original workload answered on the
+  /// reader — a memo hit, a CSV that failed to parse, or a slice whose
+  /// deadline passed before its parse; "" = evaluated by the shard (an
+  /// encoded result is never empty, so "" is unambiguous). Only memo hits
+  /// come from the memo-cache, and none of these is memoized.
   std::vector<std::string> cached;
-  /// Original index and cache hash of each miss, in shard batch order.
+  /// How many `cached` entries are slices that expired before their parse;
+  /// each counts in deadline_expired once the reply carrying it is built.
+  std::size_t expired_slices = 0;
+  /// Original index and cache hash of each evaluated workload, in shard
+  /// batch order.
   std::vector<std::size_t> miss_index;
   std::vector<std::uint64_t> miss_hash;
 };
 
 namespace {
 
-/// What a shard request pins: the dispatch path's own keepalive (the
-/// frame) while any workload still borrows from it, and the cached parses
-/// that text workloads resolved to before enqueue.
+/// Everything a shard request's views point into, released by the shard
+/// right after the request's `complete`. A binary request pins its frame
+/// and the profiles parsed in place over it; a text request pins only the
+/// parses its workloads resolved to, so its frame goes back to the
+/// connection when dispatch returns.
 struct RequestPins {
-  std::shared_ptr<const void> inputs;
+  FramePool::Frame frame;
+  std::vector<serve::profile_bin::ProfileView> profiles;
   std::vector<std::shared_ptr<const serve::ParsedProfile>> parses;
 };
 
 }  // namespace
 
 /// The neutral request form both dispatch paths reduce to before the
-/// shared tail. `workloads[i].hash` doubles as the estimate-cache hash and
-/// (for text workloads) the ProfileCache key — one
+/// shared tail. `hashes[i]` doubles as the estimate-cache hash and (for
+/// text workloads) the ProfileCache key — one
 /// EstimateCache::workload_hash (XXH64) per workload.
 struct EstimationServer::EstimateInputs {
   FrameType reply_type = FrameType::kEstimateReply;
@@ -143,11 +153,14 @@ struct EstimationServer::EstimateInputs {
   std::string model_id;
   std::uint32_t deadline_ms = 0;
   std::uint8_t merge = 0;
-  std::vector<serve::Shard::Workload> workloads;
-  /// Pins what the workloads borrow (the frame's lease, plus the parsed
-  /// ProfileViews on the binary path) until the shard releases the
-  /// request; its last holder hands the frame back to the connection.
-  std::shared_ptr<const void> keepalive;
+  std::vector<std::uint64_t> hashes;
+  /// Per workload: its view, or nullptr for a text workload not resolved
+  /// yet — the tail parses `csvs[i]` (borrowed from the caller's frame)
+  /// only if the memo-cache misses.
+  std::vector<const sampling::DatasetView*> views;
+  std::vector<std::string_view> csvs;
+  /// Pins what `views` point into until the shard releases the request.
+  std::shared_ptr<RequestPins> pins = std::make_shared<RequestPins>();
 };
 
 #if defined(_WIN32)
@@ -261,8 +274,7 @@ std::shared_ptr<serve::Shard> EstimationServer::shard_for_id(
     return nullptr;
   }
   auto shard = std::make_shared<serve::Shard>(
-      id, std::move(model), *pool_, shard_bound(), options_.shard_batch,
-      &profile_cache_);
+      id, std::move(model), *pool_, options_.max_queue, options_.shard_batch);
   util::MutexLock lock(slots_mutex_);
   if (const auto it = shards_.find(id); it != shards_.end()) {
     return it->second;
@@ -640,16 +652,15 @@ void EstimationServer::dispatch_estimate(
     chaos_injected_.fetch_add(1, std::memory_order_relaxed);
     shed_overloaded_.fetch_add(1, std::memory_order_relaxed);
     send_error(conn, seq, ErrorCode::kOverloaded,
-               "queue full (" + std::to_string(shard_bound()) +
+               "queue full (" + std::to_string(options_.max_queue) +
                    " pending requests)");
     return;
   }
-  // The frame becomes the keepalive and the workloads borrow their CSVs
-  // straight out of it, the same shape as the binary path's profiles.
-  auto keep = std::make_shared<FramePool::Frame>(std::move(frame));
+  // The CSVs are borrowed straight out of the frame: the tail parses them
+  // before this returns, and the frame goes back to the connection then.
   EstimateRequestView request;
   try {
-    request = decode_estimate_request_view(keep->view(), options_.limits);
+    request = decode_estimate_request_view(frame.view(), options_.limits);
   } catch (const ProtocolError& e) {
     malformed_frames_.fetch_add(1, std::memory_order_relaxed);
     send_error(conn, seq, e.code(), e.what());
@@ -661,14 +672,12 @@ void EstimationServer::dispatch_estimate(
   inputs.model_id = request.model_id;
   inputs.deadline_ms = request.deadline_ms;
   inputs.merge = request.merge;
-  inputs.workloads.reserve(request.workload_csvs.size());
+  inputs.hashes.reserve(request.workload_csvs.size());
   for (const std::string_view csv : request.workload_csvs) {
-    serve::Shard::Workload workload;
-    workload.csv = csv;
-    workload.hash = serve::EstimateCache::workload_hash(csv);
-    inputs.workloads.push_back(workload);
+    inputs.hashes.push_back(serve::EstimateCache::workload_hash(csv));
   }
-  inputs.keepalive = std::move(keep);
+  inputs.views.assign(request.workload_csvs.size(), nullptr);
+  inputs.csvs = std::move(request.workload_csvs);
   dispatch_estimate_common(conn, seq, std::move(inputs), received);
 }
 
@@ -681,25 +690,22 @@ void EstimationServer::dispatch_estimate_bin(
     chaos_injected_.fetch_add(1, std::memory_order_relaxed);
     shed_overloaded_.fetch_add(1, std::memory_order_relaxed);
     send_error(conn, seq, ErrorCode::kOverloaded,
-               "queue full (" + std::to_string(shard_bound()) +
+               "queue full (" + std::to_string(options_.max_queue) +
                    " pending requests)");
     return;
   }
-  // Everything the evaluation will alias lives here: the frame (the
-  // decoded request's profile string_views point into it) and the parsed
-  // ProfileViews (their spans point into the frame too, or into their own
-  // owned storage for a misaligned buffer). The shared_ptr rides the shard
-  // request as its keepalive, so eviction/reply ordering can never free
-  // or recycle bytes an evaluation is still reading.
-  struct BinKeepalive {
-    FramePool::Frame frame;
-    std::vector<serve::profile_bin::ProfileView> views;
-  };
-  auto keep = std::make_shared<BinKeepalive>();
-  keep->frame = std::move(frame);
+  // Everything the evaluation will alias lives in the request's pins: the
+  // frame (the decoded request's profile string_views point into it) and
+  // the parsed ProfileViews (their spans point into the frame too, or into
+  // their own owned storage for a misaligned buffer). The pins ride the
+  // shard request as its keepalive, so eviction/reply ordering can never
+  // free or recycle bytes an evaluation is still reading.
+  EstimateInputs inputs;
+  RequestPins& keep = *inputs.pins;
+  keep.frame = std::move(frame);
   EstimateBinRequest request;
   try {
-    request = decode_estimate_bin_request(keep->frame.view(), options_.limits);
+    request = decode_estimate_bin_request(keep.frame.view(), options_.limits);
   } catch (const ProtocolError& e) {
     malformed_frames_.fetch_add(1, std::memory_order_relaxed);
     send_error(conn, seq, e.code(), e.what());
@@ -708,10 +714,10 @@ void EstimationServer::dispatch_estimate_bin(
   serve::profile_bin::Limits bin_limits;
   bin_limits.max_samples = options_.limits.max_profile_samples;
   bin_limits.max_name_bytes = options_.limits.max_name_bytes;
-  keep->views.reserve(request.profiles.size());
+  keep.profiles.reserve(request.profiles.size());
   for (std::size_t i = 0; i < request.profiles.size(); ++i) {
     try {
-      keep->views.push_back(
+      keep.profiles.push_back(
           serve::profile_bin::parse(request.profiles[i], bin_limits));
     } catch (const std::exception& e) {
       // A profile that fails the bounded parse poisons the whole request
@@ -723,23 +729,21 @@ void EstimationServer::dispatch_estimate_bin(
       return;
     }
   }
-  EstimateInputs inputs;
   inputs.reply_type = FrameType::kEstimateBinReply;
   inputs.model_class = std::move(request.model_class);
   inputs.model_id = std::move(request.model_id);
   inputs.deadline_ms = request.deadline_ms;
   inputs.merge = request.merge;
-  inputs.workloads.reserve(request.profiles.size());
+  inputs.hashes.reserve(request.profiles.size());
+  inputs.views.reserve(request.profiles.size());
   for (std::size_t i = 0; i < request.profiles.size(); ++i) {
-    serve::Shard::Workload workload;
-    workload.view = &keep->views[i].view();
+    inputs.views.push_back(&keep.profiles[i].view());
     // The estimate memo-cache key hashes the exact wire bytes; binary and
     // text encodings of the same samples hash differently, which only
     // costs a first-time miss per representation.
-    workload.hash = serve::EstimateCache::workload_hash(request.profiles[i]);
-    inputs.workloads.push_back(std::move(workload));
+    inputs.hashes.push_back(
+        serve::EstimateCache::workload_hash(request.profiles[i]));
   }
-  inputs.keepalive = std::move(keep);
   dispatch_estimate_common(conn, seq, std::move(inputs), received);
 }
 
@@ -749,12 +753,65 @@ void EstimationServer::dispatch_estimate_common(
   // Drawn on the reader thread: the connection's ChaosRng is
   // single-threaded by construction, so shard pumps never touch it.
   const bool chaos_swap = conn->chaos.swap_mid_request();
+  // The request is active while its reader resolves it, as it is while a
+  // pump evaluates it, so a drain waits out a parse like an evaluation. An
+  // enqueue counts it queued before this scope ends: the drain predicate
+  // never sees it in neither set.
+  active_.fetch_add(1, std::memory_order_acq_rel);
+  struct ActiveScope {
+    EstimationServer* server;
+    ~ActiveScope() {
+      server->active_.fetch_sub(1, std::memory_order_acq_rel);
+      { util::MutexLock lock(server->drain_mutex_); }
+      server->drain_cv_.notify_all();
+    }
+  } active_scope{this};
   const bool has_deadline = inputs.deadline_ms > 0;
   const std::uint32_t deadline_ms =
       std::min(inputs.deadline_ms, options_.max_deadline_ms);
   const Clock::time_point deadline = received + ms(deadline_ms);
   const model::Merge merge = inputs.merge == 0 ? model::Merge::kTimeWeighted
                                                : model::Merge::kUnweighted;
+
+  // Resolves text workload i to a view: the ProfileCache's parse, else a
+  // parse published there. A CSV that cannot become a view leaves its
+  // encoded result in `unresolved[i]` instead. Both outcomes persist across
+  // a retired-shard retry, so no CSV is parsed twice.
+  const std::size_t count = inputs.views.size();
+  std::vector<std::string> unresolved(count);
+  std::vector<bool> expired(count, false);
+  const auto resolve_text = [&](std::size_t i) {
+    std::shared_ptr<const serve::ParsedProfile> parse =
+        profile_cache_.lookup(inputs.hashes[i]);
+    if (parse == nullptr) {
+      WorkloadResult failed;
+      if (has_deadline && Clock::now() >= deadline) {
+        // The deadline is checked per workload before its parse, because
+        // parsing dominates per-workload cost.
+        expired[i] = true;
+        failed.status = ErrorCode::kDeadlineExceeded;
+        failed.error = "deadline expired after " + std::to_string(i) +
+                       " of " + std::to_string(count) + " workload(s)";
+      } else {
+        try {
+          parse = serve::ParsedProfile::make(
+              sampling::Dataset::load_csv(inputs.csvs[i]));
+        } catch (const std::exception& e) {
+          failed.status = ErrorCode::kEstimationFailed;
+          failed.error = e.what();
+        }
+      }
+      if (parse == nullptr) {
+        failed.error =
+            bounded_message(failed.error, options_.limits.max_error_bytes);
+        unresolved[i] = encode_workload_result(failed, options_.limits);
+        return;
+      }
+      profile_cache_.insert(inputs.hashes[i], parse);
+    }
+    inputs.views[i] = &parse->view;
+    inputs.pins->parses.push_back(std::move(parse));
+  };
 
   // At most two routing attempts: a shard retired between routing and
   // enqueue (a racing hot-swap) re-routes once to the replacement binding.
@@ -774,52 +831,44 @@ void EstimationServer::dispatch_estimate_common(
     pending->reply_type = inputs.reply_type;
     pending->model_id = shard->model_id();
     pending->merge_byte = inputs.merge;
-    pending->total_workloads = inputs.workloads.size();
-    pending->cached.resize(inputs.workloads.size());
+    pending->total_workloads = count;
+    pending->cached.resize(count);
 
     serve::Shard::Request shard_request;
     shard_request.merge = merge;
     shard_request.deadline = deadline;
     shard_request.has_deadline = has_deadline;
-    auto pins = std::make_shared<RequestPins>();
-    shard_request.keepalive = pins;
-    // Memo-cache consult before enqueue: only the misses ride the queue,
-    // and a fully-cached request never takes a queue slot at all. The
-    // workloads are copied into the shard request (they borrow, so a copy
-    // is a few words) and the rare retired-shard retry can rebuild from
-    // `inputs`. A text miss whose profile the ProfileCache holds queues as
-    // a view of that parse; when no workload still borrows from `inputs`,
-    // its bytes are freed on return instead of waiting out the queue.
-    for (std::size_t i = 0; i < inputs.workloads.size(); ++i) {
+    shard_request.keepalive = inputs.pins;
+    // Memo-cache consult before enqueue: only the misses the reader
+    // resolves to views ride the queue, and a request with nothing left to
+    // evaluate never takes a queue slot at all. The model id is part of
+    // the memo key, so a retry on the replacement shard consults again.
+    for (std::size_t i = 0; i < count; ++i) {
       serve::EstimateCache::Key key;
       key.model_id = pending->model_id;
-      key.csv_hash = inputs.workloads[i].hash;
+      key.csv_hash = inputs.hashes[i];
       key.merge = inputs.merge;
       if (std::optional<std::string> hit = estimate_cache_.lookup(key)) {
         pending->cached[i] = std::move(*hit);
         continue;
       }
+      if (inputs.views[i] == nullptr && unresolved[i].empty()) {
+        resolve_text(i);
+      }
+      if (!unresolved[i].empty()) {
+        pending->cached[i] = unresolved[i];
+        if (expired[i]) ++pending->expired_slices;
+        continue;
+      }
       pending->miss_index.push_back(i);
       pending->miss_hash.push_back(key.csv_hash);
-      serve::Shard::Workload workload = inputs.workloads[i];
-      std::shared_ptr<const serve::ParsedProfile> parse;
-      if (workload.view == nullptr && workload.hash != 0) {
-        parse = profile_cache_.lookup(workload.hash);
-      }
-      if (parse != nullptr) {
-        workload.csv = {};
-        workload.view = &parse->view;
-        pins->parses.push_back(std::move(parse));
-      } else {
-        pins->inputs = inputs.keepalive;
-      }
-      shard_request.workloads.push_back(workload);
+      shard_request.views.push_back(inputs.views[i]);
     }
 
     if (pending->miss_index.empty()) {
-      // Every workload answered from memory: reply inline on the reader
-      // thread. Byte-identity with a recompute holds because the cached
-      // value IS the encoded per-result block of a past reply.
+      // Every workload answered on the reader: reply inline. Byte-identity
+      // with a recompute holds because a memo value IS the encoded
+      // per-result block of a past reply.
       if (chaos_swap) {
         chaos_injected_.fetch_add(1, std::memory_order_relaxed);
         std::string id;
@@ -835,6 +884,8 @@ void EstimationServer::dispatch_estimate_common(
           reply.results.push_back(
               decode_workload_result(bytes, options_.limits));
         }
+        deadline_expired_.fetch_add(pending->expired_slices,
+                                    std::memory_order_relaxed);
         send_frame(conn, inputs.reply_type, seq,
                    encode_estimate_reply(reply, options_.limits));
       } catch (const std::exception& e) {
@@ -885,7 +936,7 @@ void EstimationServer::dispatch_estimate_common(
                verdict == serve::Shard::Enqueue::kRetired
                    ? "shard for model " + pending->model_id +
                          " retired during routing"
-                   : "queue full (" + std::to_string(shard_bound()) +
+                   : "queue full (" + std::to_string(options_.max_queue) +
                          " pending requests for model " + pending->model_id +
                          ")");
     return;
@@ -925,6 +976,8 @@ void EstimationServer::finish_estimate(
     reply.model_id = pending->model_id;
     reply.swap_generation = swap_generation();
     reply.results.reserve(pending->total_workloads);
+    deadline_expired_.fetch_add(pending->expired_slices,
+                                std::memory_order_relaxed);
     std::size_t next_miss = 0;
     for (std::size_t i = 0; i < pending->total_workloads; ++i) {
       if (!pending->cached[i].empty()) {

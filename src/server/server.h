@@ -21,19 +21,25 @@
 //    through a class -> shard binding; admission control is PER SHARD, so
 //    one hot model's flood sheds with kOverloaded while every other shard
 //    keeps serving (DESIGN.md §14);
+//  * one request shape: the connection reader resolves every workload to
+//    a sampling::DatasetView before enqueue, and shard pumps evaluate
+//    views only. A binary profile is parsed in place over its frame; a
+//    text CSV that misses the memo-cache is looked up in a
+//    serve::ProfileCache (the parse memoized by workload hash) and, on a
+//    miss, parsed on the reader and published there. A CSV that fails to
+//    parse, or whose deadline passed before its parse, is answered on the
+//    reader as that workload's error result;
 //  * memo-cache: a serve::EstimateCache keyed on (model id, XXH64 of the
 //    workload's wire bytes, merge) answers repeat requests from memory with
 //    reply payloads byte-identical to a recompute, consulted before
-//    enqueue and filled after evaluation; a serve::ProfileCache one layer
-//    down memoizes the text-CSV parse itself: a reply-cache miss over a
-//    profile the fleet has seen is resolved to that parse before enqueue,
-//    queues as a view like a binary profile, and skips straight to
-//    evaluation;
+//    enqueue and filled after evaluation. A request with nothing left to
+//    evaluate replies inline and never takes a queue slot;
 //  * frame intake: every inbound frame is read, without zero fill, into a
 //    receive buffer leased from its connection's FramePool
-//    (server/frame_pool.h); text CSVs and binary profiles are evaluated
-//    from views into that buffer, which returns to the connection when
-//    the last workload borrowing it is done;
+//    (server/frame_pool.h). A text request's buffer returns to the
+//    connection as soon as its dispatch returns (its workloads are parsed
+//    by then); a binary request's profiles are evaluated from views into
+//    its buffer, which returns when the shard releases the request;
 //  * binary profiles + pipelining (protocol v2): kEstimateBinRequest
 //    carries spire-profile-bin workloads the reader turns into span views
 //    over the frame (serve/profile_bin.h) — no CSV parse, no Dataset
@@ -44,8 +50,9 @@
 //  * deadlines: each request's relative deadline is pinned to an absolute
 //    steady_clock instant at frame receipt and enforced twice — when the
 //    shard pump dequeues it (an expired request is never evaluated) and
-//    between workload slices inside a coalesced batch (remaining slices
-//    report kDeadlineExceeded);
+//    per workload slice, before the reader parses it and before the
+//    kernel evaluates it (a slice out of budget reports
+//    kDeadlineExceeded);
 //  * hot swap: a swap resolves the registry's latest id, atomically
 //    repoints the class -> shard binding, and retires the old shard when
 //    nothing else routes to it — retired shards reject new work but drain
@@ -91,20 +98,16 @@ struct ServerOptions {
   std::string socket_path;
   /// Worker threads pumping shard batches.
   std::size_t workers = 4;
-  /// Default per-shard admission bound (kept under its historical name:
-  /// with one model it behaves exactly like the old global queue bound).
+  /// Per-shard admission bound. Requests enqueued beyond the bound on
+  /// THEIR shard are shed with kOverloaded — other shards are unaffected.
   std::size_t max_queue = 64;
-  /// Per-shard admission bound override; 0 = use max_queue. Requests
-  /// enqueued beyond the bound on THEIR shard are shed with kOverloaded —
-  /// other shards are unaffected.
-  std::size_t shard_queue = 0;
   /// How many queued requests one shard pump round coalesces into a
   /// single batch evaluation.
   std::size_t shard_batch = 16;
   /// Estimate memo-cache entries across all models; 0 disables caching.
   std::size_t cache_entries = 256;
   /// Parsed-profile cache entries (text workloads the fleet has already
-  /// parsed skip straight to evaluation); 0 disables it.
+  /// parsed are not parsed again); 0 disables it.
   std::size_t profile_cache_entries = 256;
   /// Per-connection budget for finishing one frame read / one reply write
   /// once started; a peer that stalls mid-frame is disconnected.
@@ -236,27 +239,30 @@ class EstimationServer {
   /// One frame: reads, parses, dispatches; returns false when the
   /// connection should close.
   bool serve_one_frame(const std::shared_ptr<Connection>& conn);
-  /// Parses, routes, consults the cache, and enqueues on the target shard
-  /// — all on the reader thread. Full cache hits reply immediately. The
-  /// frame's lease pins the CSVs the workloads borrow.
+  /// Decodes a text request and hands its CSVs, borrowed from the frame,
+  /// to the shared tail, which parses the memo misses. The frame's lease
+  /// ends when this returns.
   void dispatch_estimate(const std::shared_ptr<Connection>& conn,
                          std::uint64_t seq, FramePool::Frame frame,
                          std::chrono::steady_clock::time_point received);
-  /// The v2 binary twin: decodes kEstimateBinRequest zero-copy, parses the
-  /// spire-profile-bin workloads into span views over the frame (whose
-  /// lease it pins until the shard releases the request), and enqueues
-  /// pre-parsed Workloads — no Dataset materialization, no string copies.
+  /// The v2 binary twin: decodes kEstimateBinRequest zero-copy and parses
+  /// the spire-profile-bin workloads into span views over the frame (whose
+  /// lease it pins until the shard releases the request) — no Dataset
+  /// materialization, no string copies.
   void dispatch_estimate_bin(const std::shared_ptr<Connection>& conn,
                              std::uint64_t seq, FramePool::Frame frame,
                              std::chrono::steady_clock::time_point received);
   /// Both dispatch paths reduce their request to this neutral form before
-  /// the shared tail (cache consult, routing, enqueue, inline cache reply).
+  /// the shared tail: routing, memo-cache consult, resolving every miss to
+  /// a view (text: ProfileCache, else a parse), and either an inline reply
+  /// or an enqueue of the views.
   struct EstimateInputs;
   void dispatch_estimate_common(const std::shared_ptr<Connection>& conn,
                                 std::uint64_t seq, EstimateInputs inputs,
                                 std::chrono::steady_clock::time_point received);
-  /// Shard completion callback body: assembles the reply from cached and
-  /// fresh results, fills the cache, sends, and settles drain accounting.
+  /// Shard completion callback body: assembles the reply from the results
+  /// answered on the reader and the fresh ones, fills the cache, sends,
+  /// and settles drain accounting.
   void finish_estimate(const std::shared_ptr<PendingEstimate>& pending,
                        std::vector<serve::BatchResult> results,
                        bool expired_in_queue);
@@ -281,11 +287,6 @@ class EstimationServer {
   void rebind(const std::string& model_class,
               const std::shared_ptr<serve::Shard>& shard)
       SPIRE_EXCLUDES(slots_mutex_);
-
-  std::size_t shard_bound() const {
-    return options_.shard_queue > 0 ? options_.shard_queue
-                                    : options_.max_queue;
-  }
 
   serve::ModelRegistry& registry_;
   ServerOptions options_;
@@ -312,8 +313,8 @@ class EstimationServer {
   std::unique_ptr<util::ThreadPool> pool_;
 
   // Admission / drain accounting. queued_: accepted into a shard queue,
-  // not yet begun; active_: currently evaluating (or assembling a reply).
-  // Both zero = drained.
+  // not yet begun; active_: being resolved on its reader, evaluated, or
+  // answered. Both zero = drained.
   std::atomic<std::size_t> queued_{0};
   std::atomic<std::size_t> active_{0};
   util::Mutex drain_mutex_{util::lock_rank::Rank::kDrain, "server-drain"};

@@ -95,6 +95,12 @@ std::string workload_csv(std::uint64_t seed, int per_metric = 40) {
   return out.str();
 }
 
+/// Compiles a test workload to spire-profile-bin bytes.
+std::string workload_bin(std::uint64_t seed, int per_metric = 40) {
+  const Dataset data = mixed_workload(seed, per_metric);
+  return serve::profile_bin::compile(DatasetView(data));
+}
+
 std::string fresh_dir(const std::string& name) {
   const std::string root = ::testing::TempDir() + "/" + name;
   std::filesystem::remove_all(root);
@@ -478,47 +484,46 @@ TEST_F(ServerTest, DeadlinesEnforcedAtDequeueAndBetweenBatchSlices) {
   options.workers = 1;  // single lane, so a slow request blocks the queue
   options.limits.max_frame_bytes = 64u << 20;
   boot(options);
-  // ~100k rows: parsing alone takes well over the deadlines used below.
-  const std::string huge = workload_csv(11, 25'000);
 
-  // Batch slicing: the first (huge) workload eats the whole budget; the
-  // remaining slices must come back kDeadlineExceeded, not be dropped.
-  // Under sanitizers even shipping/parsing the frame can burn the budget,
-  // so slice 0 may legitimately expire too (or the whole request may be
-  // refused at dequeue) — what must never happen is a slice evaluating
-  // after an earlier one expired, or a slice being dropped.
+  // Batch slicing: the reader resolves a request's workloads in order and
+  // checks the deadline before each parse. The first workload is a ~7 MB
+  // CSV (~100k rows) whose last row is malformed, so parsing it eats the
+  // whole budget and then fails; the remaining slices must come back
+  // kDeadlineExceeded, not be parsed or dropped. Nothing is left to
+  // evaluate, so the reader replies itself. Under sanitizers the budget
+  // can be gone before the first parse, so slice 0 may legitimately expire
+  // too — what must never happen is a slice resolving after an earlier one
+  // expired, or a slice being dropped.
   Client client(client_options());
   EstimateRequest sliced;
   sliced.deadline_ms = 10;
-  sliced.workload_csvs = {huge, workload_csv(5, 3), workload_csv(6, 3)};
-  try {
-    const EstimateReply reply = client.estimate(sliced);
-    ASSERT_EQ(reply.results.size(), 3u);
-    bool expired = false;
-    for (const auto& result : reply.results) {
-      if (expired) {
-        EXPECT_EQ(result.status, ErrorCode::kDeadlineExceeded);
-        EXPECT_NE(result.error.find("deadline expired"), std::string::npos);
-      }
-      if (result.status == ErrorCode::kDeadlineExceeded) expired = true;
+  sliced.workload_csvs = {workload_csv(11, 25'000) + "short-row\n",
+                          workload_csv(5, 3), workload_csv(6, 3)};
+  const EstimateReply reply = client.estimate(sliced);
+  ASSERT_EQ(reply.results.size(), 3u);
+  bool expired = false;
+  for (const auto& result : reply.results) {
+    if (expired) {
+      EXPECT_EQ(result.status, ErrorCode::kDeadlineExceeded);
+      EXPECT_NE(result.error.find("deadline expired"), std::string::npos);
     }
-    EXPECT_TRUE(expired) << "10 ms budget survived a ~7 MB workload";
-  } catch (const ServerError& e) {
-    // Budget was gone before the first slice: refused whole at dequeue.
-    EXPECT_EQ(e.code(), ErrorCode::kDeadlineExceeded);
+    if (result.status == ErrorCode::kDeadlineExceeded) expired = true;
   }
+  EXPECT_TRUE(expired) << "10 ms budget survived a ~7 MB workload";
 
-  // Dequeue: occupy the one worker with a no-deadline huge request, then
+  // Dequeue: occupy the one worker with evaluation — eight ~100k-sample
+  // binary profiles, which the reader resolves without a parse — then
   // queue a 1 ms-deadline request behind it — it must be rejected whole,
   // never evaluated.
+  const std::string blob = workload_bin(12, 25'000);
   std::thread blocker([&] {
     ClientOptions slow = client_options(1);
     Client c(slow);
-    EstimateRequest r;
-    r.workload_csvs = {huge};
-    EXPECT_NO_THROW(c.estimate(r));
+    EstimateBinRequest r;
+    r.profiles.assign(8, blob);
+    EXPECT_NO_THROW(c.estimate_bin(r));
   });
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  ASSERT_TRUE(wait_for_counter("active_requests", 1));
   ClientOptions eager_options = client_options(1);
   Client eager(eager_options);
   EstimateRequest rushed;
@@ -906,7 +911,7 @@ TEST_F(ServerTest, CacheHitRepliesAreByteIdenticalAndServedFromMemory) {
 TEST_F(ServerTest, PerShardOverloadIsolationUnderSaturation) {
   ServerOptions options;
   options.workers = 2;
-  options.shard_queue = 1;
+  options.max_queue = 1;
   // The hogs below resend one workload; memoization would turn their
   // repeats into inline cache hits and let the shard drain.
   options.cache_entries = 0;
@@ -916,19 +921,21 @@ TEST_F(ServerTest, PerShardOverloadIsolationUnderSaturation) {
   ASSERT_NE(second_id, model_id_);
 
   // Two hogs keep shard A saturated: each hog request carries four huge
-  // workload slices (evaluated serially by the pump), so the pump stays
-  // busy far longer than the instant it takes a hog to refill the single
-  // queue slot after a pop.
+  // binary profiles (evaluated serially by the pump), so the pump stays
+  // busy far longer than it takes a hog to refill the single queue slot
+  // after a pop. Binary, because a profile is about a third of the bytes
+  // of the same samples as CSV text: a hog then sends and the reader
+  // hashes its next request in a fraction of the pump's evaluation time.
   std::atomic<bool> stop{false};
-  const std::string huge = workload_csv(11, 25'000);
+  const std::string huge = workload_bin(11, 25'000);
   auto hog = [&] {
     Client c(client_options(1));
     while (!stop.load(std::memory_order_acquire)) {
-      EstimateRequest r;
+      EstimateBinRequest r;
       r.model_id = model_id_;
-      r.workload_csvs = {huge, huge, huge, huge};
+      r.profiles.assign(4, huge);
       try {
-        (void)c.estimate(r);
+        (void)c.estimate_bin(r);
       } catch (const std::exception&) {
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
       }
@@ -1097,12 +1104,6 @@ TEST_F(ServerTest, ShardsListingReflectsRoutingAndRetirement) {
 // Protocol v2: the binary estimate path and pipelined framing
 // --------------------------------------------------------------------------
 
-/// Compiles a test workload to spire-profile-bin bytes.
-std::string workload_bin(std::uint64_t seed, int per_metric = 40) {
-  const Dataset data = mixed_workload(seed, per_metric);
-  return serve::profile_bin::compile(DatasetView(data));
-}
-
 TEST(Protocol, EstimateBinRequestRoundTripsZeroCopyAndEnforcesLimits) {
   const Limits limits;
   const std::string p1 = workload_bin(1, 5);
@@ -1221,9 +1222,10 @@ TEST_F(ServerTest, PipelinedFramesMatchSequentialRepliesBySeq) {
   const Limits& limits = client.options().limits;
   const Ensemble local = trained_ensemble(17);
 
-  // Eight frames, alternating text and binary over DISTINCT workloads (a
+  // Eight frames, alternating binary and text over DISTINCT workloads (a
   // repeat would become an inline cache hit and dodge the shard), written
-  // with the whole window open before the first read. Frame 0 is huge —
+  // with the whole window open before the first read. Frame 0 is a huge
+  // binary profile — the reader hands it to the shard without a parse, and
   // its evaluation pins a pump for far longer than reading the seven
   // frames behind it takes, so the server deterministically observes the
   // overlap the frames_pipelined counter reports.
@@ -1234,7 +1236,7 @@ TEST_F(ServerTest, PipelinedFramesMatchSequentialRepliesBySeq) {
   for (int i = 0; i < kFrames; ++i) {
     const auto seed = static_cast<std::uint64_t>(60 + i);
     Client::PipelineRequest frame;
-    if (i % 2 == 0) {
+    if (i % 2 == 1) {
       EstimateRequest request;
       request.workload_csvs = {workload_csv(seed, per_metric(i))};
       frame.type = FrameType::kEstimateRequest;
@@ -1256,7 +1258,7 @@ TEST_F(ServerTest, PipelinedFramesMatchSequentialRepliesBySeq) {
     const auto& res = results[static_cast<std::size_t>(i)];
     ASSERT_TRUE(res.ok) << res.error;
     EXPECT_EQ(res.header.seq, res.seq);
-    const FrameType want_reply = i % 2 == 0 ? FrameType::kEstimateReply
+    const FrameType want_reply = i % 2 == 1 ? FrameType::kEstimateReply
                                             : FrameType::kEstimateBinReply;
     ASSERT_EQ(res.header.type, want_reply) << "frame " << i;
     const EstimateReply reply = decode_estimate_reply(res.payload, limits);
@@ -1416,7 +1418,7 @@ TEST_F(ServerTest, WireAndProfileCacheCountersSurfaceInStats) {
   EXPECT_GE(all["requests_text"], 2u);
   EXPECT_GE(all["requests_binary"], 1u);
   // One lookup per memo-missed text workload, made before enqueue: the
-  // first request misses and its pump publishes the parse, the second
+  // first request misses and its reader publishes the parse, the second
   // resolves to it. Binary profiles never consult the cache.
   EXPECT_EQ(all["profile_parse_misses"], 1u);
   EXPECT_EQ(all["profile_parse_hits"], 1u);
@@ -1740,11 +1742,11 @@ TEST(ServerFramePool, LeasesOutliveTheirOwnerAndComeBackPoisonedInCheckedBuilds)
 }
 
 // The frame lifetime contract under pressure: with both caches off, every
-// text workload is parsed by a shard pump straight out of its borrowed
-// frame, while the reader keeps filling recycled buffers with the frames
+// text workload is parsed by the reader straight out of its frame, and the
+// buffer goes back to the connection to be refilled by the frames
 // pipelined behind it. Sizes alternate small/large/small, so buffers move
 // between frames of different sizes. In Debug/SPIRE_CHECKED builds a
-// returned buffer is poisoned, so a frame handed back before its pump was
+// returned buffer is poisoned, so a frame handed back before its parse was
 // done would parse poison or another request's bytes and miss the oracle.
 TEST_F(ServerTest, PipelinedMixedSizeTextRepliesSurviveBufferRecycling) {
   ServerOptions options;
@@ -1805,10 +1807,11 @@ TEST_F(ServerTest, PipelinedMixedSizeTextRepliesSurviveBufferRecycling) {
 
 // Steady state: same-size frames on one connection reuse the connection's
 // buffers, so fresh allocations stop at the pipeline's peak and do not grow
-// with the number of requests. A frame's buffer is held from its read until
-// the shard pump releases its request: at most `window` unanswered frames,
-// plus at most `window` answered ones whose pump batch is still being
-// released. Frames this size never reach the spare byte bound, so nothing
+// with the number of requests. A binary frame's buffer is held from its
+// read until the shard pump releases its request: at most `window`
+// unanswered frames, plus at most `window` answered ones whose pump batch
+// is still being released (a text frame's only until its dispatch
+// returns). Frames this size never reach the spare byte bound, so nothing
 // is evicted and every later frame finds a spare.
 TEST_F(ServerTest, SteadyPipelinedFramesStopAllocatingReceiveBuffers) {
   ServerOptions options;
@@ -1855,6 +1858,134 @@ TEST_F(ServerTest, SteadyPipelinedFramesStopAllocatingReceiveBuffers) {
         << "allocations kept growing with the number of frames";
   }
   EXPECT_EQ(counter("estimate_requests"), 2u * 176u);
+}
+
+// --------------------------------------------------------------------------
+// Text resolution on the reader: shards only ever see views
+// --------------------------------------------------------------------------
+
+/// A CSV `Dataset::load_csv` rejects: the metric name is not an event.
+const char kUnparseableCsv[] = "metric,t,w,m\nno_such_metric,1,1,1\n";
+
+// A CSV the loader rejects fails alone, with the loader's own message,
+// next to a good workload that gets the oracle's estimate; a failed parse
+// is never memoized, so a repeat parses it again.
+TEST_F(ServerTest, UnparseableTextWorkloadFailsAloneAndIsNeverMemoized) {
+  boot();
+  std::string loader_error;
+  try {
+    (void)Dataset::load_csv(std::string_view(kUnparseableCsv));
+    FAIL() << "load_csv accepted the bad CSV";
+  } catch (const std::exception& e) {
+    loader_error = e.what();
+  }
+  const model::Estimate expected =
+      trained_ensemble(17).estimate(DatasetView(mixed_workload(31, 10)));
+
+  Client client(client_options());
+  EstimateRequest request;
+  request.workload_csvs = {kUnparseableCsv, workload_csv(31, 10)};
+  for (int round = 0; round < 2; ++round) {
+    const EstimateReply reply = client.estimate(request);
+    ASSERT_EQ(reply.results.size(), 2u);
+    EXPECT_EQ(reply.results[0].status, ErrorCode::kEstimationFailed);
+    EXPECT_EQ(reply.results[0].error, loader_error);
+    EXPECT_EQ(reply.results[0].samples, 0u);
+    ASSERT_EQ(reply.results[1].status, ErrorCode::kOk)
+        << reply.results[1].error;
+    EXPECT_EQ(std::memcmp(&reply.results[1].throughput, &expected.throughput,
+                          sizeof(double)),
+              0);
+  }
+  // The repeat found the good workload in the memo-cache, not the bad one,
+  // and the bad one's profile lookup missed again: it was parsed twice.
+  EXPECT_EQ(counter("cache_hits"), 1u);
+  EXPECT_EQ(counter("cache_misses"), 3u);
+  EXPECT_EQ(counter("profile_parse_hits"), 0u);
+  EXPECT_EQ(counter("profile_parse_misses"), 3u);
+}
+
+// Memo hits and parse failures are answered on the reader: a request made
+// only of those replies inline and never takes a queue slot.
+TEST_F(ServerTest, RequestAnsweredOnTheReaderIsNeverEnqueued) {
+  boot();
+  const auto enqueued = [&] {
+    std::uint64_t total = 0;
+    for (const ShardInfo& shard : server_->shards_snapshot().shards) {
+      total += shard.enqueued;
+    }
+    return total;
+  };
+  Client client(client_options());
+  const std::string good = workload_csv(32, 10);
+  EstimateRequest warm;
+  warm.workload_csvs = {good};
+  const EstimateReply first = client.estimate(warm);
+  ASSERT_EQ(first.results.size(), 1u);
+  ASSERT_EQ(first.results[0].status, ErrorCode::kOk);
+  EXPECT_EQ(enqueued(), 1u);
+
+  EstimateRequest answered;
+  answered.workload_csvs = {good, kUnparseableCsv, good};
+  const EstimateReply reply = client.estimate(answered);
+  ASSERT_EQ(reply.results.size(), 3u);
+  EXPECT_EQ(reply.results[0].status, ErrorCode::kOk);
+  EXPECT_EQ(reply.results[1].status, ErrorCode::kEstimationFailed);
+  EXPECT_EQ(reply.results[2].status, ErrorCode::kOk);
+  EXPECT_EQ(reply.results[0].throughput, first.results[0].throughput);
+  EXPECT_EQ(reply.results[2].throughput, first.results[0].throughput);
+  EXPECT_EQ(enqueued(), 1u) << "a request with nothing to evaluate queued";
+  EXPECT_EQ(counter("coalesced_requests"), 1u);
+}
+
+// A text frame's buffer goes back to its connection once the reader has
+// parsed it, not when its queued request is released. With the single
+// worker busy, cold text frames pipelined on one connection all wait in
+// the queue, yet they share one receive buffer.
+TEST_F(ServerTest, QueuedTextFramesDoNotHoldTheirReceiveBuffers) {
+  ServerOptions options;
+  options.workers = 1;
+  options.cache_entries = 0;
+  options.profile_cache_entries = 0;
+  options.limits.max_frame_bytes = 64u << 20;
+  boot(options);
+  const Limits limits = client_options().limits;
+
+  // Gate: occupy the one worker with evaluation of eight ~100k-sample
+  // binary profiles (the reader resolves them without a parse).
+  const std::string blob = workload_bin(12, 25'000);
+  std::thread blocker([&] {
+    Client c(client_options(1));
+    EstimateBinRequest r;
+    r.profiles.assign(8, blob);
+    EXPECT_NO_THROW(c.estimate_bin(r));
+  });
+  ASSERT_TRUE(wait_for_counter("active_requests", 1));
+
+  constexpr std::size_t kFrames = 16;
+  EstimateRequest text;
+  text.workload_csvs = {workload_csv(77, 12)};
+  const std::vector<Client::PipelineRequest> requests(
+      kFrames, {FrameType::kEstimateRequest,
+                encode_estimate_request(text, limits)});
+  const std::uint64_t allocs_before = counter("frame_buffer_allocs");
+  const std::uint64_t requests_before = counter("estimate_requests");
+  Client connection(client_options());
+  std::vector<Client::PipelineResult> results;
+  std::thread sender([&] {
+    EXPECT_EQ(connection.pipeline(requests, &results, kFrames), kFrames);
+  });
+  // Every frame read and dispatched: the first needed a buffer, the rest
+  // found it back in the connection's pool.
+  EXPECT_TRUE(wait_for_counter("estimate_requests", requests_before + kFrames));
+  EXPECT_EQ(counter("frame_buffer_allocs") - allocs_before, 1u);
+  sender.join();
+  blocker.join();
+  ASSERT_EQ(results.size(), kFrames);
+  for (const Client::PipelineResult& res : results) {
+    ASSERT_TRUE(res.ok) << res.error;
+    ASSERT_EQ(res.header.type, FrameType::kEstimateReply);
+  }
 }
 
 }  // namespace

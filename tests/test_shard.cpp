@@ -29,6 +29,7 @@
 #include "sampling/dataset.h"
 #include "sampling/dataset_view.h"
 #include "serve/estimate_cache.h"
+#include "serve/profile_cache.h"
 #include "serve/registry.h"
 #include "spire/ensemble.h"
 #include "util/rng.h"
@@ -250,15 +251,15 @@ class ShardTest : public ::testing::Test {
                          std::atomic<int>& begun, std::atomic<int>& completed,
                          std::vector<BatchResult>* results_out = nullptr,
                          std::atomic<int>* expired = nullptr) {
-    // Pinned the way the server pins decoded CSVs: workloads borrow from
-    // the request's keepalive.
+    // Resolved the way the server's reader resolves text workloads: each
+    // CSV parsed into a ParsedProfile, whose view the request borrows and
+    // whose ownership rides the request's keepalive.
     Shard::Request request;
-    auto pinned = std::make_shared<std::vector<std::string>>(std::move(csvs));
-    for (const std::string& csv : *pinned) {
-      Shard::Workload workload;
-      workload.csv = csv;
-      workload.hash = EstimateCache::workload_hash(csv);
-      request.workloads.push_back(workload);
+    auto pinned =
+        std::make_shared<std::vector<std::shared_ptr<const ParsedProfile>>>();
+    for (const std::string& csv : csvs) {
+      pinned->push_back(ParsedProfile::make(Dataset::load_csv(csv)));
+      request.views.push_back(&pinned->back()->view);
     }
     request.keepalive = std::move(pinned);
     request.begin = [&begun] { begun.fetch_add(1); };

@@ -83,6 +83,21 @@ for model in testdata/models/*.model; do
   "${cli}" lint "${roundtrip_dir}/${base}.bin"
 done
 
+phase "spire_cli rejects undeclared flags"
+# A flag a command does not declare is a usage error (exit 2), never a
+# flag that swallows the next token: here that token is a model which
+# fails lint on its own, so a swallowed one would exit 0.
+set +e
+"${cli}" lint testdata/models/handwritten.model --bogus \
+  testdata/lint/empty.model > /dev/null 2> "${roundtrip_dir}/bogus.err"
+bogus_rc=$?
+set -e
+if [ "${bogus_rc}" != 2 ] ||
+  ! grep -q -- "--bogus" "${roundtrip_dir}/bogus.err"; then
+  echo "check.sh: expected exit 2 naming --bogus, got ${bogus_rc}" >&2
+  exit 1
+fi
+
 phase "Registry smoke (publish / resolve / serve by content id)"
 # Publish a checked-in model to a throwaway registry, resolve it by the
 # printed content id, and serve a workload through the zero-copy mmap path;

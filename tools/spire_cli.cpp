@@ -54,14 +54,14 @@
 //       Run a recorded trace on the core and print its TMA breakdown.
 //   spire_cli serve --socket PATH | --stdio [--registry-root DIR]
 //               [--model ID|latest] [--workers N] [--max-queue N]
-//               [--shard-queue N] [--shard-batch N] [--cache-entries N]
+//               [--shard-batch N] [--cache-entries N]
 //               [--profile-cache N] [--registry-cache N]
 //               [--drain-timeout-ms N]
 //       Resident estimation server over the framed protocol: UNIX-domain
-//       socket (or stdin/stdout with --stdio), per-model shards with
-//       bounded queues and batch coalescing, an estimate memo-cache,
-//       hot-swappable registry models, per-request deadlines, graceful
-//       SIGTERM/SIGINT drain.
+//       socket (or stdin/stdout with --stdio), per-model shards, each
+//       with a queue bounded by --max-queue, and batch coalescing, an
+//       estimate memo-cache, hot-swappable registry models, per-request
+//       deadlines, graceful SIGTERM/SIGINT drain.
 //   spire_cli serverctl ping|stats|swap|shards --server SOCK
 //       Control-plane client: liveness probe, counter dump, a hot swap to
 //       the registry's latest model, or the per-shard routing table.
@@ -173,14 +173,33 @@ struct Args {
   }
 };
 
-Args parse_args(int argc, char** argv, const std::vector<std::string>& bools) {
+/// One subcommand: its name, the flags it accepts (those taking a value
+/// and the value-less ones), and a handler. Registration is the whole
+/// dispatch table — adding a command means adding a row.
+struct Command {
+  const char* name;
+  std::vector<std::string> value_flags;
+  std::vector<std::string> bool_flags;
+  int (*run)(const Args&);
+};
+
+/// Parses `command`'s flags. A flag the command does not declare is a
+/// usage error: taking the next token as its value would silently drop an
+/// input.
+Args parse_args(int argc, char** argv, const Command& command) {
+  const auto declared = [](const std::vector<std::string>& names,
+                           const std::string& key) {
+    return std::find(names.begin(), names.end(), key) != names.end();
+  };
   Args args;
   for (int i = 2; i < argc; ++i) {
     const std::string token = argv[i];
     if (token.rfind("--", 0) == 0) {
       const std::string key = token.substr(2);
-      const bool is_bool =
-          std::find(bools.begin(), bools.end(), key) != bools.end();
+      const bool is_bool = declared(command.bool_flags, key);
+      if (!is_bool && !declared(command.value_flags, key)) {
+        throw UsageError("unknown flag --" + key);
+      }
       if (is_bool) {
         args.flags.emplace_back(key, "true");
       } else if (i + 1 < argc) {
@@ -391,9 +410,6 @@ int cmd_lint(const Args& args) {
 }
 
 int cmd_compile(const Args& args) {
-  for (const auto& [key, value] : args.flags) {
-    if (key != "out" && key != "text") throw UsageError("unknown flag --" + key);
-  }
   const auto out_path = args.flag("out");
   if (!out_path) throw UsageError("--out is required");
   if (args.positional.size() != 1) {
@@ -665,7 +681,6 @@ int cmd_serve(const Args& args) {
   options.socket_path = socket.value_or("");
   options.workers = args.flag_u64("workers", options.workers);
   options.max_queue = args.flag_u64("max-queue", options.max_queue);
-  options.shard_queue = args.flag_u64("shard-queue", options.shard_queue);
   options.shard_batch = args.flag_u64("shard-batch", options.shard_batch);
   options.cache_entries =
       args.flag_u64("cache-entries", options.cache_entries);
@@ -705,9 +720,7 @@ int cmd_serve(const Args& args) {
   std::fprintf(stderr,
                "serving on %s (%zu workers, shard queue %zu, cache %zu)\n",
                server.socket_path().c_str(), server.options().workers,
-               server.options().shard_queue > 0 ? server.options().shard_queue
-                                                : server.options().max_queue,
-               server.options().cache_entries);
+               server.options().max_queue, server.options().cache_entries);
   const int rc = server.run();
   std::fprintf(stderr, rc == 0 ? "drained cleanly\n" : "drain timed out\n");
   return rc;
@@ -902,33 +915,43 @@ int cmd_estimate_server(const Args& args) {
   return any_errors ? 1 : 0;
 }
 
-/// One subcommand: its name, the value-less flags it accepts, and a
-/// handler. Registration is the whole dispatch table — adding a command
-/// means adding a row.
-struct Command {
-  const char* name;
-  std::vector<std::string> bool_flags;
-  int (*run)(const Args&);
-};
-
 const std::vector<Command>& commands() {
+  // make_engine reads --quality and --threads; client_options reads
+  // --server, --retries, --backoff-ms and --seed.
   static const std::vector<Command> kCommands = {
-      {"suite", {}, cmd_suite},
-      {"collect", {}, cmd_collect},
-      {"train", {"polarity"}, cmd_train},
-      {"analyze", {}, cmd_analyze},
-      {"validate", {}, cmd_validate},
-      {"lint", {"rules"}, cmd_lint},
-      {"compile", {"text"}, cmd_compile},
-      {"profile", {}, cmd_profile},
-      {"registry", {}, cmd_registry},
-      {"estimate", {"binary", "pipeline"}, cmd_estimate},
-      {"show", {}, cmd_show},
-      {"tma", {}, cmd_tma},
-      {"record", {}, cmd_record},
-      {"replay", {}, cmd_replay},
-      {"serve", {"stdio"}, cmd_serve},
-      {"serverctl", {}, cmd_serverctl},
+      {"suite", {}, {}, cmd_suite},
+      {"collect",
+       {"workload", "config", "window", "cycles", "seed", "out", "quality",
+        "threads"},
+       {},
+       cmd_collect},
+      {"train", {"out", "min-samples", "quality", "threads"}, {"polarity"},
+       cmd_train},
+      {"analyze", {"model", "top", "quality", "threads"}, {}, cmd_analyze},
+      {"validate", {"threads"}, {}, cmd_validate},
+      {"lint", {"against"}, {"rules"}, cmd_lint},
+      {"compile", {"out"}, {"text"}, cmd_compile},
+      {"profile", {"out"}, {}, cmd_profile},
+      {"registry", {"registry-root"}, {}, cmd_registry},
+      {"estimate",
+       {"model", "registry", "registry-root", "registry-cache", "quality",
+        "threads", "server", "retries", "backoff-ms", "seed", "deadline-ms",
+        "model-class", "id", "window"},
+       {"binary", "pipeline"},
+       cmd_estimate},
+      {"show", {"model", "metric"}, {}, cmd_show},
+      {"tma", {"workload", "config", "cycles", "seed"}, {}, cmd_tma},
+      {"record", {"workload", "config", "ops", "out"}, {}, cmd_record},
+      {"replay", {"trace", "cycles", "seed"}, {}, cmd_replay},
+      {"serve",
+       {"socket", "registry-root", "registry-cache", "model", "workers",
+        "max-queue", "shard-batch", "cache-entries", "profile-cache",
+        "drain-timeout-ms", "read-timeout-ms", "write-timeout-ms"},
+       {"stdio"},
+       cmd_serve},
+      {"serverctl", {"server", "retries", "backoff-ms", "seed", "model-class"},
+       {},
+       cmd_serverctl},
   };
   return kCommands;
 }
@@ -959,7 +982,7 @@ int usage() {
                "  replay  --trace FILE [--cycles N]\n"
                "  serve   --socket PATH | --stdio [--registry-root DIR]\n"
                "          [--model ID|latest] [--workers N] [--max-queue N]\n"
-               "          [--shard-queue N] [--shard-batch N] [--cache-entries N]\n"
+               "          [--shard-batch N] [--cache-entries N]\n"
                "          [--profile-cache N] [--registry-cache N]\n"
                "          [--drain-timeout-ms N]           resident estimation server\n"
                "  serverctl ping|stats|swap|shards --server SOCK\n"
@@ -984,7 +1007,7 @@ int main(int argc, char** argv) {
   try {
     for (const auto& cmd : commands()) {
       if (command == cmd.name) {
-        return cmd.run(parse_args(argc, argv, cmd.bool_flags));
+        return cmd.run(parse_args(argc, argv, cmd));
       }
     }
     return usage();
