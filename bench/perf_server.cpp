@@ -442,10 +442,7 @@ FleetResult run_fleet(const std::string& socket, int threads,
 
   const std::string root = bench::cache_dir() + "/server_fleet_registry";
   std::filesystem::remove_all(root);
-  // Mapping-cache capacity sized to the fleet (the CLI's --registry-cache):
-  // 100+ concurrently served models must not thrash the registry LRU.
-  serve::ModelRegistry registry(root,
-                                static_cast<std::size_t>(result.models) + 8);
+  serve::ModelRegistry registry(root);
   std::vector<std::string> ids;
   ids.reserve(static_cast<std::size_t>(result.models));
   const auto publish_start = Clock::now();

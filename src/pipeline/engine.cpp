@@ -105,9 +105,8 @@ Engine& Engine::publish(const std::string& registry_root) {
 }
 
 Engine& Engine::resolve_model(const std::string& registry_root,
-                              const std::string& id,
-                              std::size_t registry_cache) {
-  serve::ModelRegistry registry(registry_root, registry_cache);
+                              const std::string& id) {
+  serve::ModelRegistry registry(registry_root);
   std::string resolved = id;
   if (id == "latest") {
     resolved = registry.latest();

@@ -139,13 +139,8 @@ class Engine {
   /// form into context().ensemble for stages that need it. The sentinel
   /// id "latest" resolves to the most recently published object; the
   /// concrete id lands in context().resolved_id either way.
-  /// `registry_cache` sizes the registry's mapping LRU (the CLI's
-  /// --registry-cache flag); irrelevant for a single resolve but honored
-  /// so callers driving many resolves through one Engine share policy
-  /// with the server path.
   Engine& resolve_model(const std::string& registry_root,
-                        const std::string& id,
-                        std::size_t registry_cache = 8);
+                        const std::string& id);
 
   /// Estimates every workload CSV, one pool task per file per context.exec.
   /// Serves through context().model, compiling on demand when only the

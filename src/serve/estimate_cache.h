@@ -9,40 +9,27 @@
 // workload's wire bytes, and the merge policy byte; the byte-identity
 // contract (DESIGN.md §14) is enforced by tests, not trusted.
 //
-// Concurrency: the key hash selects one of `stripes` independent LRU
-// stripes, each behind its own util::Mutex at rank kEstimateCache — the
-// innermost serving rank, never held together with a shard queue or the
-// slot map. Hit/miss/evict counters are lock-free atomics.
+// The LRU itself is serve::StripedLru (striped_lru.h), shared with
+// ProfileCache: the workload hash picks the stripe, and each stripe mutex
+// sits at rank kCacheStripe, never held together with another serving
+// lock or another cache's stripe.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <list>
-#include <map>
-#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <vector>
+#include <utility>
 
-#include "util/thread_annotations.h"
+#include "serve/striped_lru.h"
+#include "util/hash.h"
 
 namespace spire::serve {
 
 class EstimateCache {
  public:
-  struct Stats {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t evictions = 0;
-  };
-
-  /// `capacity` bounds the TOTAL entry count across stripes (0 disables the
-  /// cache: every lookup misses, every insert is dropped). `stripes` is
-  /// rounded up to at least 1; capacity is split evenly with any remainder
-  /// going to the first stripes.
-  explicit EstimateCache(std::size_t capacity, std::size_t stripes = 8);
+  using Stats = LruStats;
 
   /// The cache key: which model, which exact workload bytes, which merge
   /// policy. The workload is carried as its `workload_hash` — compute it
@@ -57,47 +44,40 @@ class EstimateCache {
       if (merge != other.merge) return merge < other.merge;
       return model_id < other.model_id;
     }
+    friend std::uint64_t stripe_hash(const Key& key) { return key.csv_hash; }
   };
+
+  /// `capacity` bounds the TOTAL entry count across stripes (0 disables the
+  /// cache: every lookup misses, every insert is dropped).
+  explicit EstimateCache(std::size_t capacity, std::size_t stripes = 8)
+      : lru_(capacity, stripes, "estimate-cache") {}
 
   /// util::xxh64 of a workload's exact wire bytes (text CSV or
   /// spire-profile-bin): the one key this cache and ProfileCache share.
   /// Every request pays it over its whole payload, so it is the fast hash,
   /// not the registry's fnv1a64; nothing persists it.
-  static std::uint64_t workload_hash(std::string_view csv_bytes);
+  static std::uint64_t workload_hash(std::string_view csv_bytes) {
+    return util::xxh64(csv_bytes);
+  }
 
   /// Returns the cached value and refreshes its LRU position, or nullopt.
-  std::optional<std::string> lookup(const Key& key);
+  std::optional<std::string> lookup(const Key& key) { return lru_.lookup(key); }
 
-  /// Inserts (or refreshes) `value` under `key`, evicting the stripe's
+  /// Inserts (or replaces) `value` under `key`, evicting the stripe's
   /// least-recently-used entry when its bound is exceeded.
-  void insert(const Key& key, std::string value);
+  void insert(const Key& key, std::string value) {
+    lru_.insert(key, std::move(value));
+  }
 
-  /// Drops every entry (counters survive; eviction count is unchanged —
-  /// clear() is an operator action, not cache pressure).
-  void clear();
+  /// Drops every entry (counters survive; eviction count is unchanged).
+  void clear() { lru_.clear(); }
 
-  std::size_t capacity() const { return capacity_; }
-  std::size_t size() const;
-  Stats stats() const;
+  std::size_t capacity() const { return lru_.capacity(); }
+  std::size_t size() const { return lru_.size(); }
+  Stats stats() const { return lru_.stats(); }
 
  private:
-  struct Stripe {
-    util::Mutex mutex{util::lock_rank::Rank::kEstimateCache,
-                      "estimate-cache"};
-    // Most-recently-used first; index points into the list.
-    std::list<std::pair<Key, std::string>> lru SPIRE_GUARDED_BY(mutex);
-    std::map<Key, std::list<std::pair<Key, std::string>>::iterator> index
-        SPIRE_GUARDED_BY(mutex);
-    std::size_t bound = 0;  // immutable after construction
-  };
-
-  Stripe& stripe_for(const Key& key);
-
-  const std::size_t capacity_;
-  std::vector<std::unique_ptr<Stripe>> stripes_;
-  std::atomic<std::uint64_t> hits_{0};
-  std::atomic<std::uint64_t> misses_{0};
-  std::atomic<std::uint64_t> evictions_{0};
+  StripedLru<Key, std::string> lru_;
 };
 
 }  // namespace spire::serve

@@ -14,84 +14,4 @@ std::shared_ptr<const ParsedProfile> ParsedProfile::make(
   return profile;
 }
 
-ProfileCache::ProfileCache(std::size_t capacity, std::size_t stripes)
-    : capacity_(capacity) {
-  const std::size_t count = stripes == 0 ? 1 : stripes;
-  stripes_.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    auto stripe = std::make_unique<Stripe>();
-    // Split the total bound evenly; the first `capacity % count` stripes
-    // absorb the remainder so the sum of bounds equals the capacity.
-    stripe->bound = capacity / count + (i < capacity % count ? 1 : 0);
-    stripes_.push_back(std::move(stripe));
-  }
-}
-
-ProfileCache::Stripe& ProfileCache::stripe_for(std::uint64_t hash) {
-  return *stripes_[hash % stripes_.size()];
-}
-
-std::shared_ptr<const ParsedProfile> ProfileCache::lookup(std::uint64_t hash) {
-  if (capacity_ == 0) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    return nullptr;
-  }
-  Stripe& stripe = stripe_for(hash);
-  util::MutexLock lock(stripe.mutex);
-  const auto it = stripe.index.find(hash);
-  if (it == stripe.index.end()) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    return nullptr;
-  }
-  stripe.lru.splice(stripe.lru.begin(), stripe.lru, it->second);
-  hits_.fetch_add(1, std::memory_order_relaxed);
-  return stripe.lru.front().second;
-}
-
-void ProfileCache::insert(std::uint64_t hash,
-                          std::shared_ptr<const ParsedProfile> profile) {
-  if (capacity_ == 0 || profile == nullptr) return;
-  Stripe& stripe = stripe_for(hash);
-  util::MutexLock lock(stripe.mutex);
-  if (const auto it = stripe.index.find(hash); it != stripe.index.end()) {
-    // Parsing is deterministic over the hashed bytes: refresh recency only.
-    stripe.lru.splice(stripe.lru.begin(), stripe.lru, it->second);
-    return;
-  }
-  // A stripe whose share of the capacity rounded to zero stays empty.
-  if (stripe.bound == 0) return;
-  stripe.lru.emplace_front(hash, std::move(profile));
-  stripe.index[hash] = stripe.lru.begin();
-  while (stripe.lru.size() > stripe.bound) {
-    stripe.index.erase(stripe.lru.back().first);
-    stripe.lru.pop_back();
-    evictions_.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-void ProfileCache::clear() {
-  for (const auto& stripe : stripes_) {
-    util::MutexLock lock(stripe->mutex);
-    stripe->lru.clear();
-    stripe->index.clear();
-  }
-}
-
-std::size_t ProfileCache::size() const {
-  std::size_t total = 0;
-  for (const auto& stripe : stripes_) {
-    util::MutexLock lock(stripe->mutex);
-    total += stripe->lru.size();
-  }
-  return total;
-}
-
-ProfileCache::Stats ProfileCache::stats() const {
-  Stats stats;
-  stats.hits = hits_.load(std::memory_order_relaxed);
-  stats.misses = misses_.load(std::memory_order_relaxed);
-  stats.evictions = evictions_.load(std::memory_order_relaxed);
-  return stats;
-}
-
 }  // namespace spire::serve

@@ -7,31 +7,28 @@
 // scratch. ProfileCache memoizes the parse itself: keyed on the
 // EstimateCache::workload_hash of the workload bytes (the same hash the
 // reply-cache key already computes, so the hot path hashes once), it
-// stores the parsed-and-viewed form ready to hand to the batch kernel. A
+// stores the parsed-and-viewed form ready to hand to the kernel. A
 // reply-cache miss over a profile the fleet has seen then skips straight
 // to evaluation.
 //
 // Values are shared_ptr<const ParsedProfile>: eviction never invalidates a
 // batch that is still evaluating through the parse, and concurrent
-// requests share one copy. Striping, LRU discipline, and the counter
-// design mirror EstimateCache; the per-stripe mutexes sit at rank
-// kProfileCache = 52, acquired with no other serving lock held, and only
-// by the server's connection readers: each memo-missed text workload is
-// looked up before enqueue (a hit queues as a view of the cached parse),
-// and each parse the reader makes on a miss is published here.
+// requests share one copy. The LRU is serve::StripedLru (striped_lru.h),
+// the one EstimateCache uses, at the same rank kCacheStripe. Only the
+// server's connection readers use it, one cache call at a time: each
+// memo-missed text workload is looked up before enqueue (a hit queues as
+// a view of the cached parse), and each parse the reader makes on a miss
+// is published here.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <list>
-#include <map>
 #include <memory>
-#include <vector>
+#include <utility>
 
 #include "sampling/dataset.h"
 #include "sampling/dataset_view.h"
-#include "util/thread_annotations.h"
+#include "serve/striped_lru.h"
 
 namespace spire::serve {
 
@@ -48,51 +45,36 @@ struct ParsedProfile {
 
 class ProfileCache {
  public:
-  struct Stats {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t evictions = 0;
-  };
+  using Stats = LruStats;
 
   /// `capacity` bounds the TOTAL entry count across stripes (0 disables the
-  /// cache). `stripes` is rounded up to at least 1; capacity is split evenly
-  /// with any remainder going to the first stripes.
-  explicit ProfileCache(std::size_t capacity, std::size_t stripes = 8);
+  /// cache).
+  explicit ProfileCache(std::size_t capacity, std::size_t stripes = 8)
+      : lru_(capacity, stripes, "profile-cache") {}
 
   /// Returns the cached profile and refreshes its LRU position, or nullptr.
   /// `hash` is EstimateCache::workload_hash over the exact workload bytes.
-  std::shared_ptr<const ParsedProfile> lookup(std::uint64_t hash);
+  std::shared_ptr<const ParsedProfile> lookup(std::uint64_t hash) {
+    return lru_.lookup(hash).value_or(nullptr);
+  }
 
-  /// Inserts (or refreshes) `profile` under `hash`, evicting the stripe's
-  /// least-recently-used entry when its bound is exceeded.
-  void insert(std::uint64_t hash, std::shared_ptr<const ParsedProfile> profile);
+  /// Inserts (or replaces) `profile` under `hash`, evicting the stripe's
+  /// least-recently-used entry when its bound is exceeded. A null profile
+  /// is dropped.
+  void insert(std::uint64_t hash,
+              std::shared_ptr<const ParsedProfile> profile) {
+    if (profile != nullptr) lru_.insert(hash, std::move(profile));
+  }
 
   /// Drops every entry (counters survive; eviction count unchanged).
-  void clear();
+  void clear() { lru_.clear(); }
 
-  std::size_t capacity() const { return capacity_; }
-  std::size_t size() const;
-  Stats stats() const;
+  std::size_t capacity() const { return lru_.capacity(); }
+  std::size_t size() const { return lru_.size(); }
+  Stats stats() const { return lru_.stats(); }
 
  private:
-  using Entry = std::pair<std::uint64_t, std::shared_ptr<const ParsedProfile>>;
-
-  struct Stripe {
-    util::Mutex mutex{util::lock_rank::Rank::kProfileCache, "profile-cache"};
-    // Most-recently-used first; index points into the list.
-    std::list<Entry> lru SPIRE_GUARDED_BY(mutex);
-    std::map<std::uint64_t, std::list<Entry>::iterator> index
-        SPIRE_GUARDED_BY(mutex);
-    std::size_t bound = 0;  // immutable after construction
-  };
-
-  Stripe& stripe_for(std::uint64_t hash);
-
-  const std::size_t capacity_;
-  std::vector<std::unique_ptr<Stripe>> stripes_;
-  std::atomic<std::uint64_t> hits_{0};
-  std::atomic<std::uint64_t> misses_{0};
-  std::atomic<std::uint64_t> evictions_{0};
+  StripedLru<std::uint64_t, std::shared_ptr<const ParsedProfile>> lru_;
 };
 
 }  // namespace spire::serve

@@ -3,16 +3,13 @@
 #include <algorithm>
 #include <atomic>
 #include <filesystem>
-#include <fstream>
 #include <functional>
 #include <span>
 #include <stdexcept>
 #include <thread>
 #include <utility>
 
-#if !defined(_WIN32)
 #include <fcntl.h>
-#endif
 
 #include "serve/model_v3.h"
 #include "spire/model_bin.h"
@@ -48,12 +45,6 @@ void require_id(const std::string& id) {
 /// descriptor wrappers: a signal landing mid-publish must surface as a
 /// clean failure, never as a silently short object.
 bool write_file_bytes(const std::string& path, const std::string& bytes) {
-#if defined(_WIN32)
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return false;
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  return static_cast<bool>(out);
-#else
   const int fd = util::open_retry(path.c_str(),
                                   O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC,
                                   0644);
@@ -61,13 +52,11 @@ bool write_file_bytes(const std::string& path, const std::string& bytes) {
   const bool ok = util::write_all(fd, bytes.data(), bytes.size());
   util::close_quietly(fd);
   return ok;
-#endif
 }
 
 }  // namespace
 
-ModelRegistry::ModelRegistry(std::string root, std::size_t cache_capacity)
-    : root_(std::move(root)), cache_capacity_(cache_capacity) {
+ModelRegistry::ModelRegistry(std::string root) : root_(std::move(root)) {
   std::error_code ec;
   fs::create_directories(fs::path(root_) / "objects", ec);
   if (!ec) fs::create_directories(fs::path(root_) / "pins", ec);
@@ -132,43 +121,22 @@ std::string ModelRegistry::publish_bytes(const std::string& bytes) {
 std::shared_ptr<const MappedModel> ModelRegistry::open(const std::string& id) {
   require_id(id);
   util::MutexLock lock(mutex_);
-  // LRU hit: move to front.
-  for (auto it = lru_.begin(); it != lru_.end(); ++it) {
-    if (it->first == id) {
-      lru_.splice(lru_.begin(), lru_, it);
-      cache_hits_.fetch_add(1, std::memory_order_relaxed);
-      return lru_.front().second;
-    }
-  }
-  // A mapping may be alive in a consumer even after LRU eviction.
-  std::shared_ptr<const MappedModel> model;
+  std::erase_if(live_,
+                [](const auto& entry) { return entry.second.expired(); });
   if (const auto it = live_.find(id); it != live_.end()) {
-    model = it->second.lock();
-  }
-  if (model) {
-    // Reusing a still-live mapping counts as a hit: no mmap happened.
-    cache_hits_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    cache_misses_.fetch_add(1, std::memory_order_relaxed);
-    const std::string path = object_path(id);
-    std::error_code ec;
-    if (!fs::exists(path, ec)) {
-      fail("no object with id " + id + " under " + root_);
-    }
-    model = std::make_shared<const MappedModel>(MappedModel::map_file(path));
-    live_[id] = model;
-  }
-  if (cache_capacity_ > 0) {
-    lru_.emplace_front(id, model);
-    while (lru_.size() > cache_capacity_) {
-      lru_.pop_back();
-      cache_evictions_.fetch_add(1, std::memory_order_relaxed);
+    if (std::shared_ptr<const MappedModel> model = it->second.lock()) {
+      cache_hits_.fetch_add(1, std::memory_order_relaxed);
+      return model;
     }
   }
-  // Opportunistic cleanup of long-dead tracking entries.
-  for (auto it = live_.begin(); it != live_.end();) {
-    it = it->second.expired() ? live_.erase(it) : std::next(it);
+  cache_misses_.fetch_add(1, std::memory_order_relaxed);
+  const std::string path = object_path(id);
+  std::error_code ec;
+  if (!fs::exists(path, ec)) {
+    fail("no object with id " + id + " under " + root_);
   }
+  auto model = std::make_shared<const MappedModel>(MappedModel::map_file(path));
+  live_[id] = model;
   return model;
 }
 
@@ -244,17 +212,11 @@ std::vector<std::string> ModelRegistry::pinned() const {
 
 std::vector<std::string> ModelRegistry::gc() {
   util::MutexLock lock(mutex_);
-  // Drop the registry's own cache first: a model no external consumer maps
-  // is collectable even if it was recently opened. Consumers' live
-  // mappings keep their objects via the tracking map below.
-  lru_.clear();
   std::vector<std::string> removed;
   std::error_code ec;
   for (const std::string& id : list()) {
     if (fs::exists(pin_path(id), ec)) continue;
     bool in_use = false;
-    // The LRU holds strong references, so its entries are always also live
-    // in the tracking map — checking `live_` covers both.
     if (const auto it = live_.find(id); it != live_.end()) {
       in_use = !it->second.expired();
     }

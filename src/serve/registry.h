@@ -16,18 +16,18 @@
 // modified in place, which is what lets MappedModel hold long-lived
 // mappings of them without SIGBUS risk.
 //
-// open() returns shared_ptr<const MappedModel> through an in-process LRU
-// cache of open mappings (capacity configurable) plus a weak-pointer
-// tracking map, so repeated opens of a hot model share one mapping and
-// gc() can refuse to delete an object any live consumer still maps.
-// All registry state is mutex-protected; the returned models themselves
-// are immutable and lock-free to use.
+// open() returns shared_ptr<const MappedModel>. A weak-pointer tracking
+// map of every mapping handed out makes repeated opens of a model that is
+// still mapped share that one mapping, and lets gc() refuse to delete an
+// object any live consumer still maps. The registry itself holds no strong
+// reference: a mapping lives exactly as long as its consumers (a server
+// shard pins the one it serves). All registry state is mutex-protected;
+// the returned models themselves are immutable and lock-free to use.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <list>
 #include <map>
 #include <memory>
 #include <string>
@@ -43,14 +43,9 @@ namespace spire::serve {
 class ModelRegistry {
  public:
   static constexpr std::string_view kDefaultRoot = ".spire-registry";
-  static constexpr std::size_t kDefaultCacheCapacity = 8;
 
   /// Opens (creating directories as needed) the registry at `root`.
-  /// `cache_capacity` bounds the LRU of open mappings kept alive by the
-  /// registry itself; 0 disables caching (every open still deduplicates
-  /// against currently-live mappings via the tracking map).
-  explicit ModelRegistry(std::string root = std::string(kDefaultRoot),
-                         std::size_t cache_capacity = kDefaultCacheCapacity);
+  explicit ModelRegistry(std::string root = std::string(kDefaultRoot));
 
   /// Publishes the canonical v4 image of `ensemble`; returns its id.
   std::string publish(const model::Ensemble& ensemble) SPIRE_EXCLUDES(mutex_);
@@ -65,9 +60,9 @@ class ModelRegistry {
   /// Returns the id (the hash of exactly these bytes).
   std::string publish_bytes(const std::string& bytes) SPIRE_EXCLUDES(mutex_);
 
-  /// Maps the object with `id`, through the LRU cache: repeated opens of
-  /// the same id share one mapping. Throws std::runtime_error when the id
-  /// is malformed or not present.
+  /// Maps the object with `id`, or returns the mapping an earlier open()
+  /// handed out while it is still alive. Throws std::runtime_error when
+  /// the id is malformed or not present.
   std::shared_ptr<const MappedModel> open(const std::string& id)
       SPIRE_EXCLUDES(mutex_);
 
@@ -92,30 +87,22 @@ class ModelRegistry {
   std::vector<std::string> pinned() const;
 
   /// Removes every object that is neither pinned nor currently mapped by a
-  /// live MappedModel handed out by open(). The registry's own LRU cache
-  /// is dropped first, so caching alone never keeps an object alive.
-  /// Returns the ids removed.
+  /// live MappedModel handed out by open(). Returns the ids removed.
   std::vector<std::string> gc() SPIRE_EXCLUDES(mutex_);
 
   const std::string& root() const { return root_; }
 
-  std::size_t cache_capacity() const { return cache_capacity_; }
-
-  /// Mapping-cache effectiveness counters, exposed through the server's
-  /// `serverctl stats` so an operator can see whether the configured
-  /// capacity (--registry-cache) is sized for the working set. A hit is
-  /// any open() that reused an existing mapping (LRU or still-live); a
-  /// miss mapped the object fresh; an eviction dropped the LRU tail.
+  /// Mapping reuse counters, exposed through the server's `serverctl
+  /// stats`. A hit is an open() that reused a still-live mapping; a miss
+  /// mapped the object fresh.
   struct CacheStats {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
-    std::uint64_t evictions = 0;
   };
   CacheStats cache_stats() const {
     CacheStats stats;
     stats.hits = cache_hits_.load(std::memory_order_relaxed);
     stats.misses = cache_misses_.load(std::memory_order_relaxed);
-    stats.evictions = cache_evictions_.load(std::memory_order_relaxed);
     return stats;
   }
 
@@ -125,22 +112,15 @@ class ModelRegistry {
       SPIRE_REQUIRES(mutex_);
 
   const std::string root_;
-  // Immutable after construction; the annotation pass surfaced it as the
-  // one registry field read concurrently without a guard.
-  const std::size_t cache_capacity_;
 
   mutable util::Mutex mutex_{util::lock_rank::Rank::kRegistry, "registry"};
-  // LRU of registry-owned strong references, most recent first.
-  std::list<std::pair<std::string, std::shared_ptr<const MappedModel>>> lru_
-      SPIRE_GUARDED_BY(mutex_);
-  // Every mapping ever handed out and possibly still alive; lets open()
-  // deduplicate beyond the LRU and gc() detect in-use objects.
+  // Every mapping handed out and possibly still alive; lets open() share
+  // a live mapping and gc() detect in-use objects.
   std::map<std::string, std::weak_ptr<const MappedModel>> live_
       SPIRE_GUARDED_BY(mutex_);
 
   std::atomic<std::uint64_t> cache_hits_{0};
   std::atomic<std::uint64_t> cache_misses_{0};
-  std::atomic<std::uint64_t> cache_evictions_{0};
 };
 
 }  // namespace spire::serve

@@ -63,41 +63,22 @@ std::vector<BatchResult> EstimationService::estimate_views(
     std::span<const ViewJob> jobs) const {
   const EvalTables tables = model_->tables();
   std::vector<BatchResult> results(jobs.size());
-
-  // No stage pass to speak of: the views already exist, so the only
-  // per-item work before the kernel is the deadline check. The clock is
-  // monotonic, so once the budget is gone every remaining item reports
-  // expiry.
-  std::vector<sampling::DatasetView> views;
-  std::vector<model::Merge> merges;
-  std::vector<std::size_t> slots;
-  views.reserve(jobs.size());
-  merges.reserve(jobs.size());
-  slots.reserve(jobs.size());
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     const ViewJob& job = jobs[i];
     BatchResult& result = results[i];
+    // Checked right before this job's evaluation, not once for the batch:
+    // the evaluations before it spend the same clock.
     if (job.has_deadline &&
         std::chrono::steady_clock::now() >= job.deadline) {
       result.deadline_expired = true;
       result.error = "deadline expired";
       continue;
     }
-    views.push_back(*job.view);  // cheap: spans, not samples
-    result.samples = views.back().size();
-    merges.push_back(job.merge);
-    slots.push_back(i);
-  }
-
-  const auto outcomes = serve::estimate_many(
-      tables, std::span<const sampling::DatasetView>(views),
-      std::span<const model::Merge>(merges));
-  for (std::size_t k = 0; k < outcomes.size(); ++k) {
-    BatchResult& result = results[slots[k]];
-    if (outcomes[k].ok()) {
-      result.estimate = outcomes[k].estimate;
-    } else {
-      result.error = outcomes[k].error;
+    result.samples = job.view->size();
+    try {
+      result.estimate = serve::estimate(tables, *job.view, job.merge);
+    } catch (const std::exception& e) {
+      result.error = e.what();
     }
   }
   return results;

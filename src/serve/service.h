@@ -9,8 +9,8 @@
 // isolates failures per item: every input gets a BatchResult in input
 // order carrying either the Estimate or the error string, never both.
 //
-// The service serves one MappedModel, shared: a registry-cached mapping,
-// a file mapped by from_file, or an ensemble compiled in memory.
+// The service serves one MappedModel, shared: a registry mapping, a file
+// mapped by from_file, or an ensemble compiled in memory.
 #pragma once
 
 #include <chrono>
@@ -46,10 +46,11 @@ struct BatchResult {
 /// One pre-parsed workload for estimate_views. `view` points at a
 /// caller-owned DatasetView (a zero-copy profile_bin::ProfileView or a
 /// ProfileCache hit) that must stay alive for the call — no parse happens,
-/// the view's spans feed the batch kernel directly. `deadline` (when
-/// has_deadline) is checked immediately before the batch is evaluated, so
-/// an item that ran out of budget reports expiry instead of being
-/// silently evaluated past its deadline.
+/// the view's spans feed the kernel directly. `deadline` (when
+/// has_deadline) is checked immediately before this item is evaluated, so
+/// an item that ran out of budget — also while earlier items of the same
+/// call were evaluated — reports expiry instead of being evaluated past
+/// its deadline.
 struct ViewJob {
   const sampling::DatasetView* view = nullptr;
   model::Merge merge = model::Merge::kTimeWeighted;
@@ -74,8 +75,8 @@ class EstimationService {
   /// rejected (model::unsupported_binary_version).
   static EstimationService from_file(const std::string& path);
 
-  /// Resolves a content-addressed id through `registry` (shared mapping,
-  /// LRU-cached). Throws when the id is malformed or unknown.
+  /// Resolves a content-addressed id through `registry` (a still-live
+  /// mapping is shared). Throws when the id is malformed or unknown.
   static EstimationService from_registry(ModelRegistry& registry,
                                          const std::string& id);
 
@@ -92,13 +93,14 @@ class EstimationService {
   /// Evaluates pre-parsed workloads in the caller's thread — the
   /// coalesced inner loop of a serve::Shard pump, which already owns a
   /// pool worker. Every job arrives as a view (a zero-copy binary-profile
-  /// view or a parsed-profile cache hit), so the whole call is one
-  /// estimate_many pass (serve/model_eval.h) with no Dataset
+  /// view or a parsed-profile cache hit), so each item is one
+  /// serve::estimate call (serve/model_eval.h) with no Dataset
   /// materialization and no string copies. Results come back in input
-  /// order with per-item error isolation; an item whose deadline already
-  /// expired gets `deadline_expired` set and is never evaluated. Results
-  /// are bit-identical to parsing the same samples from CSV (the kernel
-  /// sees the same doubles either way).
+  /// order with per-item error isolation (an error carries the text
+  /// estimate_many would report); an item whose deadline has passed when
+  /// its turn comes gets `deadline_expired` set and is never evaluated.
+  /// Results are bit-identical to parsing the same samples from CSV (the
+  /// kernel sees the same doubles either way).
   std::vector<BatchResult> estimate_views(std::span<const ViewJob> jobs) const;
 
  private:

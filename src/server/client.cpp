@@ -9,12 +9,10 @@
 #include <system_error>
 #include <thread>
 
-#if !defined(_WIN32)
 #include <fcntl.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
-#endif
 
 #include "util/posix_io.h"
 
@@ -37,44 +35,6 @@ int remaining_ms(Clock::time_point deadline) {
 }
 
 }  // namespace
-
-#if defined(_WIN32)
-
-Client::Client(ClientOptions options)
-    : options_(std::move(options)), chaos_(options_.chaos, 0),
-      backoff_rng_(options_.backoff.seed) {
-  throw std::runtime_error("client: POSIX sockets are required");
-}
-Client::~Client() = default;
-EstimateReply Client::estimate(EstimateRequest) { return {}; }
-EstimateReply Client::estimate_bin(EstimateBinRequest) { return {}; }
-EstimateReply Client::estimate_loop(
-    FrameType, FrameType, std::uint32_t,
-    const std::function<std::string(std::uint32_t)>&, const char*) {
-  return {};
-}
-std::size_t Client::pipeline(const std::vector<PipelineRequest>&,
-                             std::vector<PipelineResult>* results,
-                             std::size_t) {
-  if (results) results->clear();
-  return 0;
-}
-bool Client::write_frame_chaos(const std::string&, bool, std::string*) {
-  return false;
-}
-void Client::ping() {}
-SwapReply Client::swap(const std::string&) { return {}; }
-StatsReply Client::stats() { return {}; }
-ShardsReply Client::shards() { return {}; }
-bool Client::raw_roundtrip(FrameType, const std::string&, FrameHeader*,
-                           std::string*, std::string*) { return false; }
-void Client::disconnect() {}
-bool Client::ensure_connected(std::string*) { return false; }
-std::string Client::exchange(FrameType, FrameType, const std::string&, int,
-                             const std::string&) { return {}; }
-void Client::sleep_backoff(int) {}
-
-#else
 
 Client::Client(ClientOptions options)
     : options_(std::move(options)),
@@ -496,7 +456,5 @@ ShardsReply Client::shards() {
                                     FrameType::kShardsReply, "", 0, "shards");
   return decode_shards_reply(body, options_.limits);
 }
-
-#endif  // !_WIN32
 
 }  // namespace spire::server

@@ -3,32 +3,22 @@
 #include <cstring>
 #include <new>
 
-#if !defined(_WIN32)
 #include <sys/mman.h>
-#endif
 
 #include "util/contract.h"
 
 namespace spire::server {
 
 FramePool::Buffer FramePool::map(std::size_t bytes) {
-#if defined(_WIN32)
-  return Buffer(new char[bytes], Unmap{bytes});
-#else
   // Private anonymous pages: nothing is touched until the read writes it.
   void* data = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
                       MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
   if (data == MAP_FAILED) throw std::bad_alloc();
   return Buffer(static_cast<char*>(data), Unmap{bytes});
-#endif
 }
 
 void FramePool::Unmap::operator()(char* data) const {
-#if defined(_WIN32)
-  delete[] data;
-#else
   ::munmap(data, bytes);
-#endif
 }
 
 FramePool::Frame& FramePool::Frame::operator=(Frame&& other) noexcept {

@@ -7,13 +7,11 @@
 #include <system_error>
 #include <tuple>
 
-#if !defined(_WIN32)
 #include <fcntl.h>
 #include <signal.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
-#endif
 
 #include "counters/events.h"
 #include "serve/model_eval.h"
@@ -45,7 +43,6 @@ std::string bounded_message(const std::string& message, std::size_t max) {
   return message.substr(0, max);
 }
 
-#if !defined(_WIN32)
 // Self-pipe write end for the async-signal-safe shutdown handler. One
 // server per process may own the handlers at a time.
 std::atomic<int> g_signal_pipe{-1};
@@ -58,7 +55,6 @@ extern "C" void spire_forward_shutdown_signal(int) {
     [[maybe_unused]] const ssize_t rc = ::write(fd, &byte, 1);
   }
 }
-#endif
 
 }  // namespace
 
@@ -162,65 +158,6 @@ struct EstimationServer::EstimateInputs {
   /// Pins what `views` point into until the shard releases the request.
   std::shared_ptr<RequestPins> pins = std::make_shared<RequestPins>();
 };
-
-#if defined(_WIN32)
-
-// The server is POSIX-only, like the mmap serving path. Constructing one
-// on an unsupported platform fails loudly instead of half-working.
-EstimationServer::EstimationServer(serve::ModelRegistry& registry,
-                                   ServerOptions options)
-    : registry_(registry), options_(std::move(options)),
-      estimate_cache_(options_.cache_entries),
-      profile_cache_(options_.profile_cache_entries) {
-  fail("the estimation server requires POSIX descriptors");
-}
-EstimationServer::~EstimationServer() = default;
-void EstimationServer::set_model(const std::string&, const std::string&) {}
-bool EstimationServer::swap_to_latest(const std::string&, std::string*,
-                                      std::string*) { return false; }
-std::string EstimationServer::current_model_id() const { return {}; }
-void EstimationServer::start() { fail("unsupported platform"); }
-void EstimationServer::serve_connection_fds(int, int) {}
-void EstimationServer::install_signal_handlers() {}
-void EstimationServer::begin_shutdown() {}
-bool EstimationServer::wait_until_drained() { return true; }
-int EstimationServer::run() { return 1; }
-StatsReply EstimationServer::stats_snapshot() const { return {}; }
-ShardsReply EstimationServer::shards_snapshot() const { return {}; }
-void EstimationServer::accept_loop(int) {}
-void EstimationServer::watcher_loop() {}
-void EstimationServer::join_threads() {}
-void EstimationServer::reap_finished_connections_locked() {}
-void EstimationServer::connection_loop(std::shared_ptr<Connection>) {}
-bool EstimationServer::serve_one_frame(const std::shared_ptr<Connection>&) {
-  return false;
-}
-void EstimationServer::dispatch_estimate(const std::shared_ptr<Connection>&,
-                                         std::uint64_t, FramePool::Frame,
-                                         Clock::time_point) {}
-void EstimationServer::dispatch_estimate_bin(
-    const std::shared_ptr<Connection>&, std::uint64_t, FramePool::Frame,
-    Clock::time_point) {}
-void EstimationServer::dispatch_estimate_common(
-    const std::shared_ptr<Connection>&, std::uint64_t, EstimateInputs,
-    Clock::time_point) {}
-void EstimationServer::finish_estimate(
-    const std::shared_ptr<PendingEstimate>&, std::vector<serve::BatchResult>,
-    bool) {}
-bool EstimationServer::send_frame(const std::shared_ptr<Connection>&,
-                                  FrameType, std::uint64_t,
-                                  std::string) { return false; }
-bool EstimationServer::send_error(const std::shared_ptr<Connection>&,
-                                  std::uint64_t, ErrorCode,
-                                  const std::string&) { return false; }
-std::shared_ptr<serve::Shard> EstimationServer::shard_for_id(
-    const std::string&, std::string*) { return nullptr; }
-std::shared_ptr<serve::Shard> EstimationServer::route_class(
-    const std::string&, std::string*) { return nullptr; }
-void EstimationServer::rebind(const std::string&,
-                              const std::shared_ptr<serve::Shard>&) {}
-
-#else
 
 EstimationServer::EstimationServer(serve::ModelRegistry& registry,
                                    ServerOptions options)
@@ -1285,7 +1222,6 @@ StatsReply EstimationServer::stats_snapshot() const {
       {"profile_parse_hits", profile_cache.hits},
       {"profile_parse_misses", profile_cache.misses},
       {"queue_depth", queued_.load(std::memory_order_relaxed)},
-      {"registry_cache_evictions", registry_cache.evictions},
       {"registry_cache_hits", registry_cache.hits},
       {"registry_cache_misses", registry_cache.misses},
       {"replies_error", replies_error_.load(std::memory_order_relaxed)},
@@ -1346,7 +1282,5 @@ ShardsReply EstimationServer::shards_snapshot() const {
   }
   return reply;
 }
-
-#endif  // !_WIN32
 
 }  // namespace spire::server

@@ -50,9 +50,10 @@
 //  * deadlines: each request's relative deadline is pinned to an absolute
 //    steady_clock instant at frame receipt and enforced twice — when the
 //    shard pump dequeues it (an expired request is never evaluated) and
-//    per workload slice, before the reader parses it and before the
-//    kernel evaluates it (a slice out of budget reports
-//    kDeadlineExceeded);
+//    per workload slice, before the reader parses it and right before the
+//    kernel evaluates it, so a slice whose budget ran out while earlier
+//    slices of the same pump batch were evaluated reports
+//    kDeadlineExceeded;
 //  * hot swap: a swap resolves the registry's latest id, atomically
 //    repoints the class -> shard binding, and retires the old shard when
 //    nothing else routes to it — retired shards reject new work but drain
@@ -170,9 +171,13 @@ class EstimationServer {
   void start() SPIRE_EXCLUDES(lifecycle_mutex_);
 
   /// Serves one already-open duplex connection in the calling thread;
-  /// returns when the peer closes, the stream becomes unframeable, or
-  /// shutdown begins. `in_fd`/`out_fd` may be the same descriptor (socket)
-  /// or a pipe pair (--stdio). The fds are not closed.
+  /// returns when the peer closes, the stream becomes unframeable, or a
+  /// drain ends (wait_until_drained stops I/O). Frames that arrive while
+  /// draining get kShuttingDown. `in_fd`/`out_fd` may be the same
+  /// descriptor (socket) or a pipe pair (--stdio). The fds are not closed.
+  /// For a signal to drain the server while the peer holds the stream
+  /// open, run this on its own thread and run() on another, as
+  /// `spire_cli serve --stdio` does.
   void serve_connection_fds(int in_fd, int out_fd);
 
   // --- shutdown -------------------------------------------------------------

@@ -27,10 +27,8 @@ const char* rank_name(Rank rank) {
       return "shard-queue";
     case Rank::kRegistry:
       return "registry";
-    case Rank::kProfileCache:
-      return "profile-cache";
-    case Rank::kEstimateCache:
-      return "estimate-cache";
+    case Rank::kCacheStripe:
+      return "cache-stripe";
     case Rank::kDrain:
       return "drain";
     case Rank::kPoolQueue:

@@ -49,9 +49,8 @@ enum class Rank : int {
   kConnections = 30,      // server: connection-worker list
   kSlots = 40,            // server: shard + class-binding maps
   kShardQueue = 45,       // serve::Shard pending-request FIFO
-  kRegistry = 50,         // serve::ModelRegistry LRU + live-mapping maps
-  kProfileCache = 52,     // serve::ProfileCache per-stripe LRU
-  kEstimateCache = 55,    // serve::EstimateCache per-stripe LRU
+  kRegistry = 50,         // serve::ModelRegistry live-mapping map
+  kCacheStripe = 55,      // serve::StripedLru stripe (memo + profile caches)
   kDrain = 60,            // server: drain accounting condvar mutex
   kPoolQueue = 70,        // util::ThreadPool work queue
   kConnectionWrite = 80,  // server: per-connection reply stream

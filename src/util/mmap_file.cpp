@@ -4,17 +4,12 @@
 #include <stdexcept>
 #include <utility>
 
-#include "util/posix_io.h"
-
-#if defined(_WIN32)
-// The zero-copy serving path is POSIX-only; callers fall back to the
-// stream-deserialize path when mapping is unsupported.
-#else
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
-#endif
+
+#include "util/posix_io.h"
 
 namespace spire::util {
 
@@ -25,20 +20,6 @@ namespace {
 }
 
 }  // namespace
-
-#if defined(_WIN32)
-
-MmapFile MmapFile::open_readonly(const std::string& path) {
-  fail(path, "memory mapping is not supported on this platform");
-}
-
-MmapFile MmapFile::from_bytes(std::string_view) {
-  fail("<memory>", "memory mapping is not supported on this platform");
-}
-
-MmapFile::~MmapFile() = default;
-
-#else
 
 MmapFile MmapFile::open_readonly(const std::string& path) {
   const int fd = open_retry(path.c_str(), O_RDONLY | O_CLOEXEC);
@@ -93,8 +74,6 @@ MmapFile MmapFile::from_bytes(std::string_view bytes) {
 MmapFile::~MmapFile() {
   if (data_ != nullptr) ::munmap(data_, size_);
 }
-
-#endif
 
 MmapFile::MmapFile(MmapFile&& other) noexcept
     : data_(std::exchange(other.data_, nullptr)),

@@ -4,13 +4,11 @@
 #include <chrono>
 #include <mutex>
 
-#if !defined(_WIN32)
 #include <fcntl.h>
 #include <poll.h>
 #include <signal.h>
 #include <sys/uio.h>
 #include <unistd.h>
-#endif
 
 namespace spire::util {
 
@@ -27,35 +25,6 @@ const char* io_status_name(IoStatus status) {
   }
   return "unknown";
 }
-
-#if defined(_WIN32)
-
-// The server/registry raw-descriptor paths are POSIX-only (like the mmap
-// serving path); these stubs keep the library linkable.
-int open_retry(const char*, int, unsigned) {
-  errno = ENOSYS;
-  return -1;
-}
-long read_retry(int, void*, std::size_t) {
-  errno = ENOSYS;
-  return -1;
-}
-bool write_all(int, const void*, std::size_t) {
-  errno = ENOSYS;
-  return false;
-}
-void close_quietly(int) {}
-void ignore_sigpipe() {}
-IoStatus wait_readable(int, int) { return IoStatus::kError; }
-IoStatus read_exact(int, void*, std::size_t, int) { return IoStatus::kError; }
-IoStatus write_all_deadline(int, const void*, std::size_t, int) {
-  return IoStatus::kError;
-}
-IoStatus writev_all_deadline(int, ConstBuffer*, std::size_t, int) {
-  return IoStatus::kError;
-}
-
-#else
 
 namespace {
 
@@ -225,7 +194,5 @@ IoStatus writev_all_deadline(int fd, ConstBuffer* buffers, std::size_t count,
   }
   return IoStatus::kOk;
 }
-
-#endif
 
 }  // namespace spire::util

@@ -545,59 +545,50 @@ TEST(ModelRegistry, RejectsMalformedIds) {
 
 TEST(ModelRegistry, OpenSharesOneMappingThroughTheCache) {
   ModelRegistry registry(fresh_registry_root("reg_cache"));
-  const std::string id = registry.publish(trained_ensemble(17));
-  const auto a = registry.open(id);
-  const auto b = registry.open(id);
+  const std::string id1 = registry.publish(trained_ensemble(17));
+  const std::string id2 = registry.publish(trained_ensemble(29));
+  ASSERT_NE(id1, id2);
+  const auto a = registry.open(id1);
+  const auto b = registry.open(id1);
   EXPECT_EQ(a.get(), b.get());  // one mapping, shared
 
-  // Even after eviction (capacity 1 registry), a live consumer mapping is
-  // reused rather than remapped.
-  ModelRegistry small(fresh_registry_root("reg_small"), 1);
-  const std::string id1 = small.publish(trained_ensemble(17));
-  const std::string id2 = small.publish(trained_ensemble(29));
-  ASSERT_NE(id1, id2);
-  const auto m1 = small.open(id1);
-  (void)small.open(id2);  // evicts id1 from the LRU
-  EXPECT_EQ(m1.get(), small.open(id1).get());
+  // A live consumer mapping is reused rather than remapped, whatever was
+  // opened in between.
+  (void)registry.open(id2);
+  EXPECT_EQ(a.get(), registry.open(id1).get());
+  EXPECT_EQ(registry.cache_stats().misses, 2u);
 }
 
-// The mapping-cache counters the server surfaces as registry_cache_* in
-// `serverctl stats`: every open() is exactly one hit (LRU splice or
-// live-mapping resurrect) or one miss (fresh mmap), and every LRU
-// tail-drop is one eviction. gc() dropping the whole cache is not an
-// eviction — the counters measure capacity pressure, not collection.
+// The mapping counters the server surfaces as registry_cache_* in
+// `serverctl stats`: every open() is exactly one hit (a still-live
+// mapping reused) or one miss (fresh mmap). The registry holds no mapping
+// itself, so an id nobody maps any more is mapped afresh; gc() moves no
+// counter.
 TEST(ModelRegistry, CacheCountersTrackHitsMissesAndEvictionsExactly) {
-  ModelRegistry registry(fresh_registry_root("reg_counters"), 1);
+  ModelRegistry registry(fresh_registry_root("reg_counters"));
   const std::string id1 = registry.publish(trained_ensemble(17));
   const std::string id2 = registry.publish(trained_ensemble(29));
   ASSERT_NE(id1, id2);
   auto stats = [&] { return registry.cache_stats(); };
   EXPECT_EQ(stats().hits, 0u);
   EXPECT_EQ(stats().misses, 0u);
-  EXPECT_EQ(stats().evictions, 0u);
 
-  (void)registry.open(id1);  // fresh mmap
+  auto keep = registry.open(id1);  // fresh mmap
   EXPECT_EQ(stats().misses, 1u);
-  (void)registry.open(id1);  // LRU front
+  EXPECT_EQ(registry.open(id1).get(), keep.get());  // live: reused
   EXPECT_EQ(stats().hits, 1u);
-  (void)registry.open(id2);  // fresh mmap; capacity 1 drops id1
+  (void)registry.open(id2);  // fresh mmap, dropped at once
   EXPECT_EQ(stats().misses, 2u);
-  EXPECT_EQ(stats().evictions, 1u);
-  const auto keep = registry.open(id2);  // LRU front again
-  EXPECT_EQ(stats().hits, 2u);
-  (void)registry.open(id1);  // remapped; id2 drops from the LRU...
+  (void)registry.open(id2);  // nobody held it: mapped again
   EXPECT_EQ(stats().misses, 3u);
-  EXPECT_EQ(stats().evictions, 2u);
-  // ...but `keep` still holds id2 alive, so reopening it resurrects the
-  // mapping through the tracking map: a hit, the same bytes, no mmap.
-  EXPECT_EQ(registry.open(id2).get(), keep.get());
-  EXPECT_EQ(stats().hits, 3u);
-  EXPECT_EQ(stats().evictions, 3u);  // the re-front pushed id1 out
+  EXPECT_EQ(stats().hits, 1u);
+  keep.reset();
+  (void)registry.open(id1);  // the last consumer is gone: mapped again
+  EXPECT_EQ(stats().misses, 4u);
+  EXPECT_EQ(stats().hits, 1u);
 
-  // gc() drops the LRU wholesale without touching the eviction count.
   const auto before = stats();
   (void)registry.gc();
-  EXPECT_EQ(stats().evictions, before.evictions);
   EXPECT_EQ(stats().hits, before.hits);
   EXPECT_EQ(stats().misses, before.misses);
 }
@@ -648,14 +639,13 @@ TEST(ModelRegistry, ConcurrentPublishOfTheSameBytesConverges) {
 }
 
 TEST(ModelRegistry, CacheIterationSurvivesConcurrentOpenPublishAndGc) {
-  // Concurrency-contract regression (PR 7): lru_/live_ are
-  // SPIRE_GUARDED_BY(mutex_) and cache_capacity_ is const — this test
-  // hammers every LRU iteration path (hit promotion, eviction at
-  // capacity, gc's wholesale cache drop) from several threads at once
-  // through a deliberately tiny cache. Under TSan it is the registry's
-  // cache-racing regression; in any build a successful open must serve a
-  // bit-exact mapping.
-  ModelRegistry registry(fresh_registry_root("reg_cache_race"), 2);
+  // Concurrency-contract regression: live_ is SPIRE_GUARDED_BY(mutex_).
+  // Readers open four pinned ids (two of them held alive for the whole
+  // run, two mapped and dropped on every pass) while a collector keeps
+  // publishing an unpinned model and collecting it. Under TSan it is the
+  // registry's open/publish/gc race regression; in any build a successful
+  // open must serve a bit-exact mapping.
+  ModelRegistry registry(fresh_registry_root("reg_cache_race"));
   std::vector<Ensemble> models;
   std::vector<std::string> ids;
   for (int i = 0; i < 4; ++i) {
@@ -663,6 +653,7 @@ TEST(ModelRegistry, CacheIterationSurvivesConcurrentOpenPublishAndGc) {
     ids.push_back(registry.publish(models.back()));
     registry.pin(ids.back());  // gc must never collect the working set
   }
+  const Ensemble loose = trained_ensemble(200);
   const Dataset workload = mixed_workload(11);
   const DatasetView view(workload);
   std::vector<Estimate> expected;
@@ -674,8 +665,9 @@ TEST(ModelRegistry, CacheIterationSurvivesConcurrentOpenPublishAndGc) {
   std::vector<std::thread> readers;
   for (int t = 0; t < 4; ++t) {
     readers.emplace_back([&, t] {
-      // Per-thread phase shift: four readers rotating over four ids
-      // through a capacity-2 LRU means constant eviction traffic.
+      const std::shared_ptr<const MappedModel> held =
+          registry.open(ids[static_cast<std::size_t>(t % 2)]);
+      opens.fetch_add(1);
       for (int i = 0; i < 300; ++i) {
         const std::size_t k =
             static_cast<std::size_t>(t + i) % ids.size();
@@ -688,22 +680,22 @@ TEST(ModelRegistry, CacheIterationSurvivesConcurrentOpenPublishAndGc) {
   }
   std::thread collector([&] {
     while (!stop.load()) {
-      registry.gc();  // drops the whole LRU while readers repopulate it
+      (void)registry.publish(loose);
+      registry.gc();  // collects `loose` while readers open and drop
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
   });
   for (std::thread& r : readers) r.join();
   stop.store(true);
   collector.join();
-  EXPECT_EQ(opens.load(), 4 * 300);
-  // Everything pinned survived every gc pass.
+  EXPECT_EQ(opens.load(), 4 * 301);
+  // Everything pinned survived every gc pass; the loose model did not.
   EXPECT_EQ(registry.list().size(), ids.size());
   // Counter accounting holds under the same pressure: every open was
-  // exactly one hit or one miss, and rotating four ids through a
-  // capacity-2 LRU forced eviction traffic.
+  // exactly one hit or one miss. The held ids always hit; the first
+  // open of any id is a miss.
   const ModelRegistry::CacheStats stats = registry.cache_stats();
-  EXPECT_EQ(stats.hits + stats.misses, static_cast<std::uint64_t>(4 * 300));
-  EXPECT_GT(stats.evictions, 0u);
+  EXPECT_EQ(stats.hits + stats.misses, static_cast<std::uint64_t>(4 * 301));
   EXPECT_GT(stats.hits, 0u);
   EXPECT_GT(stats.misses, 0u);
 }
@@ -731,11 +723,13 @@ TEST(ModelRegistry, LatestTracksMtimeWithDeterministicTieBreak) {
 
 TEST(ModelRegistry, HotSwapReaderNeverSeesATornMappingUnderConcurrentGc) {
   // A serving reader resolves "latest" and estimates in a loop while a
-  // publisher alternates objects and a collector gc's aggressively. The
-  // reader may lose a resolve race (open() of a just-collected id throws
-  // cleanly) but an open that SUCCEEDS must always serve a bit-exact
-  // result for whichever of the two models it mapped — never a torn or
-  // partially collected mapping.
+  // publisher alternates objects and a collector gc's aggressively. Each
+  // round pins the version it publishes and unpins the one it retires, as
+  // a deployment does, so the retired object is collected the moment no
+  // reader maps it. The reader may lose a resolve race (open() of a
+  // just-collected id throws cleanly) but an open that SUCCEEDS must
+  // always serve a bit-exact result for whichever of the two models it
+  // mapped — never a torn or partially collected mapping.
   ModelRegistry registry(fresh_registry_root("reg_swap_gc"));
   const Ensemble model_a = trained_ensemble(17);
   const Ensemble model_b = trained_ensemble(29);
@@ -754,12 +748,15 @@ TEST(ModelRegistry, HotSwapReaderNeverSeesATornMappingUnderConcurrentGc) {
       // Republish whichever the gc may have collected and advance its
       // mtime so latest() genuinely alternates.
       const bool even = round % 2 == 0;
+      const std::string& fresh = even ? id_a : id_b;
       registry.publish(even ? model_a : model_b);
+      registry.pin(fresh);
       std::filesystem::last_write_time(
-          registry.object_path(even ? id_a : id_b),
+          registry.object_path(fresh),
           std::filesystem::file_time_type::clock::now() +
               std::chrono::seconds(round + 1));
-      registry.gc();  // unpinned, non-live objects vanish mid-traffic
+      registry.unpin(even ? id_b : id_a);
+      registry.gc();  // the retired object vanishes unless a reader maps it
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
   });

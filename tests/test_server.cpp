@@ -1031,7 +1031,7 @@ TEST_F(ServerTest, MidRequestSwapRetiresShardButEveryReplyArrives) {
 
 // `serverctl shards` ground truth: the listing names every live shard with
 // its class bindings and queue/coalescing counters, flags retirement after
-// a swap displaces a shard, and the registry mapping-cache counters the
+// a swap displaces a shard, and the registry mapping counters the
 // shards feed are visible in stats.
 TEST_F(ServerTest, ShardsListingReflectsRoutingAndRetirement) {
   boot();
@@ -1088,15 +1088,16 @@ TEST_F(ServerTest, ShardsListingReflectsRoutingAndRetirement) {
   EXPECT_GE(counter("shards_retired"), 1u);
   EXPECT_EQ(counter("shards_active"), 1u);
 
-  // The registry mapping-cache counters surface through the same stats
-  // pipe: each shard's model was mapped exactly once (two misses), and
-  // the keys exist even when zero.
+  // The registry's mapping counters surface through the same stats pipe:
+  // each shard's model was mapped at least once (two misses), and the keys
+  // exist even when zero. The registry keeps no mapping LRU, so it reports
+  // no evictions.
   EXPECT_GE(counter("registry_cache_misses"), 2u);
   const StatsReply stats = server_->stats_snapshot();
   std::map<std::string, std::uint64_t> all(stats.counters.begin(),
                                            stats.counters.end());
   EXPECT_TRUE(all.count("registry_cache_hits"));
-  EXPECT_TRUE(all.count("registry_cache_evictions"));
+  EXPECT_FALSE(all.count("registry_cache_evictions"));
   EXPECT_TRUE(all.count("cache_evictions"));
 }
 

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -21,6 +22,7 @@
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -31,6 +33,7 @@
 #include "serve/estimate_cache.h"
 #include "serve/profile_cache.h"
 #include "serve/registry.h"
+#include "serve/service.h"
 #include "spire/ensemble.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -420,6 +423,40 @@ TEST_F(ShardTest, QueueDeadlineExpiryCompletesWithoutEvaluating) {
   EXPECT_EQ(stats.expired_in_queue, 1u);
   EXPECT_EQ(stats.completed, 1u);
   EXPECT_EQ(stats.batches, 0u);
+}
+
+// A pump batch evaluates its slices one after another, so a slice's budget
+// can run out while the slices before it are evaluated. estimate_views
+// checks each deadline right before that slice's evaluation: a small slice
+// queued behind a large one, with a deadline a quarter of the large one's
+// evaluation time away, expires instead of being evaluated late.
+TEST_F(ShardTest, SliceDeadlineIsCheckedRightBeforeItsEvaluation) {
+  using Clock = std::chrono::steady_clock;
+  const EstimationService service(model_);
+  const Dataset large_data = mixed_workload(7, 100'000);
+  const Dataset small_data = mixed_workload(9, 20);
+  const DatasetView large(large_data);
+  const DatasetView small(small_data);
+
+  // t0: the fastest of a few warm evaluations of the large view alone.
+  Clock::duration t0 = Clock::duration::max();
+  for (int i = 0; i < 3; ++i) {
+    const ViewJob job{&large};
+    const Clock::time_point start = Clock::now();
+    const auto timed = service.estimate_views(std::span(&job, 1));
+    t0 = std::min(t0, Clock::now() - start);
+    ASSERT_TRUE(timed[0].ok()) << timed[0].error;
+  }
+
+  ViewJob jobs[2] = {{&large}, {&small}};
+  jobs[1].has_deadline = true;
+  jobs[1].deadline = Clock::now() + t0 / 4;
+  const std::vector<BatchResult> results = service.estimate_views(jobs);
+  ASSERT_EQ(results.size(), 2u);
+  EXPECT_TRUE(results[0].ok()) << results[0].error;
+  EXPECT_FALSE(results[1].ok());
+  EXPECT_TRUE(results[1].deadline_expired);
+  EXPECT_EQ(results[1].error, "deadline expired");
 }
 
 TEST_F(ShardTest, DroppingTheLastReferenceMidDrainStillCompletesEverything) {

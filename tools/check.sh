@@ -159,6 +159,49 @@ if [ "${ping_rc}" != 3 ]; then
   exit 1
 fi
 
+phase "Stdio server drains on SIGTERM while stdin stays open"
+# A --stdio server whose stdin is a fifo this script keeps open never sees
+# EOF; SIGTERM alone must drain it, exit 0, within its drain timeout + 2 s.
+stdio_fifo="${roundtrip_dir}/stdio.fifo"
+stdio_drain_ms=2000
+rm -f "${stdio_fifo}"
+mkfifo "${stdio_fifo}"
+"${cli}" serve --stdio --registry-root "${registry_root}" --model latest \
+  --drain-timeout-ms "${stdio_drain_ms}" < "${stdio_fifo}" > /dev/null \
+  2> "${roundtrip_dir}/stdio.log" &
+stdio_pid=$!
+exec 9> "${stdio_fifo}"  # the write end stays open until the server exits
+for _ in $(seq 1 100); do
+  grep -q "serving model" "${roundtrip_dir}/stdio.log" && break
+  sleep 0.1
+done
+sleep 0.2  # the handlers are installed right after that line
+kill -TERM "${stdio_pid}"
+stdio_limit_ms=$((stdio_drain_ms + 2000))
+stdio_waited_ms=0
+while kill -0 "${stdio_pid}" 2> /dev/null &&
+  [ "${stdio_waited_ms}" -lt "${stdio_limit_ms}" ]; do
+  sleep 0.1
+  stdio_waited_ms=$((stdio_waited_ms + 100))
+done
+if kill -0 "${stdio_pid}" 2> /dev/null; then
+  kill -KILL "${stdio_pid}"
+  exec 9>&-
+  echo "check.sh: --stdio server still running ${stdio_limit_ms} ms" \
+    "after SIGTERM" >&2
+  exit 1
+fi
+set +e
+wait "${stdio_pid}"
+stdio_rc=$?
+set -e
+exec 9>&-
+if [ "${stdio_rc}" != 0 ]; then
+  echo "check.sh: --stdio server exited ${stdio_rc} after SIGTERM" >&2
+  cat "${roundtrip_dir}/stdio.log" >&2
+  exit 1
+fi
+
 phase "Serving perf smoke (bench/perf_serving + bench/perf_server)"
 ./build-check-release/bench/perf_serving --smoke
 ./build-check-release/bench/perf_server --smoke

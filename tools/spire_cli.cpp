@@ -55,8 +55,7 @@
 //   spire_cli serve --socket PATH | --stdio [--registry-root DIR]
 //               [--model ID|latest] [--workers N] [--max-queue N]
 //               [--shard-batch N] [--cache-entries N]
-//               [--profile-cache N] [--registry-cache N]
-//               [--drain-timeout-ms N]
+//               [--profile-cache N] [--drain-timeout-ms N]
 //       Resident estimation server over the framed protocol: UNIX-domain
 //       socket (or stdin/stdout with --stdio), per-model shards, each
 //       with a queue bounded by --max-queue, and batch coalescing, an
@@ -106,11 +105,13 @@
 #include <cstdio>
 #include <algorithm>
 #include <cstring>
+#include <exception>
 #include <fstream>
 #include <iostream>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "lint/lint.h"
@@ -557,9 +558,7 @@ int cmd_estimate(const Args& args) {
   auto engine = make_engine(args);
   engine.context().log = nullptr;  // per-file errors land in the table below
   if (registry_id) {
-    engine.resolve_model(registry_root(args), *registry_id,
-                         args.flag_u64("registry-cache",
-                                       serve::ModelRegistry::kDefaultCacheCapacity));
+    engine.resolve_model(registry_root(args), *registry_id);
   } else {
     engine.load_model(*model_path).compile();
   }
@@ -673,10 +672,7 @@ int cmd_serve(const Args& args) {
   if (socket && stdio) {
     throw UsageError("--socket and --stdio are mutually exclusive");
   }
-  serve::ModelRegistry registry(
-      registry_root(args),
-      args.flag_u64("registry-cache",
-                    serve::ModelRegistry::kDefaultCacheCapacity));
+  serve::ModelRegistry registry(registry_root(args));
   server::ServerOptions options;
   options.socket_path = socket.value_or("");
   options.workers = args.flag_u64("workers", options.workers);
@@ -711,10 +707,22 @@ int cmd_serve(const Args& args) {
   }
   server.install_signal_handlers();
   if (stdio) {
-    // Frames own stdout; diagnostics must stay on stderr.
-    server.serve_connection_fds(0, 1);
-    server.begin_shutdown();
-    return server.wait_until_drained() ? 0 : 1;
+    // Frames own stdout; diagnostics must stay on stderr. The connection
+    // reads on its own thread so that, as in socket mode, a SIGTERM drains
+    // the server while stdin is still open; EOF starts the same drain.
+    std::exception_ptr failure;
+    std::thread connection([&server, &failure] {
+      try {
+        server.serve_connection_fds(0, 1);
+      } catch (...) {
+        failure = std::current_exception();
+      }
+      server.begin_shutdown();
+    });
+    const int rc = server.run();
+    connection.join();
+    if (failure) std::rethrow_exception(failure);
+    return rc;
   }
   server.start();
   std::fprintf(stderr,
@@ -934,7 +942,7 @@ const std::vector<Command>& commands() {
       {"profile", {"out"}, {}, cmd_profile},
       {"registry", {"registry-root"}, {}, cmd_registry},
       {"estimate",
-       {"model", "registry", "registry-root", "registry-cache", "quality",
+       {"model", "registry", "registry-root", "quality",
         "threads", "server", "retries", "backoff-ms", "seed", "deadline-ms",
         "model-class", "id", "window"},
        {"binary", "pipeline"},
@@ -944,7 +952,7 @@ const std::vector<Command>& commands() {
       {"record", {"workload", "config", "ops", "out"}, {}, cmd_record},
       {"replay", {"trace", "cycles", "seed"}, {}, cmd_replay},
       {"serve",
-       {"socket", "registry-root", "registry-cache", "model", "workers",
+       {"socket", "registry-root", "model", "workers",
         "max-queue", "shard-batch", "cache-entries", "profile-cache",
         "drain-timeout-ms", "read-timeout-ms", "write-timeout-ms"},
        {"stdio"},
@@ -972,8 +980,7 @@ int usage() {
                "  registry publish MODEL | list | pin ID | unpin ID | gc\n"
                "          [--registry-root DIR]             content-addressed model store\n"
                "  estimate --model MODEL | --registry ID | --server SOCK FILE...\n"
-               "          [--registry-root DIR] [--registry-cache N]\n"
-               "          [--deadline-ms N] [--retries N]\n"
+               "          [--registry-root DIR] [--deadline-ms N] [--retries N]\n"
                "          [--binary] [--pipeline [--window N]]\n"
                "                                            batch attainable-throughput\n"
                "  show    --model MODEL --metric EVENT\n"
@@ -982,8 +989,7 @@ int usage() {
                "  replay  --trace FILE [--cycles N]\n"
                "  serve   --socket PATH | --stdio [--registry-root DIR]\n"
                "          [--model ID|latest] [--workers N] [--max-queue N]\n"
-               "          [--shard-batch N] [--cache-entries N]\n"
-               "          [--profile-cache N] [--registry-cache N]\n"
+               "          [--shard-batch N] [--cache-entries N] [--profile-cache N]\n"
                "          [--drain-timeout-ms N]           resident estimation server\n"
                "  serverctl ping|stats|swap|shards --server SOCK\n"
                "                                           control a running server\n"
