@@ -5,7 +5,7 @@
 // determines the estimate — an identical request may be answered from
 // memory with the exact bytes a recompute would produce. The cache stores
 // opaque value strings (the server stores encoded per-workload reply
-// payloads), keyed on the model id, the `workload_hash` (XXH64) of the
+// payloads), keyed on the model id, the `workload_hash` (wyhash) of the
 // workload's wire bytes, and the merge policy byte; the byte-identity
 // contract (DESIGN.md §14) is enforced by tests, not trusted.
 //
@@ -52,12 +52,12 @@ class EstimateCache {
   explicit EstimateCache(std::size_t capacity, std::size_t stripes = 8)
       : lru_(capacity, stripes, "estimate-cache") {}
 
-  /// util::xxh64 of a workload's exact wire bytes (text CSV or
+  /// util::wyhash64 of a workload's exact wire bytes (text CSV or
   /// spire-profile-bin): the one key this cache and ProfileCache share.
   /// Every request pays it over its whole payload, so it is the fast hash,
   /// not the registry's fnv1a64; nothing persists it.
   static std::uint64_t workload_hash(std::string_view csv_bytes) {
-    return util::xxh64(csv_bytes);
+    return util::wyhash64(csv_bytes);
   }
 
   /// Returns the cached value and refreshes its LRU position, or nullopt.

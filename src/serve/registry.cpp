@@ -185,11 +185,14 @@ std::string ModelRegistry::latest() const {
 void ModelRegistry::pin(const std::string& id) {
   require_id(id);
   if (!contains(id)) fail("cannot pin: no object with id " + id);
-  // An existing marker is fine (pin is idempotent), so no O_EXCL here.
-  if (!write_file_bytes(pin_path(id), "") &&
-      !fs::exists(pin_path(id))) {
-    fail("cannot write pin for " + id);
-  }
+  // The marker is an empty file, and opening it without O_EXCL keeps one
+  // that is already there: re-pinning is idempotent. Anything that cannot
+  // be opened for writing (a directory in its place, a read-only pins/)
+  // is an error.
+  const int fd = util::open_retry(pin_path(id).c_str(),
+                                  O_WRONLY | O_CREAT | O_CLOEXEC, 0644);
+  if (fd < 0) fail("cannot write pin for " + id);
+  util::close_quietly(fd);
 }
 
 void ModelRegistry::unpin(const std::string& id) {

@@ -142,7 +142,7 @@ struct RequestPins {
 /// The neutral request form both dispatch paths reduce to before the
 /// shared tail. `hashes[i]` doubles as the estimate-cache hash and (for
 /// text workloads) the ProfileCache key — one
-/// EstimateCache::workload_hash (XXH64) per workload.
+/// EstimateCache::workload_hash (wyhash) per workload.
 struct EstimationServer::EstimateInputs {
   FrameType reply_type = FrameType::kEstimateReply;
   std::string model_class;

@@ -29,7 +29,7 @@
 //    miss, parsed on the reader and published there. A CSV that fails to
 //    parse, or whose deadline passed before its parse, is answered on the
 //    reader as that workload's error result;
-//  * memo-cache: a serve::EstimateCache keyed on (model id, XXH64 of the
+//  * memo-cache: a serve::EstimateCache keyed on (model id, wyhash of the
 //    workload's wire bytes, merge) answers repeat requests from memory with
 //    reply payloads byte-identical to a recompute, consulted before
 //    enqueue and filled after evaluation. A request with nothing left to

@@ -23,7 +23,7 @@ constexpr std::uint32_t byteswap32(std::uint32_t v) {
          (v << 24);
 }
 
-// Little-endian loads: both the CRC and XXH64 are defined over the bytes
+// Little-endian loads: both the CRC and wyhash are defined over the bytes
 // in memory order.
 std::uint32_t load_le32(const std::byte* p) {
   std::uint32_t v = 0;
@@ -260,75 +260,90 @@ std::string fnv1a64_hex(std::string_view bytes) {
 
 namespace {
 
-constexpr std::uint64_t kXxPrime1 = 0x9E3779B185EBCA87ull;
-constexpr std::uint64_t kXxPrime2 = 0xC2B2AE3D27D4EB4Full;
-constexpr std::uint64_t kXxPrime3 = 0x165667B19E3779F9ull;
-constexpr std::uint64_t kXxPrime4 = 0x85EBCA77C2B2AE63ull;
-constexpr std::uint64_t kXxPrime5 = 0x27D4EB2F165667C5ull;
+// wyhash final 4's default secret.
+constexpr std::uint64_t kWySecret[4] = {
+    0x2d358dccaa6c78a5ull, 0x8bb84b93962eacc9ull, 0x4b33a62ed433d4a3ull,
+    0x4d5a2da51de1aa47ull};
 
-constexpr std::uint64_t xxh64_round(std::uint64_t acc, std::uint64_t lane) {
-  return std::rotl(acc + lane * kXxPrime2, 31) * kXxPrime1;
+// The 128-bit product of a and b, its halves returned in place.
+inline void wymum(std::uint64_t& a, std::uint64_t& b) {
+#if defined(__SIZEOF_INT128__)
+  const unsigned __int128 r = static_cast<unsigned __int128>(a) * b;
+  a = static_cast<std::uint64_t>(r);
+  b = static_cast<std::uint64_t>(r >> 64);
+#else
+  const detail::Product128 r = detail::mul128_portable(a, b);
+  a = r.lo;
+  b = r.hi;
+#endif
 }
 
-constexpr std::uint64_t xxh64_merge(std::uint64_t hash, std::uint64_t acc) {
-  return (hash ^ xxh64_round(0, acc)) * kXxPrime1 + kXxPrime4;
+// Folds the two halves of the product back into one word.
+inline std::uint64_t wymix(std::uint64_t a, std::uint64_t b) {
+  wymum(a, b);
+  return a ^ b;
+}
+
+// Three bytes of a 1..3-byte input: first, middle and last.
+std::uint64_t load_wy3(const std::byte* p, std::size_t n) {
+  return (static_cast<std::uint64_t>(p[0]) << 16) |
+         (static_cast<std::uint64_t>(p[n >> 1]) << 8) |
+         static_cast<std::uint64_t>(p[n - 1]);
 }
 
 }  // namespace
 
-std::uint64_t xxh64(std::span<const std::byte> bytes, std::uint64_t seed) {
+std::uint64_t wyhash64(std::span<const std::byte> bytes, std::uint64_t seed) {
   const std::byte* p = bytes.data();
-  std::size_t n = bytes.size();
-  std::uint64_t hash = 0;
-  if (n >= 32) {
-    // Four independent accumulators over 32-byte stripes: the multiplies
-    // of one stripe do not wait on each other.
-    std::uint64_t v1 = seed + kXxPrime1 + kXxPrime2;
-    std::uint64_t v2 = seed + kXxPrime2;
-    std::uint64_t v3 = seed;
-    std::uint64_t v4 = seed - kXxPrime1;
-    do {
-      v1 = xxh64_round(v1, load_le64(p));
-      v2 = xxh64_round(v2, load_le64(p + 8));
-      v3 = xxh64_round(v3, load_le64(p + 16));
-      v4 = xxh64_round(v4, load_le64(p + 24));
-      p += 32;
-      n -= 32;
-    } while (n >= 32);
-    hash = std::rotl(v1, 1) + std::rotl(v2, 7) + std::rotl(v3, 12) +
-           std::rotl(v4, 18);
-    hash = xxh64_merge(hash, v1);
-    hash = xxh64_merge(hash, v2);
-    hash = xxh64_merge(hash, v3);
-    hash = xxh64_merge(hash, v4);
+  const std::size_t len = bytes.size();
+  seed ^= wymix(seed ^ kWySecret[0], kWySecret[1]);
+  std::uint64_t a = 0;
+  std::uint64_t b = 0;
+  if (len <= 16) {
+    if (len >= 4) {
+      // Two overlapping pairs of 32-bit reads cover every byte of 4..16.
+      const std::size_t mid = (len >> 3) << 2;
+      a = (static_cast<std::uint64_t>(load_le32(p)) << 32) | load_le32(p + mid);
+      b = (static_cast<std::uint64_t>(load_le32(p + len - 4)) << 32) |
+          load_le32(p + len - 4 - mid);
+    } else if (len > 0) {
+      a = load_wy3(p, len);
+    }
   } else {
-    hash = seed + kXxPrime5;
+    std::size_t i = len;
+    if (i > 48) {
+      // Three independent lanes over 48-byte stripes: the multiplies of
+      // one stripe do not wait on each other.
+      std::uint64_t see1 = seed;
+      std::uint64_t see2 = seed;
+      do {
+        seed = wymix(load_le64(p) ^ kWySecret[1], load_le64(p + 8) ^ seed);
+        see1 = wymix(load_le64(p + 16) ^ kWySecret[2],
+                     load_le64(p + 24) ^ see1);
+        see2 = wymix(load_le64(p + 32) ^ kWySecret[3],
+                     load_le64(p + 40) ^ see2);
+        p += 48;
+        i -= 48;
+      } while (i > 48);
+      seed ^= see1 ^ see2;
+    }
+    while (i > 16) {
+      seed = wymix(load_le64(p) ^ kWySecret[1], load_le64(p + 8) ^ seed);
+      i -= 16;
+      p += 16;
+    }
+    // The last 16 bytes, overlapping what the loops already took.
+    a = load_le64(p + i - 16);
+    b = load_le64(p + i - 8);
   }
-  hash += static_cast<std::uint64_t>(bytes.size());
-  for (; n >= 8; p += 8, n -= 8) {
-    hash = std::rotl(hash ^ xxh64_round(0, load_le64(p)), 27) * kXxPrime1 +
-           kXxPrime4;
-  }
-  if (n >= 4) {
-    hash = std::rotl(hash ^ (load_le32(p) * kXxPrime1), 23) * kXxPrime2 +
-           kXxPrime3;
-    p += 4;
-    n -= 4;
-  }
-  for (; n > 0; ++p, --n) {
-    hash = std::rotl(hash ^ (static_cast<std::uint64_t>(*p) * kXxPrime5), 11) *
-           kXxPrime1;
-  }
-  hash ^= hash >> 33;
-  hash *= kXxPrime2;
-  hash ^= hash >> 29;
-  hash *= kXxPrime3;
-  hash ^= hash >> 32;
-  return hash;
+  a ^= kWySecret[1];
+  b ^= seed;
+  wymum(a, b);
+  return wymix(a ^ kWySecret[0] ^ len, b ^ kWySecret[1]);
 }
 
-std::uint64_t xxh64(std::string_view bytes, std::uint64_t seed) {
-  return xxh64(std::as_bytes(std::span(bytes.data(), bytes.size())), seed);
+std::uint64_t wyhash64(std::string_view bytes, std::uint64_t seed) {
+  return wyhash64(std::as_bytes(std::span(bytes.data(), bytes.size())), seed);
 }
 
 }  // namespace spire::util

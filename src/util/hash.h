@@ -13,11 +13,11 @@
 //     with. Not cryptographic: it names artifacts produced by our own
 //     deterministic writer, it does not defend against an adversary
 //     minting collisions.
-//   * xxh64 — the serving workload key (serve::EstimateCache::
+//   * wyhash64 — the serving workload key (serve::EstimateCache::
 //     workload_hash), computed over every request payload. Nothing
-//     persists it, so it is free to be the fast one: it hashes eight bytes
-//     per step in four independent lanes instead of one serial
-//     multiply per byte.
+//     persists it, so it is free to be the fast one: wyhash final 4's
+//     construction, which folds 64x64->128-bit multiplies over 48-byte
+//     stripes in three independent lanes, two words per multiply.
 #pragma once
 
 #include <cstddef>
@@ -51,8 +51,10 @@ std::uint64_t fnv1a64(std::string_view bytes);
 /// characters, zero-padded.
 std::string fnv1a64_hex(std::string_view bytes);
 
-/// XXH64 (the reference xxHash 64-bit algorithm) of `bytes` under `seed`.
-std::uint64_t xxh64(std::span<const std::byte> bytes, std::uint64_t seed = 0);
-std::uint64_t xxh64(std::string_view bytes, std::uint64_t seed = 0);
+/// wyhash final 4 (the reference algorithm, default secret) of `bytes`
+/// under `seed`.
+std::uint64_t wyhash64(std::span<const std::byte> bytes,
+                       std::uint64_t seed = 0);
+std::uint64_t wyhash64(std::string_view bytes, std::uint64_t seed = 0);
 
 }  // namespace spire::util

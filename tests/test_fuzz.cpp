@@ -6,14 +6,19 @@
 // tests miss.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <charconv>
 #include <cmath>
+#include <cstdio>
 #include <span>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "quality/fault_injector.h"
 #include "quality/quality.h"
 #include "sampling/collector.h"
+#include "sampling/dataset_detail.h"
 #include "serve/model_v3.h"
 #include "sim/core.h"
 #include "spire/model_bin.h"
@@ -337,6 +342,127 @@ TEST_P(FuzzCsv, InjectedCorruptionRoundTripsAndMutationsNeverCrash) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzCsv, ::testing::Range(1, 13));
+
+// --------------------------------------------------------------------------
+// The CSV field converter against std::from_chars: the loader's fast path
+// must accept exactly what from_chars accepts over a whole field, with the
+// same bits.
+// --------------------------------------------------------------------------
+
+void expect_same_as_from_chars(const std::string& field) {
+  double reference = 0.0;
+  const char* const last = field.data() + field.size();
+  const auto [ptr, ec] = std::from_chars(field.data(), last, reference);
+  const bool reference_ok = ec == std::errc{} && ptr == last;
+  double value = 0.0;
+  const bool ok = sampling::detail::parse_number(field, value);
+  ASSERT_EQ(ok, reference_ok) << "field '" << field << "'";
+  if (ok) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(value),
+              std::bit_cast<std::uint64_t>(reference))
+        << "field '" << field << "'";
+  }
+}
+
+std::string print_g(double v, int precision) {
+  char buffer[64];
+  std::snprintf(buffer, sizeof buffer, "%.*g", precision, v);
+  return buffer;
+}
+
+TEST(FuzzCsvField, EdgeCorpusMatchesFromChars) {
+  std::vector<std::string> corpus = {
+      "0", "-0", ".5", "5.", "+1", "1e5", "1E-3", "inf", "-inf", "nan",
+      "-nan", "infinity", "nan(1)", "9007199254740992", "9007199254740993",
+      "-9007199254740993", "1234567890123456789", "12345678901234567890",
+      "0.0000000000000000000000001", "0.1234567890123456789012",
+      "0.12345678901234567890123", "1.0000000000000000000000",
+      "1.00000000000000000000000", "0.0000000000000000000001",
+      "0.00000000000000000000001", "-", "", ".", "-.", "-.5", "1.2.3",
+      " 1", "1 ", "\t1", "1\r", "--1", "0x10", "1,5", "00000000000000000000012",
+      "21662.5", "50000", "3808", "1e", "1e+", "1.5e308", "1e309", "1e-400",
+      "4.9406564584124654e-324", "179769313486231570000000000000000000000000",
+      "0.30000000000000004", "123456789012345678.5", "9999999999999999999",
+      "99999999999999999999", "-0.0", "0.", "-5.", "1..", "٣"};
+  util::Rng rng(2024);
+  for (int i = 0; i < 2000; ++i) {
+    const double v = std::ldexp(rng.uniform(-1.0, 1.0),
+                                static_cast<int>(rng.range(-60, 60)));
+    corpus.push_back(print_g(v, 17));
+    corpus.push_back(print_g(v, 1 + static_cast<int>(rng.below(16))));
+  }
+  for (const std::string& field : corpus) expect_same_as_from_chars(field);
+
+  // The fast path itself takes the fields collected CSVs are made of and
+  // hands everything past its limits to from_chars.
+  const auto fast = [](std::string_view field) {
+    double value = 0.0;
+    const char* const last = field.data() + field.size();
+    return sampling::detail::parse_decimal_fast(field.data(), last, value) ==
+           last;
+  };
+  for (const char* field : {"0", "-0", ".5", "5.", "-.5", "21662.5", "50000",
+                            "9007199254740992", "0.0000000000000000000001",
+                            "1234567890123456789e0"}) {
+    EXPECT_EQ(fast(field), std::string_view(field).find('e') ==
+                               std::string_view::npos)
+        << field;
+  }
+  for (const char* field : {"", "-", ".", "9007199254740993", "1e5", "inf",
+                            "0.00000000000000000000001", "12345678901234567890",
+                            "0.30000000000000004"}) {
+    EXPECT_FALSE(fast(field)) << field;
+  }
+}
+
+TEST(FuzzCsvField, MillionRandomFieldsMatchFromChars) {
+  // Fields shaped like what the loader meets (integers, short decimals,
+  // 17-digit prints) and near misses of them: stray signs, points and
+  // exponents, lengths around the 19-digit and 22-fraction-digit limits,
+  // and bytes no number holds.
+  util::Rng rng(77);
+  static constexpr char kAlphabet[] = "0123456789012345678901234567890.-+eE xn";
+  std::string field;
+  for (int i = 0; i < 1'000'000; ++i) {
+    field.clear();
+    switch (rng.below(4)) {
+      case 0: {  // a digit string, maybe signed, maybe with a point
+        if (rng.chance(0.3)) field += '-';
+        const std::size_t digits = rng.below(26);
+        const std::size_t point =
+            rng.chance(0.6) ? rng.below(digits + 1) : digits + 1;
+        for (std::size_t d = 0; d < digits; ++d) {
+          if (d == point) field += '.';
+          field += static_cast<char>('0' + rng.below(10));
+        }
+        if (point == digits) field += '.';
+        break;
+      }
+      case 1:  // a print of a random double
+        field = print_g(std::ldexp(rng.uniform(-1.0, 1.0),
+                                   static_cast<int>(rng.range(-80, 80))),
+                        1 + static_cast<int>(rng.below(17)));
+        break;
+      case 2: {  // a counter-like decimal with a few fraction digits
+        field = std::to_string(rng.below(1'000'000'000));
+        if (rng.chance(0.5)) {
+          field += '.';
+          field += std::to_string(rng.below(100'000));
+        }
+        break;
+      }
+      default: {  // random bytes from a number-ish alphabet
+        const std::size_t n = rng.below(12);
+        for (std::size_t c = 0; c < n; ++c) {
+          field += kAlphabet[rng.below(sizeof kAlphabet - 1)];
+        }
+        break;
+      }
+    }
+    expect_same_as_from_chars(field);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
 
 }  // namespace
 }  // namespace spire

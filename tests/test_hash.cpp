@@ -1,8 +1,10 @@
 // util/hash.h: the three byte hashes and their contracts.
 //
-//  * xxh64 — the serving workload key. Known answers from the reference
-//    algorithm, and every length 0..96 so each 32-byte stripe, 8-byte,
-//    4-byte and 1-byte tail boundary is crossed.
+//  * wyhash64 — the serving workload key. Known answers from the reference
+//    algorithm, outputs frozen at every length 0..64 (each short-input,
+//    16-byte and 48-byte stripe boundary) and at 100, 1000 and 310,000
+//    bytes, every bit of the input reaching the result, no dependence on
+//    alignment, and keys that spread over the caches' stripes.
 //  * crc32 — the artifact and wire checksum. Its two arms (slicing-by-8
 //    table, carry-less-multiply fold) must agree bit for bit on every
 //    length, alignment and start state, one-shot and streamed in chunks.
@@ -35,89 +37,172 @@ std::vector<std::byte> random_bytes(Rng& rng, std::size_t n) {
 }
 
 // --------------------------------------------------------------------------
-// XXH64
+// wyhash64
 // --------------------------------------------------------------------------
 
-TEST(HashXxh64, KnownAnswers) {
-  EXPECT_EQ(xxh64(""), 0xef46db3751d8e999ull);
-  EXPECT_EQ(xxh64("abc"), 0x44bc2cf5ad770999ull);
-  EXPECT_EQ(xxh64("a"), 0xd24ec4f1a98c6e5bull);
-  EXPECT_EQ(xxh64("message digest"), 0x066ed728fceeb3beull);
-  EXPECT_EQ(xxh64("abcdefghijklmnopqrstuvwxyz"), 0xcfe1f278fa89835cull);
-  EXPECT_EQ(xxh64("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
-                  "0123456789"),
-            0xaaa46907d3047814ull);
-  EXPECT_EQ(xxh64("1234567890123456789012345678901234567890"
-                  "1234567890123456789012345678901234567890"),
-            0xe04a477f19ee145dull);
-  EXPECT_EQ(xxh64("abc", 1), 0xbea9ca8199328908ull);
+std::vector<std::byte> pattern_bytes(std::size_t n) {
+  std::vector<std::byte> out(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = static_cast<std::byte>(((i * 131 + 17) ^ (i >> 3)) & 0xFFu);
+  }
+  return out;
 }
 
-TEST(HashXxh64, EveryTailBoundaryUpTo96Bytes) {
-  // XXH64 of the first n bytes of a fixed pattern, from the reference
-  // algorithm: n < 32 takes the short path, and every n crosses a
-  // different mix of the 32-byte stripe loop and the 8-, 4- and 1-byte
-  // tails.
-  static constexpr std::array<std::uint64_t, 97> kExpected = {
-      0xef46db3751d8e999ull, 0xad10cd9780ac4ff7ull, 0xb22635899e8f2235ull,
-      0x40626d96276e4594ull, 0x882207c122c76e23ull, 0xa3da885eec618bb4ull,
-      0xad9c2ecd863325f1ull, 0xcfc90033aa9dac4full, 0x90fda2f089fa86deull,
-      0x1f78e316a793067aull, 0xf0b4fe8eba8ed80cull, 0x46bcdc0241342ddcull,
-      0x940e6cb5b273abc9ull, 0x058adf388f92cf5aull, 0x10def9408326fa05ull,
-      0xa97fe2df2054eaecull, 0x16c669fcadf3d9b8ull, 0xed1adb7d386e9024ull,
-      0xd659eb5d9ca2482dull, 0x8cc42afb42a22846ull, 0x759da5cc025233b5ull,
-      0x9c7a30049a6a0981ull, 0x67cebf41f79b4f33ull, 0x5981a8eb506722a5ull,
-      0x63f92f6ef8a83269ull, 0xe080bb209931d2dbull, 0x8f94291bf95a917aull,
-      0xfbe2fbf0e02577a4ull, 0x61b24e79a4b75b52ull, 0x191e1b21e8fab9d9ull,
-      0x03cd7cb29c300fc1ull, 0xef611567be989431ull, 0x8b8a6388430846bdull,
-      0x5fa8ff8718d5077cull, 0x24b3900aa42c5220ull, 0x1d0b5e436a4eafc3ull,
-      0x6cb02faf1b6957bbull, 0x918e7388111340dbull, 0x12c286b688e594b2ull,
-      0x443aaecd7b61beaeull, 0xbe8585be6a2fb9b7ull, 0x3746c0360441566eull,
-      0x143ee6218a654411ull, 0xae8bc5ee22b75bfaull, 0x19a2643a6358088cull,
-      0x4eedea166fd70942ull, 0xdf65c6016b5f61cfull, 0x2ae3f11933a5b482ull,
-      0xd6a920ab2abcb8c3ull, 0xc08042cb2ec0f8d6ull, 0x984fd226561f63ffull,
-      0xa8ae4d842f7952cdull, 0x52fe09bc32f22ca2ull, 0xcecd4d4a9d900f71ull,
-      0x1fa6ccb45df27628ull, 0x5e53232ca749861aull, 0xa7fc00df26ef901bull,
-      0x6b5afe31df3c6882ull, 0x94ae3ab52603966bull, 0x1e4efa043015416aull,
-      0x49415f6ccbf4bbd3ull, 0xc6e86f8ba028c8a4ull, 0x2328028a6f6aded0ull,
-      0xa2e458027ca40dedull, 0x020f4789bde9b770ull, 0xc25808eb30fb3574ull,
-      0x4ca296fb068385a7ull, 0x0106d7856eb584c3ull, 0xbf32c2865469d75full,
-      0xa68373fdde2893f0ull, 0x954fe6980a55bd83ull, 0x5c0961e52eda82f9ull,
-      0xd47af65a2937c807ull, 0x196eb5cc2dade718ull, 0xf029a36717d1603bull,
-      0x6a5c70fa3b3f0cd9ull, 0x4dcfb67f0d49896bull, 0x9bd7ab46e65d110eull,
-      0x68c35fdc71fa8ad3ull, 0x128eb166bf543718ull, 0x5e1041e32f4790a2ull,
-      0x5c02ab95fb8b126eull, 0xee739d993bb544e7ull, 0x741124d4b7acccbbull,
-      0x8c88aec97f93102cull, 0x9d98552e5b962ef9ull, 0x9aee4b28807acc3bull,
-      0xaa5431877bf20fadull, 0x284b4cca3c772e86ull, 0xae6bf4a07e98548aull,
-      0x16def89024c67592ull, 0x04c00f253d00a41full, 0x9d893ac86d53a9cfull,
-      0x911fcac0d339371bull, 0x330fac18bb56ae41ull, 0x2b7f7d39e7a0f780ull,
-      0x1cfb7e1016f6392bull,
+TEST(HashWyhash, ReferenceVectors) {
+  // The reference implementation's test vectors: message i under seed i.
+  EXPECT_EQ(wyhash64("", 0), 0x93228a4de0eec5a2ull);
+  EXPECT_EQ(wyhash64("a", 1), 0xc5bac3db178713c4ull);
+  EXPECT_EQ(wyhash64("abc", 2), 0xa97f2f7b1d9b3314ull);
+  EXPECT_EQ(wyhash64("message digest", 3), 0x786d1f1df3801df4ull);
+  EXPECT_EQ(wyhash64("abcdefghijklmnopqrstuvwxyz", 4), 0xdca5a8138ad37c87ull);
+  EXPECT_EQ(wyhash64("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
+                     "0123456789",
+                     5),
+            0xb9e734f117cfaf70ull);
+  EXPECT_EQ(wyhash64("1234567890123456789012345678901234567890"
+                     "1234567890123456789012345678901234567890",
+                     6),
+            0x6cc5eab49a92d617ull);
+}
+
+TEST(HashWyhash, PinnedOutputsAtEveryTailLength) {
+  // Seed 0 (the workload key) over the first n bytes of a fixed pattern,
+  // computed once and frozen: n <= 16 takes the short reads, 17..48 the
+  // 16-byte loop, and longer inputs the three-lane 48-byte stripes with
+  // every remainder.
+  static constexpr std::array<std::uint64_t, 68> kExpected = {
+      0x93228a4de0eec5a2ull, 0x1cc099d21fc723d6ull, 0x8f0e342ba4b7d963ull,
+      0x231f56b3d7c89346ull, 0x337080986971a0b2ull, 0xa671a9712dfd9bbdull,
+      0xf8b877892073af56ull, 0xc0b45ebd7af884c3ull, 0x5e56e5b8209cf2ccull,
+      0xa4992e148e1bcc3eull, 0xff4312a1c7d05d7bull, 0x565effa24867b696ull,
+      0x46d1d6d91723edf0ull, 0x5da8934835c91937ull, 0x9ac141d39ac054edull,
+      0xb6f4cb05e625a81dull, 0xdd0d3762c7ce088bull, 0x4d83c527a063ea3aull,
+      0x07d9297746fb09e0ull, 0xa851f93f43270738ull, 0x967af56beb2ee3fbull,
+      0xc47e901e549537c2ull, 0xe8934b95be1578f2ull, 0x45afdd9ba3572460ull,
+      0xbdd8b1da9604a0f8ull, 0xf7cc923b8f6e3ad9ull, 0x3087d7fcbb0d78e9ull,
+      0x1af1010b77994b39ull, 0x9e713e2e786f4c63ull, 0xde8b37fbfa6d318cull,
+      0xa47eba79ee0ecfe8ull, 0x31e2ca3865044ee4ull, 0x83517dfc700cb0c0ull,
+      0x67a9e9252bbc91dfull, 0xf2563d94cde9fc90ull, 0x7f4145d62c6adc68ull,
+      0x89dcec50cca4fa40ull, 0x336d36a0e5f9f674ull, 0x28d7b463290f29abull,
+      0x115b118de6aabf73ull, 0xef14e23416ba9a36ull, 0x45cc9ccba6350e9eull,
+      0x56fa27dc85367c87ull, 0x07aed284f211a9f5ull, 0x2c013b44ade4735eull,
+      0xd1da53c7b8a569f0ull, 0xf2649bb39d695e66ull, 0xfadcde8ffda5eb6full,
+      0xb62edc6f3a6c0bc8ull, 0x6302d009c6a4572bull, 0x38fea599cf75817eull,
+      0xdfd043ef62fdf92eull, 0x9c0f4bbd3359181full, 0x1ec125a3436c1dbfull,
+      0x6c301c0763544ca7ull, 0xc027652d54932da1ull, 0x28ff623d08b5e527ull,
+      0xe11c4b007817f0a6ull, 0x0c20ddec7e171e2bull, 0x3d66f5d74e2f63c0ull,
+      0x23c19a703b5bf7d2ull, 0x6d249a457ecfedcaull, 0x6eea9bd9b4135a49ull,
+      0xa42acd9255486961ull, 0x997a612aef14b3f7ull, 0x697f0bc11b3d9c71ull,
+      0xdf27f732c2241894ull, 0x03b4f0df4dff8816ull,
   };
-  std::vector<std::byte> pattern(kExpected.size());
-  for (std::size_t i = 0; i < pattern.size(); ++i) {
-    pattern[i] = static_cast<std::byte>(((i * 131 + 17) ^ (i >> 3)) & 0xFFu);
-  }
-  for (std::size_t n = 0; n < kExpected.size(); ++n) {
-    const std::span<const std::byte> prefix(pattern.data(), n);
-    EXPECT_EQ(xxh64(prefix), kExpected[n]) << "length " << n;
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 64; ++n) lengths.push_back(n);
+  lengths.insert(lengths.end(), {100, 1000, 310000});
+  ASSERT_EQ(lengths.size(), kExpected.size());
+  const std::vector<std::byte> pattern = pattern_bytes(310000);
+  for (std::size_t i = 0; i < lengths.size(); ++i) {
+    const std::size_t n = lengths[i];
+    EXPECT_EQ(wyhash64(std::span<const std::byte>(pattern.data(), n)),
+              kExpected[i])
+        << "length " << n;
     // The string_view overload hashes the same bytes.
-    EXPECT_EQ(xxh64(std::string_view(
+    EXPECT_EQ(wyhash64(std::string_view(
                   reinterpret_cast<const char*>(pattern.data()), n)),
-              kExpected[n])
+              kExpected[i])
         << "length " << n;
   }
-  const std::uint64_t seed = 0x9E3779B97F4A7C15ull;
-  EXPECT_EQ(xxh64(std::span<const std::byte>(pattern.data(), 96), seed),
-            0x75ae516022e1d60aull);
-  EXPECT_EQ(xxh64(std::span<const std::byte>(pattern.data(), 37), seed),
-            0x2555929951bf0ce4ull);
 }
 
-TEST(HashXxh64, IsTheServingWorkloadKey) {
+TEST(HashWyhash, EverySingleBitFlipChangesTheHash) {
+  std::vector<std::byte> bytes = pattern_bytes(1024);
+  const std::uint64_t base = wyhash64(bytes);
+  for (std::size_t bit = 0; bit < bytes.size() * 8; ++bit) {
+    const std::byte mask{static_cast<unsigned char>(1u << (bit % 8))};
+    bytes[bit / 8] ^= mask;
+    ASSERT_NE(wyhash64(bytes), base) << "bit " << bit;
+    bytes[bit / 8] ^= mask;
+  }
+}
+
+TEST(HashWyhash, SameResultAtEveryAlignment) {
+  Rng rng(31);
+  const std::vector<std::byte> source = random_bytes(rng, 4096);
+  for (const std::size_t n : {0u, 3u, 16u, 17u, 48u, 49u, 97u, 1000u, 4096u}) {
+    const std::uint64_t expected =
+        wyhash64(std::span<const std::byte>(source.data(), n));
+    std::vector<std::byte> shifted(n + 16);
+    for (std::size_t offset = 0; offset < 16; ++offset) {
+      std::copy_n(source.begin(), n, shifted.begin() + offset);
+      const std::span<const std::byte> bytes(shifted.data() + offset, n);
+      EXPECT_EQ(wyhash64(bytes), expected)
+          << "length " << n << " offset " << offset;
+    }
+  }
+}
+
+TEST(HashWyhash, NoCollisionAmongNearDuplicateCsvRows) {
+  // Two million rows that differ from their neighbours in a digit or two,
+  // the shape of the text workloads the key tells apart.
+  std::vector<std::uint64_t> hashes;
+  hashes.reserve(2'000'000);
+  std::string row;
+  for (std::uint32_t i = 0; i < 2'000'000; ++i) {
+    row = "idq.dsb_uops,50000," + std::to_string(i % 1000) + "," +
+          std::to_string(i / 1000) + ".5\n";
+    hashes.push_back(wyhash64(row));
+  }
+  std::sort(hashes.begin(), hashes.end());
+  EXPECT_EQ(std::adjacent_find(hashes.begin(), hashes.end()), hashes.end());
+}
+
+TEST(HashWyhash, WorkloadKeysSpreadOverTheCacheStripes) {
+  // StripedLru picks stripe_hash(key) % stripes, and the memo and profile
+  // caches run 8 stripes keyed on the workload hash: each must take 10-15%
+  // of the keys (12.5% is even).
+  constexpr std::size_t kStripes = 8;
+  constexpr std::size_t kKeys = 10'000;
+  std::array<std::size_t, kStripes> counts{};
+  for (std::size_t i = 0; i < kKeys; ++i) {
+    const std::string csv = "metric,t,w,m\nidq.dsb_uops,50000," +
+                            std::to_string(1000 + i) + ",3\n";
+    ++counts[serve::stripe_hash(serve::EstimateCache::workload_hash(csv)) %
+             kStripes];
+  }
+  for (std::size_t stripe = 0; stripe < kStripes; ++stripe) {
+    EXPECT_GE(counts[stripe], kKeys / 10) << "stripe " << stripe;
+    EXPECT_LE(counts[stripe], kKeys * 15 / 100) << "stripe " << stripe;
+  }
+}
+
+TEST(HashWyhash, PortableProductMatchesTheCompilers) {
+  Rng rng(128);
+  std::vector<std::uint64_t> values = {0, 1, 0xFFFFFFFFull, 0x100000000ull,
+                                       ~std::uint64_t{0}};
+  for (int i = 0; i < 2000; ++i) values.push_back(rng.next());
+  for (const std::uint64_t a : values) {
+    for (std::size_t j = 0; j < 8; ++j) {
+      const std::uint64_t b = values[(j * 257 + a) % values.size()];
+      const detail::Product128 product = detail::mul128_portable(a, b);
+      EXPECT_EQ(product.lo, a * b);
+#if defined(__SIZEOF_INT128__)
+      const unsigned __int128 wide = static_cast<unsigned __int128>(a) * b;
+      ASSERT_EQ(product.hi, static_cast<std::uint64_t>(wide >> 64))
+          << a << " * " << b;
+#endif
+    }
+  }
+  // (2^64 - 1)^2 = 2^128 - 2^65 + 1.
+  const detail::Product128 top =
+      detail::mul128_portable(~std::uint64_t{0}, ~std::uint64_t{0});
+  EXPECT_EQ(top.lo, 1u);
+  EXPECT_EQ(top.hi, ~std::uint64_t{0} - 1);
+}
+
+TEST(HashWyhash, IsTheServingWorkloadKey) {
   // The one key the memo cache and the profile cache share.
   const std::string csv = "metric,time,p,intensity\nIDQ.DSB_UOPS,1,2,3\n";
-  EXPECT_EQ(serve::EstimateCache::workload_hash(csv), xxh64(csv));
-  EXPECT_NE(xxh64(csv), fnv1a64(csv));
+  EXPECT_EQ(serve::EstimateCache::workload_hash(csv), wyhash64(csv));
+  EXPECT_NE(wyhash64(csv), fnv1a64(csv));
 }
 
 // --------------------------------------------------------------------------

@@ -624,6 +624,38 @@ TEST(ModelRegistry, GcKeepsPinnedAndLiveObjectsOnly) {
   EXPECT_TRUE(registry.list().empty());
 }
 
+TEST(ModelRegistry, RepinningIsIdempotent) {
+  const std::string root = fresh_registry_root("reg_repin");
+  ModelRegistry registry(root);
+  const std::string id = registry.publish(trained_ensemble(17));
+  registry.pin(id);
+  EXPECT_NO_THROW(registry.pin(id));
+  EXPECT_EQ(registry.pinned(), std::vector<std::string>{id});
+  registry.unpin(id);
+  EXPECT_TRUE(registry.pinned().empty());
+  registry.pin(id);
+  EXPECT_EQ(registry.pinned(), std::vector<std::string>{id});
+  EXPECT_TRUE(std::filesystem::is_regular_file(
+      std::filesystem::path(root) / "pins" / id));
+  EXPECT_TRUE(registry.gc().empty());
+  EXPECT_TRUE(registry.contains(id));
+}
+
+TEST(ModelRegistry, PinThrowsWhenTheMarkerCannotBeWritten) {
+  const std::string root = fresh_registry_root("reg_pin_dir");
+  ModelRegistry registry(root);
+  const std::string id = registry.publish(trained_ensemble(17));
+  // A directory where the marker file belongs cannot be opened for
+  // writing, so the pin must fail rather than report success.
+  std::filesystem::create_directory(std::filesystem::path(root) / "pins" / id);
+  try {
+    registry.pin(id);
+    FAIL() << "pin() returned over a directory in the marker's place";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()), "registry: cannot write pin for " + id);
+  }
+}
+
 TEST(ModelRegistry, ConcurrentPublishOfTheSameBytesConverges) {
   const Ensemble ensemble = trained_ensemble(17);
   ModelRegistry registry(fresh_registry_root("reg_race"));

@@ -81,6 +81,114 @@ TEST(Dataset, LoadRejectsBadInput) {
   EXPECT_THROW(Dataset::load_csv(short_row), std::runtime_error);
 }
 
+std::string load_error(std::string_view csv) {
+  try {
+    (void)Dataset::load_csv(csv);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "(loaded)";
+}
+
+TEST(Dataset, LoadErrorsNameTheFaultExactly) {
+  EXPECT_EQ(load_error("nope\n1,2,3,4\n"), "dataset: unexpected header 'nope'");
+  EXPECT_EQ(load_error("metric,t,w,m\nfake.event,1,2,3\n"),
+            "dataset: unknown metric 'fake.event'");
+  EXPECT_EQ(load_error("metric,t,w,m\nidq.dsb_uops,1,2\n"),
+            "dataset: short row 'idq.dsb_uops,1,2'");
+  EXPECT_EQ(load_error("metric,t,w,m\nidq.dsb_uops,1,2,3,4\n"),
+            "dataset: long row 'idq.dsb_uops,1,2,3,4'");
+  EXPECT_EQ(load_error("metric,t,w,m\nidq.dsb_uops,abc,2,3\n"),
+            "dataset: bad t value 'abc' in row 'idq.dsb_uops,abc,2,3'");
+  EXPECT_EQ(load_error("metric,t,w,m\nidq.dsb_uops,1,2x,3\n"),
+            "dataset: bad w value '2x' in row 'idq.dsb_uops,1,2x,3'");
+  EXPECT_EQ(load_error("metric,t,w,m\nidq.dsb_uops,1,2,\r\n"),
+            "dataset: bad m value '' in row 'idq.dsb_uops,1,2,'");
+  // A fault past the first row, inside a run of a known metric.
+  EXPECT_EQ(
+      load_error("metric,t,w,m\nidq.dsb_uops,1,2,3\nidq.dsb_uops,1,+2,3\n"),
+      "dataset: bad w value '+2' in row 'idq.dsb_uops,1,+2,3'");
+  EXPECT_EQ(load_error("metric,t,w,m\nidq.dsb_uops,1,2,3\nidq.dsb_uops,1,2\n"),
+            "dataset: short row 'idq.dsb_uops,1,2'");
+  // A row with several faults reports its shape, then its metric, then
+  // its first bad value.
+  EXPECT_EQ(load_error("metric,t,w,m\nfake.event,1,2\n"),
+            "dataset: short row 'fake.event,1,2'");
+  EXPECT_EQ(load_error("metric,t,w,m\nidq.dsb_uops,x,2,3,4\n"),
+            "dataset: long row 'idq.dsb_uops,x,2,3,4'");
+  EXPECT_EQ(load_error("metric,t,w,m\nfake.event,x,2,3\n"),
+            "dataset: unknown metric 'fake.event'");
+  EXPECT_EQ(load_error("metric,t,w,m\nidq.dsb_uops,x,y,z\n"),
+            "dataset: bad t value 'x' in row 'idq.dsb_uops,x,y,z'");
+  EXPECT_EQ(load_error("metric,t,w,m\n\r\r\n"), "dataset: short row '\r'");
+}
+
+void expect_exact_capacity(const Dataset& d) {
+  for (const auto& info : counters::event_catalog()) {
+    const auto& series = d.samples(info.event);
+    EXPECT_EQ(series.capacity(), series.size()) << info.name;
+  }
+}
+
+TEST(Dataset, LoadTakesCrlfBlankLinesAndAFinalRowWithoutNewline) {
+  const Dataset d = Dataset::load_csv(std::string_view(
+      "metric,t,w,m\r\n"
+      "\n"
+      "idq.dsb_uops,1,2,3\r\n"
+      "\r\n"
+      "idq.dsb_uops,4.5,-6,0.25\n"
+      "\n"
+      "lsd.uops,7,8,9"));
+  ASSERT_EQ(d.size(), 3u);
+  const auto& dsb = d.samples(Event::kIdqDsbUops);
+  ASSERT_EQ(dsb.size(), 2u);
+  EXPECT_EQ(dsb[0], (Sample{1.0, 2.0, 3.0}));
+  EXPECT_EQ(dsb[1], (Sample{4.5, -6.0, 0.25}));
+  EXPECT_EQ(d.samples(Event::kLsdUops)[0], (Sample{7.0, 8.0, 9.0}));
+  expect_exact_capacity(d);
+  EXPECT_TRUE(Dataset::load_csv(std::string_view("")).empty());
+  EXPECT_TRUE(Dataset::load_csv(std::string_view("metric,t,w,m")).empty());
+}
+
+TEST(Dataset, LoadAppendsAMetricWhoseRowsArriveInTwoRuns) {
+  const Dataset d = Dataset::load_csv(std::string_view(
+      "metric,t,w,m\n"
+      "idq.dsb_uops,1,1,1\n"
+      "idq.dsb_uops,2,2,2\n"
+      "lsd.uops,3,3,3\n"
+      "idq.dsb_uops,4,4,4\n"
+      "idq.dsb_uops,5,5,1e3\n"));
+  const auto& dsb = d.samples(Event::kIdqDsbUops);
+  ASSERT_EQ(dsb.size(), 4u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(dsb[i].t, static_cast<double>(i < 2 ? i + 1 : i + 2));
+  }
+  EXPECT_EQ(dsb[3], (Sample{5.0, 5.0, 1000.0}));
+  EXPECT_EQ(d.samples(Event::kLsdUops).size(), 1u);
+  expect_exact_capacity(d);
+}
+
+TEST(Dataset, IstreamLoadEqualsInPlaceLoadAcrossReadChunks) {
+  // Large enough that the stream is read in several chunks.
+  Dataset d;
+  for (int i = 0; i < 20000; ++i) {
+    d.add(i % 3 == 0 ? Event::kLsdUops : Event::kIdqDsbUops,
+          {50000.0, 1.0 + i, i * 0.125});
+  }
+  std::stringstream buf;
+  d.save_csv(buf);
+  const std::string text = buf.str();
+  ASSERT_GT(text.size(), 3u * 64 * 1024);
+  const Dataset from_stream = Dataset::load_csv(buf);
+  const Dataset in_place = Dataset::load_csv(std::string_view(text));
+  for (const Event e : {Event::kLsdUops, Event::kIdqDsbUops}) {
+    EXPECT_EQ(from_stream.samples(e), d.samples(e));
+    EXPECT_EQ(in_place.samples(e), d.samples(e));
+  }
+  expect_exact_capacity(from_stream);
+  expect_exact_capacity(in_place);
+}
+
 TEST(Collector, ConfigValidation) {
   CollectorConfig bad;
   bad.window_cycles = 0;
@@ -190,6 +298,20 @@ TEST(Collector, DefaultsToAllMetricEvents) {
   Dataset d;
   collector.collect(core, d, 120000);
   EXPECT_EQ(d.metrics().size(), counters::metric_events().size());
+}
+
+TEST(Dataset, LoadReservesEverySeriesOfACollectedProfileExactly) {
+  workloads::ProfileStream stream(test_profile());
+  sim::Core core(sim::CoreConfig{}, stream);
+  SampleCollector collector((CollectorConfig()));
+  Dataset collected;
+  collector.collect(core, collected, 400000);
+  std::stringstream buf;
+  collected.save_csv(buf);
+  const Dataset d = Dataset::load_csv(std::string_view(buf.str()));
+  EXPECT_EQ(d.size(), collected.size());
+  EXPECT_GT(d.metrics().size(), 10u);
+  expect_exact_capacity(d);
 }
 
 }  // namespace
