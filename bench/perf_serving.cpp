@@ -3,16 +3,19 @@
 //
 // Measures estimates/sec over the full workload suite for three modes —
 // the train-time object graph evaluated serially (the pre-serve baseline),
-// the compiled model evaluated serially, and the compiled batch path across
-// a pool — plus the model load times (text v1 parse vs the fully verified
-// v4 -> Ensemble rebuild vs compile vs v4 mmap), the image sizes, the
-// cold/warm first-estimate latency of the mmap path and the process's peak
-// RSS, and emits everything as BENCH_serving.json.
+// the compiled model evaluated serially, and the compiled model's
+// estimates fanned across a pool — plus the model load times (text v1
+// parse vs the fully verified v4 -> Ensemble rebuild vs compile vs v4
+// mmap), the image sizes, the cold/warm first-estimate latency of the
+// mmap path and the process's peak RSS, and emits everything as
+// BENCH_serving.json.
 //
 // Hard contracts verified on every run:
-//  * bit-identity: the compiled AND mapped single/batch paths (at 1, 4,
-//    and 8 threads) must reproduce Ensemble::estimate exactly — same
-//    throughput bits, ranking order, sample counts, and skip reasons;
+//  * bit-identity: the compiled AND mapped models, estimated serially and
+//    fanned across a pool at 1, 4 and 8 threads, must reproduce
+//    Ensemble::estimate exactly — same throughput bits, ranking order,
+//    sample counts, and skip reasons — and the direct path must reproduce
+//    the scalar reference at fleet scale;
 //  * the binary-load + compile floor: standing up a serving instance from
 //    the v4 image — the fully verified Ensemble rebuild plus an in-memory
 //    compile — must take <= 0.1 s (full mode; --smoke skips timing floors
@@ -35,8 +38,8 @@
 // Next to the ratio the bench prints a host-load calibration (four
 // spinning threads' work rate over one thread's), so a failing ratio on a
 // contended host can be told apart from a regression. The direct path's
-// single-thread rate against the scalar reference, at fleet scale and on
-// a lookup-bound ~5.9M-piece model, is recorded but not asserted.
+// single-thread rate against the scalar reference at fleet scale is
+// recorded but not asserted; its bit-identity is.
 // Every skippable assertion lands in the JSON as a structured object
 // ({status, reason, hardware_threads}), never a silent string.
 //
@@ -49,7 +52,6 @@
 #include <cstring>
 #include <fstream>
 #include <sstream>
-#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -190,6 +192,16 @@ double spin_rate(unsigned threads, double interval_s) {
   return total;
 }
 
+/// One estimate per workload, fanned across a pool per `exec` (serial
+/// when threads <= 1), in input order.
+std::vector<model::Estimate> estimate_all(
+    const serve::MappedModel& model,
+    const std::vector<sampling::DatasetView>& views, util::ExecOptions exec) {
+  return util::parallel_for_index(exec, views.size(), [&](std::size_t i) {
+    return model.estimate(views[i]);
+  });
+}
+
 bool identical(const std::vector<model::Estimate>& a,
                const std::vector<model::Estimate>& b) {
   if (a.size() != b.size()) return false;
@@ -253,9 +265,9 @@ int main(int argc, char** argv) {
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4},
                                     std::size_t{8}}) {
     bit_identical &= identical(
-        reference, compiled.estimate_batch(views, util::ExecOptions{threads}));
+        reference, estimate_all(compiled, views, util::ExecOptions{threads}));
     bit_identical &= identical(
-        reference, mapped.estimate_batch(views, util::ExecOptions{threads}));
+        reference, estimate_all(mapped, views, util::ExecOptions{threads}));
   }
   std::printf("bit-identical to Ensemble::estimate (compiled + mmap): %s\n",
               bit_identical ? "yes" : "NO");
@@ -387,7 +399,7 @@ int main(int argc, char** argv) {
     for (const auto& view : views) (void)compiled.estimate(view);
   });
   const double batch_eps =
-      run_mode([&] { (void)compiled.estimate_batch(views, exec); });
+      run_mode([&] { (void)estimate_all(compiled, views, exec); });
   const double ratio = batch_eps / tree_walk_eps;
   // Taken right after the throughput passes, so it sees the same host load.
   const double spin_interval_s = smoke ? 0.05 : 0.25;
@@ -404,16 +416,13 @@ int main(int argc, char** argv) {
 
   // --- single-thread direct path vs scalar reference ---------------------
   // Both passes run in this thread, so the figures are thread-count
-  // independent. The direct path (estimate_many, the same call a shard
-  // pump issues) differs from the scalar reference (estimate_tables) only
-  // in its segment search: branchless instead of std::lower_bound. Recorded
-  // at fleet scale and in the SEGMENT-LOOKUP-BOUND regime below, never
-  // asserted.
+  // independent. The direct path (serve::estimate, the call every serving
+  // surface makes) differs from the scalar reference (estimate_tables)
+  // only in its segment search: branchless instead of std::lower_bound.
+  // Recorded, never asserted.
   const auto fleet_tables = fleet_compiled.tables();
-  const std::vector<model::Merge> direct_merges(views.size(),
-                                                model::Merge::kTimeWeighted);
   std::vector<model::Estimate> scalar_out;
-  std::vector<serve::EvalOutcome> direct_out;
+  std::vector<model::Estimate> direct_out;
   const double fleet_scalar_eps = run_mode([&] {
     scalar_out.clear();
     for (const auto& view : views) {
@@ -422,13 +431,13 @@ int main(int argc, char** argv) {
     }
   });
   const double fleet_direct_eps = run_mode([&] {
-    direct_out = serve::estimate_many(fleet_tables, views, direct_merges);
+    direct_out.clear();
+    for (const auto& view : views) {
+      direct_out.push_back(
+          serve::estimate(fleet_tables, view, model::Merge::kTimeWeighted));
+    }
   });
-  bool direct_identical = direct_out.size() == scalar_out.size();
-  for (std::size_t i = 0; direct_identical && i < direct_out.size(); ++i) {
-    direct_identical = direct_out[i].ok() &&
-                       identical({scalar_out[i]}, {*direct_out[i].estimate});
-  }
+  const bool direct_identical = identical(scalar_out, direct_out);
   const double fleet_direct_ratio =
       fleet_scalar_eps > 0.0 ? fleet_direct_eps / fleet_scalar_eps : 0.0;
   std::printf(
@@ -436,64 +445,6 @@ int main(int argc, char** argv) {
       "direct %.0f estimates/s (%.2fx, bit-identical: %s)\n",
       fleet_compiled.piece_count(), fleet_scalar_eps, fleet_direct_eps,
       fleet_direct_ratio, direct_identical ? "yes" : "NO");
-
-  // The lookup-bound model (~5.9M pieces, per-metric tables far beyond the
-  // cache, so both searches pay ~log2(pieces) dependent uncached probes per
-  // sample) is compiled in memory, never written to disk: its image
-  // would be tens of MB of disk traffic that measures the filesystem, not
-  // the evaluator.
-  const auto lookup_compiled =
-      serve::MappedModel::compile(fleet_scale(ensemble, smoke ? 200 : 9600));
-  const auto lookup_tables = lookup_compiled.tables();
-  const int lookup_attempts = smoke ? 1 : 3;
-  const int lookup_reps = smoke ? 2 : 8;
-  double scalar_eps = 0.0;
-  double direct_eps = 0.0;
-  double direct_ratio = 0.0;
-  for (int attempt = 0; attempt < lookup_attempts; ++attempt) {
-    // Each pass runs its reps as a contiguous block, the steady state a
-    // serving process lives in. The per-pass rate is taken from the
-    // FASTEST rep (min time): on a shared host transient neighbor noise
-    // only ever slows a rep down, so the min is the stable estimate of
-    // each pass's unthrottled speed. Best of the attempts, because the two
-    // passes run back to back inside one attempt.
-    const auto best_rep_seconds = [&](auto&& pass) {
-      double best = std::numeric_limits<double>::infinity();
-      for (int r = 0; r < lookup_reps; ++r) {
-        const auto t0 = Clock::now();
-        pass();
-        best = std::min(best, seconds_since(t0));
-      }
-      return best;
-    };
-    const double scalar_s = best_rep_seconds([&] {
-      scalar_out.clear();
-      for (const auto& view : views) {
-        scalar_out.push_back(serve::estimate_tables(
-            lookup_tables, view, model::Merge::kTimeWeighted));
-      }
-    });
-    const double direct_s = best_rep_seconds([&] {
-      direct_out = serve::estimate_many(lookup_tables, views, direct_merges);
-    });
-    for (std::size_t i = 0; direct_identical && i < direct_out.size(); ++i) {
-      direct_identical = direct_out[i].ok() &&
-                         identical({scalar_out[i]}, {*direct_out[i].estimate});
-    }
-    const double per_rep = static_cast<double>(views.size());
-    const double s = scalar_s > 0.0 ? per_rep / scalar_s : 0.0;
-    const double d = direct_s > 0.0 ? per_rep / direct_s : 0.0;
-    if (s > 0.0 && d / s > direct_ratio) {
-      scalar_eps = s;
-      direct_eps = d;
-      direct_ratio = d / s;
-    }
-  }
-  std::printf(
-      "single-thread lookup-bound (%zu pieces): scalar %.0f estimates/s, "
-      "direct %.0f estimates/s (best of %d: %.2fx, bit-identical: %s)\n",
-      lookup_compiled.piece_count(), scalar_eps, direct_eps, lookup_attempts,
-      direct_ratio, direct_identical ? "yes" : "NO");
 
   const bool check_speedup = hardware >= 4;
   if (!check_speedup) {
@@ -505,13 +456,11 @@ int main(int argc, char** argv) {
     std::printf("mmap load assertion skipped: smoke mode\n");
   }
 
-  // Peak RSS over the whole run; the lookup-bound model's in-memory image
-  // (one copy of its tables) dominates it.
+  // Peak RSS over the whole run.
   rusage usage{};
   getrusage(RUSAGE_SELF, &usage);
   const double peak_rss_mib = static_cast<double>(usage.ru_maxrss) / 1024.0;
-  std::printf("peak RSS %.1f MiB (lookup-bound image %zu bytes)\n",
-              peak_rss_mib, lookup_compiled.bytes().size());
+  std::printf("peak RSS %.1f MiB\n", peak_rss_mib);
 
   std::ofstream json("BENCH_serving.json");
   json << "{\n  \"bench\": \"serving\",\n"
@@ -522,8 +471,7 @@ int main(int argc, char** argv) {
        << "  \"model_pieces\": " << compiled.piece_count() << ",\n"
        << "  \"peak_rss_mib\": " << peak_rss_mib << ",\n"
        << "  \"image_bytes\": {\"trained\": " << mapped.bytes().size()
-       << ", \"fleet\": " << fleet_mapped.bytes().size()
-       << ", \"lookup\": " << lookup_compiled.bytes().size() << "},\n"
+       << ", \"fleet\": " << fleet_mapped.bytes().size() << "},\n"
        << "  \"estimates_per_s\": {\"tree_walk_serial\": " << tree_walk_eps
        << ", \"compiled_serial\": " << compiled_eps
        << ", \"compiled_batch\": " << batch_eps << "},\n"
@@ -533,13 +481,8 @@ int main(int argc, char** argv) {
        << ", \"four_thread_units_per_s\": " << spin_four
        << ", \"four_vs_one\": " << spin_ratio << "},\n"
        << "  \"single_thread_fleet_estimates_per_s\": {\"scalar\": "
-       << fleet_scalar_eps << ", \"batch_kernel\": " << fleet_direct_eps
-       << "},\n"
-       << "  \"batch_kernel_vs_scalar_fleet\": " << fleet_direct_ratio << ",\n"
-       << "  \"lookup_pieces\": " << lookup_compiled.piece_count() << ",\n"
-       << "  \"single_thread_lookup_estimates_per_s\": {\"scalar\": "
-       << scalar_eps << ", \"batch_kernel\": " << direct_eps << "},\n"
-       << "  \"batch_kernel_vs_scalar\": " << direct_ratio << ",\n"
+       << fleet_scalar_eps << ", \"direct\": " << fleet_direct_eps << "},\n"
+       << "  \"direct_vs_scalar_fleet\": " << fleet_direct_ratio << ",\n"
        << "  \"load_seconds\": {\"text\": " << text_load_s
        << ", \"binary\": " << bin_load_s << ", \"compile\": " << compile_s
        << "},\n"

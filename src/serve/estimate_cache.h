@@ -9,10 +9,9 @@
 // workload's wire bytes, and the merge policy byte; the byte-identity
 // contract (DESIGN.md §14) is enforced by tests, not trusted.
 //
-// The LRU itself is serve::StripedLru (striped_lru.h), shared with
-// ProfileCache: the workload hash picks the stripe, and each stripe mutex
-// sits at rank kCacheStripe, never held together with another serving
-// lock or another cache's stripe.
+// The LRU itself is serve::Lru (lru.h), shared with ProfileCache: one
+// mutex at rank kCache, never held together with another serving lock or
+// the other cache.
 #pragma once
 
 #include <cstddef>
@@ -22,7 +21,7 @@
 #include <string_view>
 #include <utility>
 
-#include "serve/striped_lru.h"
+#include "serve/lru.h"
 #include "util/hash.h"
 
 namespace spire::serve {
@@ -44,13 +43,12 @@ class EstimateCache {
       if (merge != other.merge) return merge < other.merge;
       return model_id < other.model_id;
     }
-    friend std::uint64_t stripe_hash(const Key& key) { return key.csv_hash; }
   };
 
-  /// `capacity` bounds the TOTAL entry count across stripes (0 disables the
-  /// cache: every lookup misses, every insert is dropped).
-  explicit EstimateCache(std::size_t capacity, std::size_t stripes = 8)
-      : lru_(capacity, stripes, "estimate-cache") {}
+  /// `capacity` bounds the entry count (0 disables the cache: every
+  /// lookup misses, every insert is dropped).
+  explicit EstimateCache(std::size_t capacity)
+      : lru_(capacity, "estimate-cache") {}
 
   /// util::wyhash64 of a workload's exact wire bytes (text CSV or
   /// spire-profile-bin): the one key this cache and ProfileCache share.
@@ -63,21 +61,18 @@ class EstimateCache {
   /// Returns the cached value and refreshes its LRU position, or nullopt.
   std::optional<std::string> lookup(const Key& key) { return lru_.lookup(key); }
 
-  /// Inserts (or replaces) `value` under `key`, evicting the stripe's
-  /// least-recently-used entry when its bound is exceeded.
+  /// Inserts (or replaces) `value` under `key`, evicting the
+  /// least-recently-used entry when the capacity is exceeded.
   void insert(const Key& key, std::string value) {
     lru_.insert(key, std::move(value));
   }
-
-  /// Drops every entry (counters survive; eviction count is unchanged).
-  void clear() { lru_.clear(); }
 
   std::size_t capacity() const { return lru_.capacity(); }
   std::size_t size() const { return lru_.size(); }
   Stats stats() const { return lru_.stats(); }
 
  private:
-  StripedLru<Key, std::string> lru_;
+  Lru<Key, std::string> lru_;
 };
 
 }  // namespace spire::serve

@@ -38,16 +38,4 @@ Estimate MappedModel::estimate(DatasetView workload, Merge merge) const {
   return serve::estimate(tables(), workload, merge);
 }
 
-std::vector<Estimate> MappedModel::estimate_batch(
-    std::span<const DatasetView> workloads, util::ExecOptions exec,
-    Merge merge) const {
-  return estimate_batch_tables(tables(), workloads, exec, merge);
-}
-
-std::vector<EvalOutcome> MappedModel::estimate_many(
-    std::span<const DatasetView> workloads,
-    std::span<const Merge> merges) const {
-  return serve::estimate_many(tables(), workloads, merges);
-}
-
 }  // namespace spire::serve

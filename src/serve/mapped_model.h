@@ -42,7 +42,6 @@
 #include "spire/ensemble.h"
 #include "spire/model_bin.h"
 #include "util/mmap_file.h"
-#include "util/thread_pool.h"
 
 namespace spire::serve {
 
@@ -71,24 +70,6 @@ class MappedModel {
   /// metric. Evaluates through the direct path (serve::estimate).
   model::Estimate estimate(sampling::DatasetView workload,
                            model::Merge merge = model::Merge::kTimeWeighted) const;
-
-  /// One estimate per workload, in input order, fanned out across a pool
-  /// per `exec` (serial when threads <= 1). Bit-identical to calling
-  /// estimate() in a loop; a workload that would make estimate() throw
-  /// makes the batch throw the same exception (lowest index wins). For
-  /// per-item error isolation use EstimationService (serve/service.h).
-  std::vector<model::Estimate> estimate_batch(
-      std::span<const sampling::DatasetView> workloads,
-      util::ExecOptions exec = {},
-      model::Merge merge = model::Merge::kTimeWeighted) const;
-
-  /// estimate() per workload in the calling thread, with per-item error
-  /// isolation (serve::estimate_many): a workload estimate() would throw
-  /// on gets its outcome's error text instead. `merges` must be
-  /// workloads.size() entries.
-  std::vector<EvalOutcome> estimate_many(
-      std::span<const sampling::DatasetView> workloads,
-      std::span<const model::Merge> merges) const;
 
   /// Metrics in table order, ascending by event id (validated at open).
   const std::vector<counters::Event>& metrics() const { return metrics_; }

@@ -140,8 +140,9 @@ Estimate direct_estimate(const EvalTables& tables, DatasetView workload,
 
 /// Debug/SPIRE_CHECKED builds: re-proves every lane of a direct estimate
 /// that succeeded against the scalar reference (bit compare, NaN payloads
-/// included). Callers run it outside any per-item error capture, so a
-/// divergence propagates instead of becoming one workload's error.
+/// included). estimate() throws the divergence; a per-item batch
+/// (EstimationService::estimate_views / estimate_files) records it as
+/// that item's error, where the oracle comparisons fail on it.
 void check_direct_lanes(const EvalTables& tables, DatasetView workload) {
 #if SPIRE_DCHECK_ENABLED
   for (std::size_t m = 0; m < tables.ranges.size(); ++m) {
@@ -164,27 +165,6 @@ void check_direct_lanes(const EvalTables& tables, DatasetView workload) {
 /// Process-wide evaluator counters behind eval_counters_snapshot().
 std::atomic<std::uint64_t> scalar_batches_total{0};
 std::atomic<std::uint64_t> scalar_lanes_total{0};
-
-/// Per-call counter deltas: one scalar batch per ranked metric, its
-/// samples as lanes. flush() publishes them once per entry point, so the
-/// per-workload loop never touches an atomic.
-struct CounterDelta {
-  std::uint64_t batches = 0;
-  std::uint64_t lanes = 0;
-
-  void count(const Estimate& estimate) {
-    for (const MetricEstimate& entry : estimate.ranking) {
-      batches += 1;
-      lanes += entry.samples;
-    }
-  }
-
-  void flush() const {
-    if (batches == 0) return;
-    scalar_batches_total.fetch_add(batches, std::memory_order_relaxed);
-    scalar_lanes_total.fetch_add(lanes, std::memory_order_relaxed);
-  }
-};
 
 }  // namespace
 
@@ -214,44 +194,13 @@ Estimate estimate(const EvalTables& tables, DatasetView workload,
                   Merge merge) {
   Estimate out = direct_estimate(tables, workload, merge);
   check_direct_lanes(tables, workload);
-  CounterDelta delta;
-  delta.count(out);
-  delta.flush();
+  // One scalar batch per ranked metric, its samples as lanes.
+  std::uint64_t lanes = 0;
+  for (const MetricEstimate& entry : out.ranking) lanes += entry.samples;
+  scalar_batches_total.fetch_add(out.ranking.size(),
+                                 std::memory_order_relaxed);
+  scalar_lanes_total.fetch_add(lanes, std::memory_order_relaxed);
   return out;
-}
-
-std::vector<EvalOutcome> estimate_many(const EvalTables& tables,
-                                       std::span<const DatasetView> workloads,
-                                       std::span<const Merge> merges) {
-  SPIRE_ASSERT(merges.size() == workloads.size(),
-               "estimate_many: ", workloads.size(), " workload(s) but ",
-               merges.size(), " merge mode(s)");
-  std::vector<EvalOutcome> out(workloads.size());
-  CounterDelta delta;
-  for (std::size_t j = 0; j < workloads.size(); ++j) {
-    try {
-      out[j].estimate = direct_estimate(tables, workloads[j], merges[j]);
-    } catch (const std::exception& e) {
-      out[j].error = e.what();
-      continue;
-    }
-    check_direct_lanes(tables, workloads[j]);
-    delta.count(*out[j].estimate);
-  }
-  delta.flush();
-  return out;
-}
-
-std::vector<Estimate> estimate_batch_tables(
-    const EvalTables& tables, std::span<const DatasetView> workloads,
-    util::ExecOptions exec, Merge merge) {
-  // The tables are immutable and the evaluator keeps no scratch: no
-  // shared mutable state but the relaxed counters, and index-ordered
-  // collection keeps results (and the first exception) identical to the
-  // serial loop.
-  return util::parallel_for_index(exec, workloads.size(), [&](std::size_t i) {
-    return estimate(tables, workloads[i], merge);
-  });
 }
 
 EvalCountersSnapshot eval_counters_snapshot() {

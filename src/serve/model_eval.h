@@ -15,15 +15,14 @@
 //  * the SCALAR REFERENCE (eval_roofline / estimate_tables): one sample at
 //    a time, per-sample std::lower_bound over the x1 column. This is the
 //    semantic ground truth the serving path is checked against;
-//  * the DIRECT PATH (estimate / estimate_many / estimate_batch_tables),
-//    which every serving surface calls: the scalar reference's own loop
-//    and select, once per workload, in sample order, with nothing staged;
-//    only the segment search differs, a branchless lower_bound in place
-//    of std::lower_bound. At trained size the columns are cache-resident
-//    and std::lower_bound's cost is a mispredicted branch per probe,
-//    which the branchless search lacks; at any size it is the same
-//    O(log n) search, so regions up to model::bin::kMaxRegionCorners
-//    pieces evaluate through it unchanged.
+//  * the DIRECT PATH (estimate), which every serving surface calls: the
+//    scalar reference's own loop and select, once per workload, in sample
+//    order, with nothing staged; only the segment search differs, a
+//    branchless lower_bound in place of std::lower_bound. At trained size
+//    the columns are cache-resident and std::lower_bound's cost is a
+//    mispredicted branch per probe, which the branchless search lacks; at
+//    any size it is the same O(log n) search, so regions up to
+//    model::bin::kMaxRegionCorners pieces evaluate through it unchanged.
 //    Debug/SPIRE_CHECKED builds re-verify every lane against the scalar
 //    reference bit-for-bit.
 //
@@ -33,16 +32,12 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <span>
-#include <string>
-#include <vector>
 
 #include "counters/events.h"
 #include "sampling/dataset_view.h"
 #include "spire/ensemble.h"
 #include "spire/model_bin.h"
-#include "util/thread_pool.h"
 
 namespace spire::serve {
 
@@ -80,33 +75,6 @@ model::Estimate estimate_tables(const EvalTables& tables,
 /// std::invalid_argument when the workload shares no metric.
 model::Estimate estimate(const EvalTables& tables,
                          sampling::DatasetView workload, model::Merge merge);
-
-/// One workload's outcome from estimate_many. Exactly one of
-/// estimate/error is set; `error` carries the same text the scalar path
-/// would have thrown (per-item isolation instead of batch abort).
-struct EvalOutcome {
-  std::optional<model::Estimate> estimate;
-  std::string error;
-
-  bool ok() const { return estimate.has_value(); }
-};
-
-/// estimate() per workload, in input order, in the calling thread, with
-/// per-item error capture: a workload that shares no metric (or whose
-/// samples violate the intensity contract) gets its EvalOutcome error set
-/// to exactly the text the scalar path would have thrown, and every other
-/// workload is unaffected. `merges` must be workloads.size() entries.
-std::vector<EvalOutcome> estimate_many(
-    const EvalTables& tables, std::span<const sampling::DatasetView> workloads,
-    std::span<const model::Merge> merges);
-
-/// One estimate per workload, in input order, fanned out across a pool per
-/// `exec` (serial when threads <= 1). Results are bit-identical to a
-/// serial scalar loop, and a workload that would make estimate_tables
-/// throw makes the batch throw the same exception (lowest index wins).
-std::vector<model::Estimate> estimate_batch_tables(
-    const EvalTables& tables, std::span<const sampling::DatasetView> workloads,
-    util::ExecOptions exec, model::Merge merge);
 
 /// A plain-value copy of the process-wide evaluator counters, published
 /// lock-free so the server's stats snapshot can export the eval layer's

@@ -13,9 +13,9 @@
 //
 // Values are shared_ptr<const ParsedProfile>: eviction never invalidates a
 // batch that is still evaluating through the parse, and concurrent
-// requests share one copy. The LRU is serve::StripedLru (striped_lru.h),
-// the one EstimateCache uses, at the same rank kCacheStripe. Only the
-// server's connection readers use it, one cache call at a time: each
+// requests share one copy. The LRU is serve::Lru (lru.h), the one
+// EstimateCache uses, at the same rank kCache. Only the server's
+// connection readers use it, one cache call at a time: each
 // memo-missed text workload is looked up before enqueue (a hit queues as
 // a view of the cached parse), and each parse the reader makes on a miss
 // is published here.
@@ -28,7 +28,7 @@
 
 #include "sampling/dataset.h"
 #include "sampling/dataset_view.h"
-#include "serve/striped_lru.h"
+#include "serve/lru.h"
 
 namespace spire::serve {
 
@@ -47,10 +47,9 @@ class ProfileCache {
  public:
   using Stats = LruStats;
 
-  /// `capacity` bounds the TOTAL entry count across stripes (0 disables the
-  /// cache).
-  explicit ProfileCache(std::size_t capacity, std::size_t stripes = 8)
-      : lru_(capacity, stripes, "profile-cache") {}
+  /// `capacity` bounds the entry count (0 disables the cache).
+  explicit ProfileCache(std::size_t capacity)
+      : lru_(capacity, "profile-cache") {}
 
   /// Returns the cached profile and refreshes its LRU position, or nullptr.
   /// `hash` is EstimateCache::workload_hash over the exact workload bytes.
@@ -58,23 +57,20 @@ class ProfileCache {
     return lru_.lookup(hash).value_or(nullptr);
   }
 
-  /// Inserts (or replaces) `profile` under `hash`, evicting the stripe's
-  /// least-recently-used entry when its bound is exceeded. A null profile
+  /// Inserts (or replaces) `profile` under `hash`, evicting the
+  /// least-recently-used entry when the capacity is exceeded. A null profile
   /// is dropped.
   void insert(std::uint64_t hash,
               std::shared_ptr<const ParsedProfile> profile) {
     if (profile != nullptr) lru_.insert(hash, std::move(profile));
   }
 
-  /// Drops every entry (counters survive; eviction count unchanged).
-  void clear() { lru_.clear(); }
-
   std::size_t capacity() const { return lru_.capacity(); }
   std::size_t size() const { return lru_.size(); }
   Stats stats() const { return lru_.stats(); }
 
  private:
-  StripedLru<std::uint64_t, std::shared_ptr<const ParsedProfile>> lru_;
+  Lru<std::uint64_t, std::shared_ptr<const ParsedProfile>> lru_;
 };
 
 }  // namespace spire::serve

@@ -3,11 +3,11 @@
 // pipeline engine's estimate_batch stage — plus the pre-parsed view batch
 // a serve::Shard pump evaluates.
 //
-// MappedModel::estimate_batch is bit-identical but one bad workload throws
-// for the whole span. A service run must instead keep going when one file
-// is unreadable or shares no metric with the model, so EstimationService
-// isolates failures per item: every input gets a BatchResult in input
-// order carrying either the Estimate or the error string, never both.
+// MappedModel::estimate throws when its workload is bad. A service run
+// must instead keep going when one file is unreadable or shares no metric
+// with the model, so EstimationService isolates failures per item: every
+// input gets a BatchResult in input order carrying either the Estimate or
+// the error string, never both.
 //
 // The service serves one MappedModel, shared: a registry mapping, a file
 // mapped by from_file, or an ensemble compiled in memory.
@@ -97,7 +97,7 @@ class EstimationService {
   /// serve::estimate call (serve/model_eval.h) with no Dataset
   /// materialization and no string copies. Results come back in input
   /// order with per-item error isolation (an error carries the text
-  /// estimate_many would report); an item whose deadline has passed when
+  /// serve::estimate would throw); an item whose deadline has passed when
   /// its turn comes gets `deadline_expired` set and is never evaluated.
   /// Results are bit-identical to parsing the same samples from CSV (the
   /// kernel sees the same doubles either way).

@@ -19,8 +19,8 @@
 // the pump repeatedly drains up to max_batch queued requests, feeds all
 // their views to one EstimationService::estimate_views batch, and
 // scatters the results — so a burst of same-model requests costs one
-// worker wakeup and one estimate_many call (serve/model_eval.h) instead
-// of N independently scheduled evaluations. At most one pump runs per
+// worker wakeup and one estimate_views call instead of N independently
+// scheduled evaluations. At most one pump runs per
 // shard at any moment, which also serializes evaluation per model while
 // leaving cross-shard parallelism to the pool.
 //

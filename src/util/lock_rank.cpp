@@ -27,8 +27,8 @@ const char* rank_name(Rank rank) {
       return "shard-queue";
     case Rank::kRegistry:
       return "registry";
-    case Rank::kCacheStripe:
-      return "cache-stripe";
+    case Rank::kCache:
+      return "cache";
     case Rank::kDrain:
       return "drain";
     case Rank::kPoolQueue:

@@ -50,7 +50,7 @@ enum class Rank : int {
   kSlots = 40,            // server: shard + class-binding maps
   kShardQueue = 45,       // serve::Shard pending-request FIFO
   kRegistry = 50,         // serve::ModelRegistry live-mapping map
-  kCacheStripe = 55,      // serve::StripedLru stripe (memo + profile caches)
+  kCache = 55,            // serve::Lru (memo + profile caches)
   kDrain = 60,            // server: drain accounting condvar mutex
   kPoolQueue = 70,        // util::ThreadPool work queue
   kConnectionWrite = 80,  // server: per-connection reply stream

@@ -2,8 +2,9 @@
 //
 // The contract under test: serve::estimate is bit-identical to the scalar
 // reference estimate_tables — same ulps, ranking order, skip reasons, and
-// exception text — and serve::estimate_many is bit-identical to a scalar
-// loop with per-item error capture, over fuzzed tables that include
+// exception text — and EstimationService::estimate_views is bit-identical
+// to a serve::estimate loop with per-item error capture, over fuzzed
+// tables that include
 // duplicate and zero-width segments, infinite ceilings, single-piece
 // metrics, missing left regions, regions from one piece up to the image
 // format's cap, and sample streams that are clustered or full of
@@ -14,16 +15,22 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <memory>
+#include <optional>
 #include <random>
-#include <span>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "counters/events.h"
 #include "sampling/dataset.h"
 #include "sampling/dataset_view.h"
+#include "serve/mapped_model.h"
 #include "serve/model_eval.h"
+#include "serve/service.h"
+#include "spire/ensemble.h"
 #include "spire/model_bin.h"
+#include "util/thread_pool.h"
 
 namespace spire {
 namespace {
@@ -35,7 +42,6 @@ using model::bin::MetricRange;
 using sampling::Dataset;
 using sampling::DatasetView;
 using sampling::Sample;
-using serve::EvalOutcome;
 using serve::EvalTables;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -210,11 +216,19 @@ Dataset fuzz_workload(const TableSet& set, std::size_t n, std::mt19937& rng) {
   return data;
 }
 
-/// Scalar-reference outcome with the same per-item error capture
-/// estimate_many performs.
-EvalOutcome scalar_outcome(const EvalTables& tables, DatasetView view,
-                           Merge merge) {
-  EvalOutcome out;
+/// One workload's estimate or the text its evaluation threw; exactly one
+/// is set.
+struct Outcome {
+  std::optional<Estimate> estimate;
+  std::string error;
+
+  bool ok() const { return estimate.has_value(); }
+};
+
+/// Scalar-reference outcome with per-item error capture.
+Outcome scalar_outcome(const EvalTables& tables, DatasetView view,
+                       Merge merge) {
+  Outcome out;
   try {
     out.estimate = serve::estimate_tables(tables, view, merge);
   } catch (const std::exception& e) {
@@ -224,9 +238,9 @@ EvalOutcome scalar_outcome(const EvalTables& tables, DatasetView view,
 }
 
 /// serve::estimate with the same per-item error capture.
-EvalOutcome direct_outcome(const EvalTables& tables, DatasetView view,
-                           Merge merge) {
-  EvalOutcome out;
+Outcome direct_outcome(const EvalTables& tables, DatasetView view,
+                       Merge merge) {
+  Outcome out;
   try {
     out.estimate = serve::estimate(tables, view, merge);
   } catch (const std::exception& e) {
@@ -253,7 +267,7 @@ void expect_identical(const Estimate& a, const Estimate& b) {
   }
 }
 
-void expect_identical(const EvalOutcome& scalar, const EvalOutcome& direct) {
+void expect_identical(const Outcome& scalar, const Outcome& direct) {
   ASSERT_EQ(scalar.ok(), direct.ok()) << scalar.error << " vs " << direct.error;
   if (scalar.ok()) {
     expect_identical(*scalar.estimate, *direct.estimate);
@@ -262,35 +276,16 @@ void expect_identical(const EvalOutcome& scalar, const EvalOutcome& direct) {
   }
 }
 
-/// estimate on every workload, and estimate_many over consecutive groups
-/// of 1, 12 and 24 workloads (mixed merge modes), each bit-identical to
-/// the per-item scalar loop.
-void expect_batches_match_scalar(const TableSet& set,
-                                 const std::vector<Dataset>& datasets) {
-  std::vector<DatasetView> views(datasets.begin(), datasets.end());
-  std::vector<Merge> merges;
-  for (std::size_t j = 0; j < views.size(); ++j) {
-    merges.push_back(j % 3 ? Merge::kTimeWeighted : Merge::kUnweighted);
-  }
-  std::vector<EvalOutcome> scalar;
-  for (std::size_t j = 0; j < views.size(); ++j) {
-    scalar.push_back(scalar_outcome(set.tables(), views[j], merges[j]));
-    expect_identical(scalar[j],
-                     direct_outcome(set.tables(), views[j], merges[j]));
-  }
-  for (const std::size_t group : {1, 12, 24}) {
-    for (std::size_t lo = 0; lo < views.size(); lo += group) {
-      const std::size_t n = std::min(group, views.size() - lo);
-      const auto outcomes = serve::estimate_many(
-          set.tables(), std::span<const DatasetView>(views.data() + lo, n),
-          std::span<const Merge>(merges.data() + lo, n));
-      ASSERT_EQ(outcomes.size(), n);
-      for (std::size_t j = 0; j < n; ++j) {
-        SCOPED_TRACE(testing::Message() << "group " << group << " item "
-                                        << lo + j);
-        expect_identical(scalar[lo + j], outcomes[j]);
-      }
-    }
+/// serve::estimate on every workload (mixed merge modes), each
+/// bit-identical to the per-item scalar loop.
+void expect_direct_matches_scalar(const TableSet& set,
+                                  const std::vector<Dataset>& datasets) {
+  for (std::size_t j = 0; j < datasets.size(); ++j) {
+    SCOPED_TRACE(testing::Message() << "item " << j);
+    const DatasetView view(datasets[j]);
+    const Merge merge = j % 3 ? Merge::kTimeWeighted : Merge::kUnweighted;
+    expect_identical(scalar_outcome(set.tables(), view, merge),
+                     direct_outcome(set.tables(), view, merge));
   }
 }
 
@@ -323,32 +318,86 @@ TEST(EvalBatchProperty, FuzzedTablesMatchScalarReferenceBitForBit) {
   }
 }
 
-TEST(EvalBatchProperty, EstimateManyMatchesPerItemScalarLoop) {
-  std::mt19937 rng(977);
-  for (int round = 0; round < 50; ++round) {
-    const TableSet set = fuzz_tables(rng);
-    std::vector<Dataset> datasets;
-    std::vector<DatasetView> views;
-    std::vector<Merge> merges;
-    const std::size_t jobs = 1 + rng() % 6;
-    datasets.reserve(jobs);
-    for (std::size_t j = 0; j < jobs; ++j) {
-      // Include empty workloads: they must surface the scalar path's
-      // no-shared-metric error text, not poison the batch.
-      const std::size_t n = rng() % 4 == 0 ? 0 : 1 + rng() % 24;
-      datasets.push_back(fuzz_workload(set, n, rng));
-      views.emplace_back(datasets.back());
-      merges.push_back(rng() % 2 ? Merge::kUnweighted : Merge::kTimeWeighted);
-    }
-    const auto outcomes =
-        serve::estimate_many(set.tables(), std::span<const DatasetView>(views),
-                             std::span<const Merge>(merges));
-    ASSERT_EQ(outcomes.size(), jobs);
-    for (std::size_t j = 0; j < jobs; ++j) {
-      expect_identical(scalar_outcome(set.tables(), views[j], merges[j]),
-                       outcomes[j]);
+/// A model trained on random samples of `metrics` metrics, served from an
+/// in-memory image.
+serve::MappedModel trained_model(std::size_t metrics, std::mt19937& rng) {
+  std::uniform_real_distribution<double> work(0.1, 4.0);
+  std::uniform_real_distribution<double> exponent(-1.0, 3.0);
+  Dataset train;
+  for (std::size_t m = 0; m < metrics; ++m) {
+    for (int i = 0; i < 60; ++i) {
+      const double p = work(rng);
+      train.add(static_cast<Event>(m),
+                {1.0, p, p / std::pow(10.0, exponent(rng))});
     }
   }
+  return serve::MappedModel::compile(
+      model::Ensemble::train(DatasetView(train)));
+}
+
+/// The served tables copied into a TableSet, so the fuzzers draw
+/// workloads over the model's own metrics and pieces.
+TableSet copy_tables(const EvalTables& tables) {
+  TableSet set;
+  set.metrics.assign(tables.metrics.begin(), tables.metrics.end());
+  set.ranges.assign(tables.ranges.begin(), tables.ranges.end());
+  set.x0.assign(tables.x0.begin(), tables.x0.end());
+  set.y0.assign(tables.y0.begin(), tables.y0.end());
+  set.x1.assign(tables.x1.begin(), tables.x1.end());
+  set.y1.assign(tables.y1.begin(), tables.y1.end());
+  return set;
+}
+
+TEST(EvalBatchProperty, EstimateViewsMatchesPerItemDirectLoop) {
+  // The shard pump's batch, with mixed merge modes: an empty workload
+  // carries the no-shared-metric text as its own error without poisoning
+  // the batch, and every other item is bit-identical to serve::estimate.
+  std::mt19937 rng(977);
+  std::size_t empty_items = 0;
+  std::size_t estimated_items = 0;
+  for (int round = 0; round < 10; ++round) {
+    const auto model = std::make_shared<const serve::MappedModel>(
+        trained_model(1 + rng() % 4, rng));
+    const serve::EstimationService service(model);
+    const TableSet set = copy_tables(model->tables());
+    for (int batch = 0; batch < 5; ++batch) {
+      const std::size_t jobs = 1 + rng() % 6;
+      std::vector<Dataset> datasets;
+      for (std::size_t j = 0; j < jobs; ++j) {
+        const std::size_t n = rng() % 4 == 0 ? 0 : 1 + rng() % 24;
+        datasets.push_back(j % 2 ? clustered_workload(set, n, rng)
+                                 : fuzz_workload(set, n, rng));
+      }
+      const std::vector<DatasetView> views(datasets.begin(), datasets.end());
+      std::vector<serve::ViewJob> view_jobs(jobs);
+      for (std::size_t j = 0; j < jobs; ++j) {
+        view_jobs[j].view = &views[j];
+        view_jobs[j].merge =
+            rng() % 2 ? Merge::kUnweighted : Merge::kTimeWeighted;
+      }
+      const auto results = service.estimate_views(view_jobs);
+      ASSERT_EQ(results.size(), jobs);
+      for (std::size_t j = 0; j < jobs; ++j) {
+        SCOPED_TRACE(testing::Message() << "round " << round << " batch "
+                                        << batch << " item " << j);
+        EXPECT_FALSE(results[j].deadline_expired);
+        EXPECT_EQ(results[j].samples, views[j].size());
+        if (datasets[j].size() == 0) {
+          EXPECT_FALSE(results[j].ok());
+          EXPECT_EQ(results[j].error,
+                    "ensemble: workload shares no metric with the model");
+          ++empty_items;
+          continue;
+        }
+        expect_identical(
+            direct_outcome(model->tables(), views[j], view_jobs[j].merge),
+            Outcome{results[j].estimate, results[j].error});
+        estimated_items += results[j].ok();
+      }
+    }
+  }
+  EXPECT_GT(empty_items, 0u);
+  EXPECT_GT(estimated_items, 0u);
 }
 
 TEST(EvalBatchProperty, SinglePieceAndDuplicateSegmentTables) {
@@ -401,7 +450,7 @@ TEST(EvalBatchProperty, ClusteredIntensitiesMatchPerItemScalarLoop) {
     for (int j = 0; j < 24; ++j) {
       datasets.push_back(clustered_workload(set, 1 + rng() % 96, rng));
     }
-    expect_batches_match_scalar(set, datasets);
+    expect_direct_matches_scalar(set, datasets);
   }
 }
 
@@ -418,7 +467,7 @@ TEST(EvalBatchProperty, RegionSizesAcrossDirectPlannedCrossover) {
       datasets.push_back(j % 2 ? clustered_workload(set, 1 + rng() % 64, rng)
                                : fuzz_workload(set, rng() % 48, rng));
     }
-    expect_batches_match_scalar(set, datasets);
+    expect_direct_matches_scalar(set, datasets);
   }
 }
 
@@ -456,7 +505,7 @@ TEST(EvalBatchProperty, GapBeforeZeroWidthPieceMatchesScalarReference) {
       }
       datasets.push_back(std::move(data));
     }
-    expect_batches_match_scalar(set, datasets);
+    expect_direct_matches_scalar(set, datasets);
   }
 }
 
@@ -499,29 +548,25 @@ TEST(EvalBatchCounters, PlannedAndScalarPathsAreCounted) {
     EXPECT_EQ(after.scalar_batches, before.scalar_batches + 1);
     EXPECT_EQ(after.scalar_lanes, before.scalar_lanes + 64);
 
-    // estimate_many counts its successful items only.
+    // An estimate that throws counts nothing.
     const Dataset empty;
-    const std::vector<DatasetView> views{DatasetView(lanes), DatasetView(empty),
-                                         DatasetView(lanes)};
-    const std::vector<Merge> merges(views.size(), Merge::kTimeWeighted);
-    const auto outcomes = serve::estimate_many(
-        set.tables(), std::span<const DatasetView>(views),
-        std::span<const Merge>(merges));
-    ASSERT_FALSE(outcomes[1].ok());
-    const auto many = serve::eval_counters_snapshot();
-    EXPECT_EQ(many.scalar_batches, after.scalar_batches + 2);
-    EXPECT_EQ(many.scalar_lanes, after.scalar_lanes + 2 * 64);
-    EXPECT_EQ(many.planned_batches, 0u);
-    EXPECT_EQ(many.planned_lanes, 0u);
+    EXPECT_THROW(serve::estimate(set.tables(), DatasetView(empty),
+                                 Merge::kTimeWeighted),
+                 std::invalid_argument);
+    const auto failed = serve::eval_counters_snapshot();
+    EXPECT_EQ(failed.scalar_batches, after.scalar_batches);
+    EXPECT_EQ(failed.scalar_lanes, after.scalar_lanes);
+    EXPECT_EQ(failed.planned_batches, 0u);
+    EXPECT_EQ(failed.planned_lanes, 0u);
   }
 }
 
-TEST(EvalBatchThreads, ThreadLocalScratchIsRaceFreeAcrossPoolWorkers) {
-  // estimate_batch_tables fans workloads across pool workers over one
-  // shared, immutable table set; under TSan this is the proof that the
-  // evaluator shares nothing unsynchronized (the relaxed counters are the
-  // only shared state it writes). Run on a fuzzed model and on one with a
-  // region past 1024 pieces.
+TEST(EvalBatchThreads, OneTableSetIsRaceFreeAcrossPoolWorkers) {
+  // Pool workers evaluate one shared, immutable table set at once; under
+  // TSan this is the proof that the evaluator shares nothing
+  // unsynchronized (the relaxed counters are the only shared state it
+  // writes). Run on a fuzzed model and on one with a region past 1024
+  // pieces.
   std::mt19937 rng(99);
   std::vector<TableSet> sets;
   sets.push_back(fuzz_tables(rng));
@@ -530,16 +575,15 @@ TEST(EvalBatchThreads, ThreadLocalScratchIsRaceFreeAcrossPoolWorkers) {
   exec.threads = 4;
   for (const TableSet& set : sets) {
     std::vector<Dataset> datasets;
-    std::vector<DatasetView> views;
-    datasets.reserve(16);
     for (int i = 0; i < 16; ++i) {
       datasets.push_back(i % 2 ? clustered_workload(set, 40, rng, true)
                                : fuzz_workload(set, 40, rng));
-      views.emplace_back(datasets.back());
     }
-    const auto parallel = serve::estimate_batch_tables(
-        set.tables(), std::span<const DatasetView>(views), exec,
-        Merge::kTimeWeighted);
+    const std::vector<DatasetView> views(datasets.begin(), datasets.end());
+    const auto parallel =
+        util::parallel_for_index(exec, views.size(), [&](std::size_t i) {
+          return serve::estimate(set.tables(), views[i], Merge::kTimeWeighted);
+        });
     ASSERT_EQ(parallel.size(), views.size());
     for (std::size_t i = 0; i < views.size(); ++i) {
       expect_identical(serve::estimate_tables(set.tables(), views[i],

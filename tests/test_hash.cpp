@@ -3,8 +3,8 @@
 //  * wyhash64 — the serving workload key. Known answers from the reference
 //    algorithm, outputs frozen at every length 0..64 (each short-input,
 //    16-byte and 48-byte stripe boundary) and at 100, 1000 and 310,000
-//    bytes, every bit of the input reaching the result, no dependence on
-//    alignment, and keys that spread over the caches' stripes.
+//    bytes, every bit of the input reaching the result, and no dependence
+//    on alignment.
 //  * crc32 — the artifact and wire checksum. Its two arms (slicing-by-8
 //    table, carry-less-multiply fold) must agree bit for bit on every
 //    length, alignment and start state, one-shot and streamed in chunks.
@@ -153,25 +153,6 @@ TEST(HashWyhash, NoCollisionAmongNearDuplicateCsvRows) {
   }
   std::sort(hashes.begin(), hashes.end());
   EXPECT_EQ(std::adjacent_find(hashes.begin(), hashes.end()), hashes.end());
-}
-
-TEST(HashWyhash, WorkloadKeysSpreadOverTheCacheStripes) {
-  // StripedLru picks stripe_hash(key) % stripes, and the memo and profile
-  // caches run 8 stripes keyed on the workload hash: each must take 10-15%
-  // of the keys (12.5% is even).
-  constexpr std::size_t kStripes = 8;
-  constexpr std::size_t kKeys = 10'000;
-  std::array<std::size_t, kStripes> counts{};
-  for (std::size_t i = 0; i < kKeys; ++i) {
-    const std::string csv = "metric,t,w,m\nidq.dsb_uops,50000," +
-                            std::to_string(1000 + i) + ",3\n";
-    ++counts[serve::stripe_hash(serve::EstimateCache::workload_hash(csv)) %
-             kStripes];
-  }
-  for (std::size_t stripe = 0; stripe < kStripes; ++stripe) {
-    EXPECT_GE(counts[stripe], kKeys / 10) << "stripe " << stripe;
-    EXPECT_LE(counts[stripe], kKeys * 15 / 100) << "stripe " << stripe;
-  }
 }
 
 TEST(HashWyhash, PortableProductMatchesTheCompilers) {

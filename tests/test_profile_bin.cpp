@@ -18,7 +18,7 @@
 //    paths. The CI matrix runs this at SIMD ON and OFF.
 //
 // ProfileCache gets the same treatment EstimateCache did: LRU discipline,
-// stripe bounds, zero-capacity disable, and counter truthfulness.
+// the capacity bound, zero-capacity disable, and counter truthfulness.
 #include "serve/profile_bin.h"
 
 #include <gtest/gtest.h>
@@ -306,7 +306,7 @@ TEST(ProfileBin, EstimateThroughBinaryViewMatchesCsvPathBitExactly) {
 }
 
 // --------------------------------------------------------------------------
-// ProfileCache: LRU discipline, stripe bounds, counters
+// ProfileCache: LRU discipline, bounds, counters
 // --------------------------------------------------------------------------
 
 std::shared_ptr<const ParsedProfile> parsed_profile(std::uint64_t seed) {
@@ -314,7 +314,7 @@ std::shared_ptr<const ParsedProfile> parsed_profile(std::uint64_t seed) {
 }
 
 TEST(ProfileCache, LruRefreshOnHitEvictsTheColdestEntry) {
-  ProfileCache cache(/*capacity=*/2, /*stripes=*/1);
+  ProfileCache cache(/*capacity=*/2);
   cache.insert(1, parsed_profile(1));
   cache.insert(2, parsed_profile(2));
   ASSERT_NE(cache.lookup(1), nullptr);  // refresh: 2 is now coldest
@@ -331,7 +331,7 @@ TEST(ProfileCache, LruRefreshOnHitEvictsTheColdestEntry) {
 }
 
 TEST(ProfileCache, EvictionNeverInvalidatesALiveReference) {
-  ProfileCache cache(1, 1);
+  ProfileCache cache(1);
   cache.insert(1, parsed_profile(1));
   const std::shared_ptr<const ParsedProfile> held = cache.lookup(1);
   ASSERT_NE(held, nullptr);
@@ -350,16 +350,12 @@ TEST(ProfileCache, ZeroCapacityDisablesWithoutCounting) {
 }
 
 TEST(ProfileCache, StripeBoundsHoldTheTotalUnderManyInserts) {
-  ProfileCache cache(/*capacity=*/8, /*stripes=*/4);
+  ProfileCache cache(/*capacity=*/8);
   for (std::uint64_t h = 1; h <= 64; ++h) {
     cache.insert(h, parsed_profile(h));
   }
-  EXPECT_LE(cache.size(), 8u);
-  EXPECT_GE(cache.stats().evictions, 56u - 8u);
-  cache.clear();
-  EXPECT_EQ(cache.size(), 0u);
-  // clear() empties the stripes but keeps the counter history.
-  EXPECT_GE(cache.stats().evictions, 56u - 8u);
+  EXPECT_EQ(cache.size(), 8u);
+  EXPECT_EQ(cache.stats().evictions, 64u - 8u);
 }
 
 TEST(ProfileCache, KeysMatchTheWireHashTheServerComputes) {
@@ -371,7 +367,7 @@ TEST(ProfileCache, KeysMatchTheWireHashTheServerComputes) {
   data.save_csv(csv);
   const std::uint64_t key = EstimateCache::workload_hash(csv.str());
 
-  ProfileCache cache(4, /*stripes=*/1);
+  ProfileCache cache(4);
   cache.insert(key, ParsedProfile::make(Dataset::load_csv(
                         std::string_view(csv.str()))));
   const auto hit = cache.lookup(key);

@@ -34,6 +34,7 @@
 #include "spire/model_bin.h"
 #include "spire/model_io.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace spire::serve {
 namespace {
@@ -190,21 +191,22 @@ TEST_P(ServedModel, BatchIsBitIdenticalAtOneFourEightThreads) {
   }
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4},
                                     std::size_t{8}}) {
-    const auto batch =
-        served->estimate_batch(views, util::ExecOptions{threads});
+    const auto batch = util::parallel_for_index(
+        util::ExecOptions{threads}, views.size(),
+        [&](std::size_t i) { return served->estimate(views[i]); });
     ASSERT_EQ(batch.size(), reference.size()) << threads << " threads";
     for (std::size_t i = 0; i < batch.size(); ++i) {
       expect_identical(reference[i], batch[i]);
     }
   }
   // The coalesced single pass a shard pump issues serves the same bits.
-  const std::vector<model::Merge> merges(views.size(),
-                                         model::Merge::kTimeWeighted);
-  const auto outcomes = served->estimate_many(views, merges);
-  ASSERT_EQ(outcomes.size(), reference.size());
-  for (std::size_t i = 0; i < outcomes.size(); ++i) {
-    ASSERT_TRUE(outcomes[i].ok()) << outcomes[i].error;
-    expect_identical(reference[i], *outcomes[i].estimate);
+  std::vector<ViewJob> jobs(views.size());
+  for (std::size_t i = 0; i < views.size(); ++i) jobs[i].view = &views[i];
+  const auto results = EstimationService(served).estimate_views(jobs);
+  ASSERT_EQ(results.size(), reference.size());
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    ASSERT_TRUE(results[i].ok()) << results[i].error;
+    expect_identical(reference[i], *results[i].estimate);
   }
 }
 
@@ -227,16 +229,19 @@ TEST_P(ServedModel, ThrowsTheEnsembleErrorOnNoSharedMetric) {
   } catch (const std::invalid_argument& e) {
     EXPECT_EQ(ensemble_error, e.what());
   }
-  // The batch propagates the same exception (lowest index, like a serial
-  // loop) at any thread count; the coalesced pass reports its text.
-  const std::vector<DatasetView> views{view};
-  EXPECT_THROW(served->estimate_batch(views, util::ExecOptions{4}),
-               std::invalid_argument);
-  const std::vector<model::Merge> merges{model::Merge::kTimeWeighted};
-  const auto outcomes = served->estimate_many(views, merges);
-  ASSERT_EQ(outcomes.size(), 1u);
-  EXPECT_FALSE(outcomes[0].ok());
-  EXPECT_EQ(outcomes[0].error, ensemble_error);
+  // The coalesced pass a shard pump makes reports the same text as that
+  // item's error and still serves its neighbours.
+  const Dataset good = mixed_workload(3);
+  const DatasetView good_view(good);
+  const std::vector<ViewJob> jobs{{&good_view}, {&view}, {&good_view}};
+  const auto results = EstimationService(served).estimate_views(jobs);
+  ASSERT_EQ(results.size(), 3u);
+  EXPECT_FALSE(results[1].ok());
+  EXPECT_EQ(results[1].error, ensemble_error);
+  for (const std::size_t i : {std::size_t{0}, std::size_t{2}}) {
+    ASSERT_TRUE(results[i].ok()) << results[i].error;
+    expect_identical(ensemble.estimate(good_view), *results[i].estimate);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Source, ServedModel,

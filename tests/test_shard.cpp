@@ -6,9 +6,9 @@
 // drains), exactly-once begin/complete callbacks, queue-deadline expiry
 // without evaluation, batch coalescing (a burst pumped as ONE evaluation
 // round), and bit-identity of coalesced results with a direct
-// Ensemble::estimate. EstimateCache contract: strict LRU per stripe with
-// hit/miss/evict counters, value bytes returned exactly as inserted,
-// capacity 0 disabling the cache entirely.
+// Ensemble::estimate. EstimateCache contract: strict LRU over the whole
+// capacity with hit/miss/evict counters, value bytes returned exactly as
+// inserted, capacity 0 disabling the cache entirely.
 #include "serve/shard.h"
 
 #include <gtest/gtest.h>
@@ -132,8 +132,7 @@ TEST(EstimateCache, KeyDistinguishesModelWorkloadAndMerge) {
 }
 
 TEST(EstimateCache, LruEvictsColdestWithinAStripe) {
-  // One stripe makes the LRU order across keys observable.
-  EstimateCache cache(2, /*stripes=*/1);
+  EstimateCache cache(2);
   const auto k1 = key_for("aaaabbbbccccdddd", "one");
   const auto k2 = key_for("aaaabbbbccccdddd", "two");
   const auto k3 = key_for("aaaabbbbccccdddd", "three");
@@ -162,20 +161,25 @@ TEST(EstimateCache, CapacityZeroDisablesCaching) {
   EXPECT_EQ(cache.stats().misses, 1u);
 }
 
-TEST(EstimateCache, ClearDropsEntriesButKeepsCounters) {
-  EstimateCache cache(8);
-  const auto key = key_for("aaaabbbbccccdddd", "w");
-  cache.insert(key, "value");
-  ASSERT_TRUE(cache.lookup(key));
-  cache.clear();
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_FALSE(cache.lookup(key));
-  EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_EQ(cache.stats().evictions, 0u);  // clear() is not cache pressure
+TEST(EstimateCache, KeysEqualModEightAllStayResident) {
+  // Every key competes for the whole capacity: 256 workload hashes that
+  // share their low three bits fill a 256-entry cache without evicting
+  // one another.
+  EstimateCache cache(256);
+  for (std::uint64_t i = 0; i < 256; ++i) {
+    cache.insert({"aaaabbbbccccdddd", i * 8, 0}, std::to_string(i));
+  }
+  EXPECT_EQ(cache.size(), 256u);
+  EXPECT_EQ(cache.stats().evictions, 0u);
+  for (std::uint64_t i = 0; i < 256; ++i) {
+    const auto hit = cache.lookup({"aaaabbbbccccdddd", i * 8, 0});
+    ASSERT_TRUE(hit.has_value()) << "hash " << i * 8;
+    EXPECT_EQ(*hit, std::to_string(i));
+  }
 }
 
 TEST(EstimateCache, ConcurrentMixedTrafficStaysBoundedAndConsistent) {
-  EstimateCache cache(64, /*stripes=*/4);
+  EstimateCache cache(64);
   constexpr int kThreads = 8;
   constexpr int kOps = 400;
   std::vector<std::thread> threads;
