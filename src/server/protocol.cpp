@@ -22,6 +22,8 @@ class Writer {
   void u32(std::uint32_t v) { raw(&v, sizeof v); }
   void u64(std::uint64_t v) { raw(&v, sizeof v); }
   void f64(double v) { raw(&v, sizeof v); }
+  /// Bytes some other encoder already produced, appended as they are.
+  void encoded(std::string_view bytes) { out_.append(bytes); }
   void str(const std::string& s, std::size_t max, const char* field) {
     if (s.size() > max) {
       over_limit(std::string(field) + " is " + std::to_string(s.size()) +
@@ -374,18 +376,40 @@ void decode_empty_request(std::string_view payload) {
   }
 }
 
+namespace {
+
+/// Everything in an estimate reply before its per-result blocks.
+void write_estimate_reply_prefix(Writer& w, const std::string& model_id,
+                                 std::uint64_t swap_generation,
+                                 std::size_t results, const Limits& limits) {
+  w.str(model_id, limits.max_class_bytes, "model_id");
+  w.u64(swap_generation);
+  if (results > limits.max_workloads) {
+    over_limit("results count over the workload limit");
+  }
+  w.u32(static_cast<std::uint32_t>(results));
+}
+
+}  // namespace
+
 std::string encode_estimate_reply(const EstimateReply& reply,
                                   const Limits& limits) {
   Writer w;
-  w.str(reply.model_id, limits.max_class_bytes, "model_id");
-  w.u64(reply.swap_generation);
-  if (reply.results.size() > limits.max_workloads) {
-    over_limit("results count over the workload limit");
-  }
-  w.u32(static_cast<std::uint32_t>(reply.results.size()));
+  write_estimate_reply_prefix(w, reply.model_id, reply.swap_generation,
+                              reply.results.size(), limits);
   for (const WorkloadResult& res : reply.results) {
     write_workload_result(w, res, limits);
   }
+  return w.take();
+}
+
+std::string encode_estimate_reply_blocks(
+    const std::string& model_id, std::uint64_t swap_generation,
+    const std::vector<std::string>& result_blocks, const Limits& limits) {
+  Writer w;
+  write_estimate_reply_prefix(w, model_id, swap_generation,
+                              result_blocks.size(), limits);
+  for (const std::string& block : result_blocks) w.encoded(block);
   return w.take();
 }
 

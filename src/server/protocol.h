@@ -310,4 +310,12 @@ std::string encode_workload_result(const WorkloadResult& result,
 WorkloadResult decode_workload_result(std::string_view payload,
                                       const Limits& limits);
 
+/// An estimate reply payload built from per-result blocks that
+/// encode_workload_result already produced, in request order: the same
+/// bytes encode_estimate_reply writes for the decoded results, with no
+/// decode and no re-encode. The blocks are not validated.
+std::string encode_estimate_reply_blocks(
+    const std::string& model_id, std::uint64_t swap_generation,
+    const std::vector<std::string>& result_blocks, const Limits& limits);
+
 }  // namespace spire::server

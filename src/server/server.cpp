@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <list>
 #include <stdexcept>
 #include <system_error>
 #include <tuple>
@@ -43,17 +44,20 @@ std::string bounded_message(const std::string& message, std::size_t max) {
   return message.substr(0, max);
 }
 
-// Self-pipe write end for the async-signal-safe shutdown handler. One
-// server per process may own the handlers at a time.
+// Shutdown-latch write end for the async-signal-safe handler. One server
+// per process may own the handlers at a time.
 std::atomic<int> g_signal_pipe{-1};
+
+// Writes one byte to a shutdown latch. The pipe is non-blocking and never
+// read, so a full pipe only means the latch is already set.
+void set_latch(int fd) {
+  const char byte = 1;
+  [[maybe_unused]] const ssize_t rc = ::write(fd, &byte, 1);
+}
 
 extern "C" void spire_forward_shutdown_signal(int) {
   const int fd = g_signal_pipe.load(std::memory_order_relaxed);
-  if (fd >= 0) {
-    const char byte = 1;
-    // A full pipe just means a shutdown request is already pending.
-    [[maybe_unused]] const ssize_t rc = ::write(fd, &byte, 1);
-  }
+  if (fd >= 0) set_latch(fd);
 }
 
 }  // namespace
@@ -108,15 +112,16 @@ struct EstimationServer::PendingEstimate {
   FrameType reply_type = FrameType::kEstimateReply;
   std::string model_id;
   std::uint8_t merge_byte = 0;
-  std::size_t total_workloads = 0;
-  /// Encoded WorkloadResult bytes per original workload answered on the
-  /// reader — a memo hit, a CSV that failed to parse, or a slice whose
-  /// deadline passed before its parse; "" = evaluated by the shard (an
-  /// encoded result is never empty, so "" is unambiguous). Only memo hits
-  /// come from the memo-cache, and none of these is memoized.
-  std::vector<std::string> cached;
-  /// How many `cached` entries are slices that expired before their parse;
-  /// each counts in deadline_expired once the reply carrying it is built.
+  /// The encoded WorkloadResult block of every original workload, in
+  /// request order: the reply is its prefix plus these bytes. The reader
+  /// fills those it answers — a memo hit, a CSV that failed to parse, or a
+  /// slice whose deadline passed before its parse; "" marks a workload the
+  /// shard evaluates, filled by finish_estimate (an encoded result is
+  /// never empty, so "" is unambiguous). Only memo hits come from the
+  /// memo-cache, and none of the reader's blocks is memoized.
+  std::vector<std::string> blocks;
+  /// How many `blocks` are slices that expired before their parse; each
+  /// counts in deadline_expired once the reply carrying it is built.
   std::size_t expired_slices = 0;
   /// Original index and cache hash of each evaluated workload, in shard
   /// batch order.
@@ -168,11 +173,10 @@ EstimationServer::EstimationServer(serve::ModelRegistry& registry,
   if (options_.max_queue == 0) options_.max_queue = 1;
   if (options_.shard_batch == 0) options_.shard_batch = 1;
   util::ignore_sigpipe();
-  if (::pipe(wake_pipe_) != 0) fail("cannot create self-pipe: " + errno_text());
-  ::fcntl(wake_pipe_[0], F_SETFD, FD_CLOEXEC);
-  ::fcntl(wake_pipe_[1], F_SETFD, FD_CLOEXEC);
+  if (::pipe2(wake_pipe_, O_CLOEXEC | O_NONBLOCK) != 0) {
+    fail("cannot create the shutdown latch: " + errno_text());
+  }
   pool_ = std::make_unique<util::ThreadPool>(options_.workers);
-  watcher_ = std::thread([this] { watcher_loop(); });
 }
 
 EstimationServer::~EstimationServer() {
@@ -337,6 +341,9 @@ void EstimationServer::start() {
   // loser fails cleanly instead of leaking a second listener.
   util::MutexLock lock(lifecycle_mutex_);
   if (started_) fail("already started");
+  // begin_shutdown flips draining_ under this mutex: a server that is
+  // draining never spawns an accept thread its join has already missed.
+  if (draining_.load(std::memory_order_acquire)) fail("shutting down");
   const int listen_fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (listen_fd < 0) fail("cannot create socket: " + errno_text());
   sockaddr_un addr{};
@@ -369,8 +376,20 @@ void EstimationServer::start() {
 
 void EstimationServer::accept_loop(int listen_fd) {
   util::lock_rank::ScopedThreadLifetime lifetime(accept_token_);
+  // This thread is the only owner of the readers it spawns. A list keeps
+  // each `done` flag at a fixed address for its reader to set.
+  struct Reader {
+    std::thread thread;
+    std::atomic<bool> done{false};
+  };
+  std::list<Reader> readers;
   while (!stop_io_.load(std::memory_order_acquire) &&
          !draining_.load(std::memory_order_acquire)) {
+    readers.remove_if([](Reader& reader) {
+      if (!reader.done.load(std::memory_order_acquire)) return false;
+      reader.thread.join();  // its loop has returned: does not block
+      return true;
+    });
     // Tick so a shutdown request stops the intake within ~100 ms.
     const util::IoStatus ready = util::wait_readable(listen_fd, 100);
     if (ready == util::IoStatus::kTimeout) continue;
@@ -399,27 +418,18 @@ void EstimationServer::accept_loop(int listen_fd) {
         fd, fd, /*owns=*/true,
         next_connection_id_.fetch_add(1, std::memory_order_relaxed),
         options_.chaos);
-    auto done = std::make_shared<std::atomic<bool>>(false);
-    util::MutexLock lock(connections_mutex_);
-    reap_finished_connections_locked();
-    ConnectionWorker worker;
-    worker.done = done;
-    worker.token =
-        std::make_unique<util::lock_rank::ThreadToken>("server-connection");
-    // The token outlives the thread (it rides in connection_threads_ until
-    // the join), so the lambda can hold a plain pointer.
-    const util::lock_rank::ThreadToken* token = worker.token.get();
-    worker.thread = std::thread(
-        [this, conn = std::move(conn), done = std::move(done),
-         token]() mutable {
-          util::lock_rank::ScopedThreadLifetime worker_lifetime(*token);
+    Reader& reader = readers.emplace_back();
+    reader.thread = std::thread(
+        [this, conn = std::move(conn), &done = reader.done]() mutable {
           connection_loop(std::move(conn));
-          done->store(true, std::memory_order_release);
+          done.store(true, std::memory_order_release);
         });
-    connection_threads_.push_back(std::move(worker));
   }
   util::close_quietly(listen_fd);
   ::unlink(options_.socket_path.c_str());
+  // Readers answer kShuttingDown until the drain ends and stop_io_ is set,
+  // or until their peer closes.
+  for (Reader& reader : readers) reader.thread.join();
 }
 
 void EstimationServer::connection_loop(std::shared_ptr<Connection> conn) {
@@ -768,8 +778,7 @@ void EstimationServer::dispatch_estimate_common(
     pending->reply_type = inputs.reply_type;
     pending->model_id = shard->model_id();
     pending->merge_byte = inputs.merge;
-    pending->total_workloads = count;
-    pending->cached.resize(count);
+    pending->blocks.resize(count);
 
     serve::Shard::Request shard_request;
     shard_request.merge = merge;
@@ -786,14 +795,14 @@ void EstimationServer::dispatch_estimate_common(
       key.csv_hash = inputs.hashes[i];
       key.merge = inputs.merge;
       if (std::optional<std::string> hit = estimate_cache_.lookup(key)) {
-        pending->cached[i] = std::move(*hit);
+        pending->blocks[i] = std::move(*hit);
         continue;
       }
       if (inputs.views[i] == nullptr && unresolved[i].empty()) {
         resolve_text(i);
       }
       if (!unresolved[i].empty()) {
-        pending->cached[i] = unresolved[i];
+        pending->blocks[i] = unresolved[i];
         if (expired[i]) ++pending->expired_slices;
         continue;
       }
@@ -812,22 +821,7 @@ void EstimationServer::dispatch_estimate_common(
         std::string swap_error;
         (void)swap_to_latest(inputs.model_class, &id, &swap_error);
       }
-      try {
-        EstimateReply reply;
-        reply.model_id = pending->model_id;
-        reply.swap_generation = swap_generation();
-        reply.results.reserve(pending->cached.size());
-        for (const std::string& bytes : pending->cached) {
-          reply.results.push_back(
-              decode_workload_result(bytes, options_.limits));
-        }
-        deadline_expired_.fetch_add(pending->expired_slices,
-                                    std::memory_order_relaxed);
-        send_frame(conn, inputs.reply_type, seq,
-                   encode_estimate_reply(reply, options_.limits));
-      } catch (const std::exception& e) {
-        send_error(conn, seq, ErrorCode::kInternal, e.what());
-      }
+      send_estimate_reply(*pending);
       return;
     }
 
@@ -909,20 +903,10 @@ void EstimationServer::finish_estimate(
                                std::to_string(pending->miss_index.size()) +
                                " workloads");
     }
-    EstimateReply reply;
-    reply.model_id = pending->model_id;
-    reply.swap_generation = swap_generation();
-    reply.results.reserve(pending->total_workloads);
-    deadline_expired_.fetch_add(pending->expired_slices,
-                                std::memory_order_relaxed);
-    std::size_t next_miss = 0;
-    for (std::size_t i = 0; i < pending->total_workloads; ++i) {
-      if (!pending->cached[i].empty()) {
-        reply.results.push_back(
-            decode_workload_result(pending->cached[i], options_.limits));
-        continue;
-      }
-      const serve::BatchResult& fresh = results[next_miss];
+    const std::size_t total = pending->blocks.size();
+    for (std::size_t k = 0; k < results.size(); ++k) {
+      const std::size_t i = pending->miss_index[k];
+      const serve::BatchResult& fresh = results[k];
       WorkloadResult result;
       if (fresh.deadline_expired) {
         // Deadline check #2, between batch slices: workloads the budget no
@@ -930,8 +914,7 @@ void EstimationServer::finish_estimate(
         deadline_expired_.fetch_add(1, std::memory_order_relaxed);
         result.status = ErrorCode::kDeadlineExceeded;
         result.error = "deadline expired after " + std::to_string(i) +
-                       " of " + std::to_string(pending->total_workloads) +
-                       " workload(s)";
+                       " of " + std::to_string(total) + " workload(s)";
       } else if (!fresh.ok()) {
         result.status = ErrorCode::kEstimationFailed;
         result.error =
@@ -948,25 +931,42 @@ void EstimationServer::finish_estimate(
               {std::string(counters::event_name(r.metric)), r.p_bar,
                static_cast<std::uint64_t>(r.samples)});
         }
+      }
+      pending->blocks[i] = encode_workload_result(result, options_.limits);
+      if (result.status == ErrorCode::kOk) {
         // Only kOk results are memoized: errors and expired slices must
         // re-evaluate on retry, not replay from memory.
         serve::EstimateCache::Key key;
         key.model_id = pending->model_id;
-        key.csv_hash = pending->miss_hash[next_miss];
+        key.csv_hash = pending->miss_hash[k];
         key.merge = pending->merge_byte;
-        estimate_cache_.insert(key,
-                               encode_workload_result(result, options_.limits));
+        estimate_cache_.insert(key, pending->blocks[i]);
       }
-      ++next_miss;
-      reply.results.push_back(std::move(result));
     }
-    send_frame(pending->conn, pending->reply_type, pending->seq,
-               encode_estimate_reply(reply, options_.limits));
   } catch (const ProtocolError& e) {
     send_error(pending->conn, pending->seq, e.code(), e.what());
+    return;
   } catch (const std::exception& e) {
     send_error(pending->conn, pending->seq, ErrorCode::kInternal, e.what());
+    return;
   }
+  send_estimate_reply(*pending);
+}
+
+void EstimationServer::send_estimate_reply(const PendingEstimate& pending) {
+  // Counted before the reply is written (the ordering contract in
+  // server.h).
+  deadline_expired_.fetch_add(pending.expired_slices,
+                              std::memory_order_relaxed);
+  std::string payload;
+  try {
+    payload = encode_estimate_reply_blocks(pending.model_id, swap_generation(),
+                                           pending.blocks, options_.limits);
+  } catch (const ProtocolError& e) {
+    send_error(pending.conn, pending.seq, e.code(), e.what());
+    return;
+  }
+  send_frame(pending.conn, pending.reply_type, pending.seq, std::move(payload));
 }
 
 // --- replies ----------------------------------------------------------------
@@ -1043,20 +1043,6 @@ void EstimationServer::install_signal_handlers() {
   util::ignore_sigpipe();
 }
 
-void EstimationServer::watcher_loop() {
-  util::lock_rank::ScopedThreadLifetime lifetime(watcher_token_);
-  while (!watcher_stop_.load(std::memory_order_acquire)) {
-    const util::IoStatus st = util::wait_readable(wake_pipe_[0], 200);
-    if (st == util::IoStatus::kOk) {
-      char buf[16];
-      (void)util::read_retry(wake_pipe_[0], buf, sizeof buf);
-      begin_shutdown();
-    } else if (st == util::IoStatus::kError) {
-      return;
-    }
-  }
-}
-
 void EstimationServer::begin_shutdown() {
   {
     util::MutexLock lock(lifecycle_mutex_);
@@ -1067,19 +1053,17 @@ void EstimationServer::begin_shutdown() {
     drain_started_ = Clock::now();
     draining_.store(true, std::memory_order_release);
   }
-  lifecycle_cv_.notify_all();
+  set_latch(wake_pipe_[1]);
   drain_cv_.notify_all();
 }
 
 bool EstimationServer::wait_until_drained() {
-  // Both predicates read only atomics, never fields guarded by the waited
-  // mutex — the one shape where CondVar's predicate overloads and the
-  // thread-safety analysis agree (see thread_annotations.h).
-  {
-    util::MutexLock lock(lifecycle_mutex_);
-    lifecycle_cv_.wait(lifecycle_mutex_, [this] {
-      return draining_.load(std::memory_order_acquire);
-    });
+  // The latch is never read, so once set it wakes every waiter. A byte
+  // with draining_ still unset came from the signal handler.
+  while (!draining_.load(std::memory_order_acquire)) {
+    if (util::wait_readable(wake_pipe_[0], -1) == util::IoStatus::kOk) {
+      begin_shutdown();
+    }
   }
   Clock::time_point deadline;
   {
@@ -1088,6 +1072,9 @@ bool EstimationServer::wait_until_drained() {
   }
   bool clean;
   {
+    // The predicate reads only atomics, never fields guarded by the waited
+    // mutex — the one shape where CondVar's predicate overloads and the
+    // thread-safety analysis agree (see thread_annotations.h).
     util::MutexLock lock(drain_mutex_);
     clean = drain_cv_.wait_until(drain_mutex_, deadline, [this] {
       return queued_.load(std::memory_order_acquire) == 0 &&
@@ -1102,58 +1089,18 @@ bool EstimationServer::wait_until_drained() {
 int EstimationServer::run() { return wait_until_drained() ? 0 : 1; }
 
 void EstimationServer::join_threads() {
-  // Serialized by join_mutex_, NOT connections_mutex_: the accept thread
-  // takes connections_mutex_ to register each accepted peer, so joining
-  // it while holding that mutex would deadlock shutdown against a racing
-  // accept. A second caller blocks here until the first finishes joining.
-  util::MutexLock join_lock(join_mutex_);
-  if (joined_) return;
-  joined_ = true;
-  watcher_stop_.store(true, std::memory_order_release);
-  if (accept_thread_.joinable()) {
-    // note_join records held-locks -> accept-thread edges; joining this
-    // thread under connections_mutex_ (the PR 6 shutdown deadlock) closes
-    // a cycle the validator reports before join() hangs.
-    util::lock_rank::note_join(accept_token_);
-    accept_thread_.join();
-  }
-  // The accept thread is gone, so no new workers can appear; swap the
-  // list out under the lock and join outside it.
-  std::vector<ConnectionWorker> workers;
-  {
-    util::MutexLock lock(connections_mutex_);
-    workers.swap(connection_threads_);
-  }
-  for (ConnectionWorker& w : workers) {
-    if (w.thread.joinable()) {
-      util::lock_rank::note_join(*w.token);
-      w.thread.join();
+  // call_once holds no util::Mutex, and a concurrent caller blocks until
+  // the join below has finished. The accept thread joins its own readers
+  // before it returns.
+  std::call_once(join_once_, [this] {
+    if (accept_thread_.joinable()) {
+      // note_join records held-locks -> accept-thread edges: a caller that
+      // joined while holding a mutex the accept thread takes would close a
+      // cycle the validator reports before join() hangs.
+      util::lock_rank::note_join(accept_token_);
+      accept_thread_.join();
     }
-  }
-  if (watcher_.joinable()) {
-    util::lock_rank::note_join(watcher_token_);
-    watcher_.join();
-  }
-}
-
-void EstimationServer::reap_finished_connections_locked() {
-  auto it = connection_threads_.begin();
-  while (it != connection_threads_.end()) {
-    if (it->done->load(std::memory_order_acquire)) {
-      // The loop has returned, so join() completes without blocking. This
-      // join happens under connections_mutex_, which is safe BECAUSE the
-      // worker never takes that mutex — per-worker tokens let the rank
-      // graph prove exactly that, instead of flagging every under-lock
-      // join the way a single shared lifetime node would.
-      if (it->thread.joinable()) {
-        util::lock_rank::note_join(*it->token);
-        it->thread.join();
-      }
-      it = connection_threads_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  });
 }
 
 // --- observability ----------------------------------------------------------

@@ -59,9 +59,16 @@
 //    nothing else routes to it — retired shards reject new work but drain
 //    everything already queued, so in-flight requests finish on the model
 //    they were routed to and still get exactly one reply each;
-//  * shutdown: begin_shutdown() (or SIGTERM/SIGINT via the self-pipe
-//    handlers) stops accepting, answers new requests with kShuttingDown,
-//    and drains in-flight work within a timeout;
+//  * threads: every thread has exactly one owner. The server owns its
+//    util::ThreadPool workers and, after start(), the accept thread; the
+//    accept thread owns the reader thread of each connection it accepts,
+//    joins finished readers as it goes and the rest before it returns. No
+//    other thread joins a reader, and no join runs under a lock. A server
+//    never started runs only its pool workers;
+//  * shutdown: begin_shutdown() (or SIGTERM/SIGINT, which the thread in
+//    run()/wait_until_drained() sees through the shutdown latch) stops
+//    accepting, answers new requests with kShuttingDown, and drains
+//    in-flight work within a timeout;
 //  * chaos: ChaosOptions injects deterministic faults (stalled reads,
 //    mid-request swaps, forced overload) at fixed hook points so the
 //    failure paths are first-class tested code, not dead branches.
@@ -78,6 +85,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -165,9 +173,10 @@ class EstimationServer {
   // --- socket transport -----------------------------------------------------
 
   /// Binds, listens, and spawns the accept thread. Throws std::runtime_error
-  /// ("server: ...") when the socket cannot be created, and when the server
+  /// ("server: ...") when the socket cannot be created, when the server
   /// was already started (checked under lifecycle_mutex_, so concurrent
-  /// start() calls race safely: exactly one wins).
+  /// start() calls race safely: exactly one wins), and when shutdown has
+  /// begun.
   void start() SPIRE_EXCLUDES(lifecycle_mutex_);
 
   /// Serves one already-open duplex connection in the calling thread;
@@ -182,9 +191,13 @@ class EstimationServer {
 
   // --- shutdown -------------------------------------------------------------
 
-  /// SIGTERM/SIGINT -> graceful shutdown via the self-pipe (async-signal
-  /// safe: the handler writes one byte). Also ignores SIGPIPE. Only one
-  /// server per process may install handlers.
+  /// SIGTERM/SIGINT -> graceful shutdown. The handler only writes one
+  /// byte to the shutdown latch (async-signal safe, never blocks); the
+  /// signal is acted on by the thread in run()/wait_until_drained(), which
+  /// calls begin_shutdown() when it sees the byte. A process that installs
+  /// the handlers must therefore have a thread in run() — `spire_cli serve`
+  /// enters it in both modes. Also ignores SIGPIPE. Only one server per
+  /// process may install handlers.
   void install_signal_handlers();
 
   /// Stops accepting connections and marks the server draining: frames
@@ -196,13 +209,17 @@ class EstimationServer {
     return draining_.load(std::memory_order_acquire);
   }
 
-  /// Blocks until shutdown was requested and in-flight work drained, then
-  /// joins every server thread. Returns true when the drain completed
-  /// within drain_timeout_ms of the shutdown request.
+  /// Blocks on the shutdown latch until shutdown was requested (calling
+  /// begin_shutdown() itself when a signal wrote the latch), waits for
+  /// in-flight work to drain, stops I/O and joins the accept thread, which
+  /// has joined its readers by then. Returns true when the drain completed
+  /// within drain_timeout_ms of the shutdown request. Any number of
+  /// threads may wait; each returns after the join.
   bool wait_until_drained() SPIRE_EXCLUDES(lifecycle_mutex_, drain_mutex_);
 
-  /// start() driver: blocks until begin_shutdown (e.g. via a signal), then
-  /// drains. Returns 0 on a clean drain, 1 when the drain timed out.
+  /// What the serving thread runs in both transports: blocks in
+  /// wait_until_drained() until begin_shutdown or a signal. Returns 0 on a
+  /// clean drain, 1 when the drain timed out.
   int run();
 
   // --- observability --------------------------------------------------------
@@ -229,17 +246,15 @@ class EstimationServer {
   struct PendingEstimate;
 
   /// Owns `listen_fd` (a bound, listening socket) for its whole run and
-  /// closes it on exit. The descriptor is handed over by value from
-  /// start() — the annotation pass surfaced the old `listen_fd_` member as
-  /// shared mutable state with no guard, so now only the accept thread
-  /// ever sees it.
-  void accept_loop(int listen_fd) SPIRE_EXCLUDES(connections_mutex_);
-  void watcher_loop();
-  /// Joins accept/connection/watcher threads exactly once.
-  void join_threads() SPIRE_EXCLUDES(join_mutex_, connections_mutex_);
-  /// Joins connection workers whose loop already returned.
-  void reap_finished_connections_locked()
-      SPIRE_REQUIRES(connections_mutex_);
+  /// closes it once draining starts. The descriptor is handed over by
+  /// value from start(), so only the accept thread ever sees it. Also owns
+  /// every reader thread it spawns: joins finished ones on each accept and
+  /// each 100 ms tick, and the rest (which exit on stop_io_ or EOF) before
+  /// it returns.
+  void accept_loop(int listen_fd);
+  /// Joins the accept thread exactly once, with no lock held; a second
+  /// caller returns only after that join has finished.
+  void join_threads();
   void connection_loop(std::shared_ptr<Connection> conn);
   /// One frame: reads, parses, dispatches; returns false when the
   /// connection should close.
@@ -265,12 +280,15 @@ class EstimationServer {
   void dispatch_estimate_common(const std::shared_ptr<Connection>& conn,
                                 std::uint64_t seq, EstimateInputs inputs,
                                 std::chrono::steady_clock::time_point received);
-  /// Shard completion callback body: assembles the reply from the results
-  /// answered on the reader and the fresh ones, fills the cache, sends,
-  /// and settles drain accounting.
+  /// Shard completion callback body: encodes each fresh result once into
+  /// its reply block and the memo-cache, sends, and settles drain
+  /// accounting.
   void finish_estimate(const std::shared_ptr<PendingEstimate>& pending,
                        std::vector<serve::BatchResult> results,
                        bool expired_in_queue);
+  /// The one estimate-reply writer, for inline replies and finish_estimate:
+  /// the reply prefix plus `pending`'s already-encoded result blocks.
+  void send_estimate_reply(const PendingEstimate& pending);
 
   bool send_frame(const std::shared_ptr<Connection>& conn, FrameType type,
                   std::uint64_t seq, std::string payload);
@@ -329,45 +347,21 @@ class EstimationServer {
   // and the accept loop must exit now.
   std::atomic<bool> draining_{false};
   std::atomic<bool> stop_io_{false};
-  std::atomic<bool> watcher_stop_{false};
   util::Mutex lifecycle_mutex_{util::lock_rank::Rank::kLifecycle,
                                "server-lifecycle"};
   std::chrono::steady_clock::time_point drain_started_
       SPIRE_GUARDED_BY(lifecycle_mutex_){};
-  util::CondVar lifecycle_cv_;
+  bool started_ SPIRE_GUARDED_BY(lifecycle_mutex_) = false;
 
-  // Self-pipe: signal handlers and begin_shutdown write, the watcher
-  // thread reads and flips draining_.
+  // Shutdown latch: a non-blocking pipe the signal handler and the first
+  // begin_shutdown() each write one byte to. Nothing ever reads it, so
+  // once written it stays readable and wakes every wait_until_drained().
   int wake_pipe_[2] = {-1, -1};
-  std::thread watcher_;
-  util::lock_rank::ThreadToken watcher_token_{"server-watcher"};
 
   std::thread accept_thread_;
   util::lock_rank::ThreadToken accept_token_{"server-accept"};
-  // A connection worker flips `done` as its loop returns, so the accept
-  // thread can reap exited workers instead of retaining every thread
-  // until shutdown. Its lifetime token lets the lock-rank graph prove no
-  // one joins the worker while holding a mutex the worker acquires.
-  struct ConnectionWorker {
-    std::thread thread;
-    std::shared_ptr<std::atomic<bool>> done;
-    std::unique_ptr<util::lock_rank::ThreadToken> token;
-  };
-  // Acquired by the accept thread per peer; join_threads() must therefore
-  // never join the accept thread while holding it (the PR 6 deadlock) —
-  // the ACQUIRED_AFTER edge and the rank pair (kJoin < kConnections) both
-  // encode the safe order.
-  util::Mutex connections_mutex_ SPIRE_ACQUIRED_AFTER(join_mutex_){
-      util::lock_rank::Rank::kConnections, "server-connections"};
-  std::vector<ConnectionWorker> connection_threads_
-      SPIRE_GUARDED_BY(connections_mutex_);
+  std::once_flag join_once_;
   std::atomic<std::uint64_t> next_connection_id_{1};
-  bool started_ SPIRE_GUARDED_BY(lifecycle_mutex_) = false;
-  // join_mutex_ serializes join_threads() WITHOUT covering
-  // connections_mutex_: the accept thread takes connections_mutex_ per
-  // accepted peer, so joining it under that mutex would deadlock.
-  util::Mutex join_mutex_{util::lock_rank::Rank::kJoin, "server-join"};
-  bool joined_ SPIRE_GUARDED_BY(join_mutex_) = false;
 
   // Counters (stats_snapshot sorts them by name).
   std::atomic<std::uint64_t> accepted_connections_{0};

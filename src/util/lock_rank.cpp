@@ -15,12 +15,8 @@ const char* rank_name(Rank rank) {
   switch (rank) {
     case Rank::kThreadLifetime:
       return "thread-lifetime";
-    case Rank::kJoin:
-      return "join";
     case Rank::kLifecycle:
       return "lifecycle";
-    case Rank::kConnections:
-      return "connections";
     case Rank::kSlots:
       return "slots";
     case Rank::kShardQueue:

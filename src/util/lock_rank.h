@@ -44,9 +44,7 @@ enum class Rank : int {
   /// Pseudo-rank for managed thread lifetimes (ThreadToken). Never held
   /// on the mutex stack; participates only in the acquisition graph.
   kThreadLifetime = 0,
-  kJoin = 10,             // server: join_threads() serialization
   kLifecycle = 20,        // server: drain lifecycle flags + start state
-  kConnections = 30,      // server: connection-worker list
   kSlots = 40,            // server: shard + class-binding maps
   kShardQueue = 45,       // serve::Shard pending-request FIFO
   kRegistry = 50,         // serve::ModelRegistry live-mapping map
@@ -57,7 +55,7 @@ enum class Rank : int {
   kLeaf = 100,            // default: innermost, nothing may nest under it
 };
 
-/// Stable human name for a rank ("connections", "thread-lifetime", ...);
+/// Stable human name for a rank ("slots", "thread-lifetime", ...);
 /// violation messages are built from these.
 const char* rank_name(Rank rank);
 

@@ -68,13 +68,6 @@ int open_retry(const char* path, int flags, unsigned mode) {
   }
 }
 
-long read_retry(int fd, void* buf, std::size_t count) {
-  for (;;) {
-    const ssize_t n = ::read(fd, buf, count);
-    if (n >= 0 || errno != EINTR) return static_cast<long>(n);
-  }
-}
-
 bool write_all(int fd, const void* buf, std::size_t count) {
   const char* p = static_cast<const char*>(buf);
   std::size_t left = count;

@@ -8,7 +8,7 @@
 // published as a corrupt object.
 //
 // Two layers:
-//  * blocking wrappers (open_retry / read_retry / write_all) — retry EINTR
+//  * blocking wrappers (open_retry / write_all) — retry EINTR
 //    and short transfers, for filesystem work (registry publish, mmap open);
 //  * deadline wrappers (read_exact / write_all with a timeout, wait_readable)
 //    — poll-gated so one stalled peer can never wedge a server worker, for
@@ -37,10 +37,6 @@ const char* io_status_name(IoStatus status);
 
 /// open(2) retrying EINTR. Returns the descriptor or -1 (errno set).
 int open_retry(const char* path, int flags, unsigned mode = 0);
-
-/// read(2) retrying EINTR. Semantics otherwise identical to read(2):
-/// returns bytes read (0 = EOF) or -1 (errno set).
-long read_retry(int fd, void* buf, std::size_t count);
 
 /// Writes all `count` bytes, retrying EINTR and short writes. Returns true
 /// when every byte was written; false on the first hard error (errno set).

@@ -3,9 +3,7 @@
 // Violation: a SPIRE_REQUIRES(mutex_) method is called without the lock
 // held. The `_locked` suffix convention (DESIGN.md §13) is machine-checked
 // through exactly this attribute — see
-// serve::ModelRegistry::store_bytes_locked and
-// server::EstimationServer::reap_finished_connections_locked for the real
-// uses. Expected diagnostic: "calling function 'push_locked' requires
+// serve::ModelRegistry::store_bytes_locked for a real use. Expected diagnostic: "calling function 'push_locked' requires
 // holding mutex 'mutex_' exclusively".
 #include "util/thread_annotations.h"
 

@@ -2,38 +2,38 @@
 //
 // Violation: acquisition order inverted against a declared
 // SPIRE_ACQUIRED_AFTER edge — the static mirror of the runtime lock-rank
-// table (util/lock_rank.h), using the same two ranks whose inversion
-// deadlocked PR 6's shutdown (join before connections, never the
-// reverse). Expected diagnostic: "Cycle in acquired_before/after
-// dependencies" or "mutex 'join_' must be acquired before
-// 'connections_'".
+// table (util/lock_rank.h): lifecycle before slots, never the reverse.
+// Expected diagnostic: "Cycle in acquired_before/after dependencies" or
+// "mutex 'lifecycle_' must be acquired before 'slots_'".
 #include "util/thread_annotations.h"
 
 namespace {
 
-class Shutdown {
+class Router {
  public:
   void correct_order() {
-    spire::util::MutexLock join_lock(join_);
-    spire::util::MutexLock connections_lock(connections_);  // fine: declared
+    spire::util::MutexLock lifecycle_lock(lifecycle_);
+    spire::util::MutexLock slots_lock(slots_);  // fine: declared
   }
 
   void inverted_order() {
-    spire::util::MutexLock connections_lock(connections_);
-    spire::util::MutexLock join_lock(join_);  // BAD: violates ACQUIRED_AFTER
+    spire::util::MutexLock slots_lock(slots_);
+    spire::util::MutexLock lifecycle_lock(lifecycle_);  // BAD: violates
+                                                        // ACQUIRED_AFTER
   }
 
  private:
-  spire::util::Mutex join_{spire::util::lock_rank::Rank::kJoin, "join"};
-  spire::util::Mutex connections_ SPIRE_ACQUIRED_AFTER(join_){
-      spire::util::lock_rank::Rank::kConnections, "connections"};
+  spire::util::Mutex lifecycle_{spire::util::lock_rank::Rank::kLifecycle,
+                                "lifecycle"};
+  spire::util::Mutex slots_ SPIRE_ACQUIRED_AFTER(lifecycle_){
+      spire::util::lock_rank::Rank::kSlots, "slots"};
 };
 
 }  // namespace
 
 int main() {
-  Shutdown shutdown;
-  shutdown.correct_order();
-  shutdown.inverted_order();
+  Router router;
+  router.correct_order();
+  router.inverted_order();
   return 0;
 }

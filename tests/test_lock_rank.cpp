@@ -1,9 +1,9 @@
 // The runtime half of the concurrency contract (DESIGN.md §13): the
 // lock-rank validator must reject out-of-rank acquisition, detect the
-// cross-thread join-under-lock cycle that deadlocked PR 6's shutdown, and
-// — just as important — stay silent on every ordering the server
-// legitimately uses (reaping finished workers under connections_mutex_,
-// join_threads() nesting join -> connections).
+// cross-thread join-under-lock cycle behind the server's old shutdown
+// deadlock, and — just as important — stay silent on the join shapes that
+// are safe (joining a finished thread under a mutex it never takes,
+// joining under a mutex ranked below everything the thread takes).
 //
 // In builds where the validator is compiled out (NDEBUG without
 // SPIRE_CHECKED) every test skips: there is nothing to observe.
@@ -62,8 +62,8 @@ bool any_violation_contains(const std::string& needle) {
 }
 
 TEST_F(LockRankTest, InOrderNestingIsClean) {
-  Mutex outer(Rank::kJoin, "outer-join");
-  Mutex inner(Rank::kConnections, "inner-connections");
+  Mutex outer(Rank::kLifecycle, "outer-lifecycle");
+  Mutex inner(Rank::kSlots, "inner-slots");
   {
     MutexLock a(outer);
     MutexLock b(inner);
@@ -108,38 +108,37 @@ TEST_F(LockRankTest, ReleasingAnUnheldMutexIsReported) {
   EXPECT_TRUE(any_violation_contains("does not hold"));
 }
 
-// The PR 6 regression: the accept thread acquires connections_mutex_ per
-// accepted peer; a shutdown path that joins the accept thread WHILE
-// HOLDING connections_mutex_ deadlocks. The join edge must close a cycle
-// through the accept thread's lifetime node, named in the report.
+// The shutdown deadlock shape: a thread acquires a mutex in its loop, and
+// a shutdown path joins that thread WHILE HOLDING the same mutex. The join
+// edge must close a cycle through the thread's lifetime node, named in
+// the report.
 TEST_F(LockRankTest, JoinUnderAMutexTheThreadAcquiresIsACycle) {
-  Mutex connections(Rank::kConnections, "server-connections");
+  Mutex slots(Rank::kSlots, "server-slots");
   lock_rank::ThreadToken accept_token("accept-thread");
-  std::thread accept([&connections, &accept_token] {
+  std::thread accept([&slots, &accept_token] {
     lock_rank::ScopedThreadLifetime lifetime(accept_token);
-    MutexLock lock(connections);  // records accept-thread -> connections
+    MutexLock lock(slots);  // records accept-thread -> slots
   });
   accept.join();  // the real join is safe; only the *modeled* one is not
 
   ASSERT_TRUE(violations().empty())
       << "setup must be clean: " << violations().front();
   {
-    MutexLock lock(connections);
-    lock_rank::note_join(accept_token);  // connections -> accept-thread
+    MutexLock lock(slots);
+    lock_rank::note_join(accept_token);  // slots -> accept-thread
   }
   ASSERT_FALSE(violations().empty());
   EXPECT_TRUE(any_violation_contains("cycle"));
-  EXPECT_TRUE(any_violation_contains("server-connections"));
+  EXPECT_TRUE(any_violation_contains("server-slots"));
   EXPECT_TRUE(any_violation_contains("accept-thread"));
   EXPECT_TRUE(any_violation_contains("PR 6"));
 }
 
-// The server's reap path joins *finished connection workers* under
-// connections_mutex_ — safe, because those workers never take that mutex.
-// Per-thread tokens are what keep this distinguishable from the deadlock
-// above; a single shared lifetime node would flag both.
+// Joining a *finished worker* under a mutex the worker never takes is
+// safe. Per-thread tokens are what keep this distinguishable from the
+// deadlock above; a single shared lifetime node would flag both.
 TEST_F(LockRankTest, ReapingAWorkerThatNeverTakesTheMutexIsClean) {
-  Mutex connections(Rank::kConnections, "server-connections");
+  Mutex slots(Rank::kSlots, "server-slots");
   Mutex write(Rank::kConnectionWrite, "connection-write");
   lock_rank::ThreadToken worker_token("connection-worker");
   std::thread worker([&write, &worker_token] {
@@ -148,28 +147,28 @@ TEST_F(LockRankTest, ReapingAWorkerThatNeverTakesTheMutexIsClean) {
   });
   worker.join();
   {
-    MutexLock lock(connections);
+    MutexLock lock(slots);
     lock_rank::note_join(worker_token);  // the reap shape
   }
   EXPECT_TRUE(violations().empty())
       << "false positive: " << violations().front();
 }
 
-// join_threads() itself: joining under join_mutex_ (kJoin) is fine for a
-// thread that only ever acquires higher ranks — consistent ordering, no
-// cycle.
+// Joining under a mutex is fine for a thread that only ever acquires
+// higher ranks — consistent ordering, no cycle.
 TEST_F(LockRankTest, JoinUnderALowerRankedMutexIsClean) {
-  Mutex join_mu(Rank::kJoin, "server-join");
-  Mutex connections(Rank::kConnections, "server-connections");
+  Mutex lifecycle(Rank::kLifecycle, "server-lifecycle");
+  Mutex slots(Rank::kSlots, "server-slots");
   lock_rank::ThreadToken accept_token("accept-thread");
-  std::thread accept([&connections, &accept_token] {
+  std::thread accept([&slots, &accept_token] {
     lock_rank::ScopedThreadLifetime lifetime(accept_token);
-    MutexLock lock(connections);
+    MutexLock lock(slots);
   });
   accept.join();
   {
-    MutexLock lock(join_mu);
-    lock_rank::note_join(accept_token);  // join -> accept -> connections: a DAG
+    MutexLock lock(lifecycle);
+    // lifecycle -> accept -> slots: a DAG
+    lock_rank::note_join(accept_token);
   }
   EXPECT_TRUE(violations().empty())
       << "false positive: " << violations().front();
@@ -179,19 +178,19 @@ TEST_F(LockRankTest, JoinUnderALowerRankedMutexIsClean) {
 // any future deadlock, so its edges must not linger and poison later
 // (legitimate) acquisitions.
 TEST_F(LockRankTest, DestroyedTokenEdgesArePruned) {
-  Mutex connections(Rank::kConnections, "server-connections");
+  Mutex slots(Rank::kSlots, "server-slots");
   {
     lock_rank::ThreadToken token("short-lived");
-    std::thread t([&connections, &token] {
+    std::thread t([&slots, &token] {
       lock_rank::ScopedThreadLifetime lifetime(token);
-      MutexLock lock(connections);
+      MutexLock lock(slots);
     });
     t.join();
-    // token destroyed here: its lifetime -> connections edge goes with it
+    // token destroyed here: its lifetime -> slots edge goes with it
   }
   lock_rank::ThreadToken fresh("fresh");
   {
-    MutexLock lock(connections);
+    MutexLock lock(slots);
     lock_rank::note_join(fresh);  // no history: must be clean
   }
   EXPECT_TRUE(violations().empty())

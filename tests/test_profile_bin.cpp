@@ -349,7 +349,7 @@ TEST(ProfileCache, ZeroCapacityDisablesWithoutCounting) {
   EXPECT_EQ(cache.size(), 0u);
 }
 
-TEST(ProfileCache, StripeBoundsHoldTheTotalUnderManyInserts) {
+TEST(ProfileCache, CapacityBoundsTheTotalUnderManyInserts) {
   ProfileCache cache(/*capacity=*/8);
   for (std::uint64_t h = 1; h <= 64; ++h) {
     cache.insert(h, parsed_profile(h));

@@ -236,6 +236,41 @@ TEST(Protocol, RepliesRoundTripAndErrorMessagesTruncate) {
   EXPECT_EQ(stats_back.counters, stats.counters);
 }
 
+// The server assembles estimate replies from result blocks it already
+// holds (memo hits, reader-side failures, fresh results encoded once):
+// the prefix plus those blocks must be exactly the full encoding, and
+// the result-count limit still holds.
+TEST(Protocol, ReplyFromEncodedBlocksEqualsTheFullEncoding) {
+  Limits limits;
+  EstimateReply reply;
+  reply.model_id = "0123456789abcdef";
+  reply.swap_generation = 9;
+  WorkloadResult ok;
+  ok.samples = 12;
+  ok.throughput = 0.5;
+  ok.ranking = {{"lsd.uops", 0.25, 3}};
+  WorkloadResult failed;
+  failed.status = ErrorCode::kEstimationFailed;
+  failed.error = "bad row";
+  reply.results = {ok, failed, ok};
+  std::vector<std::string> blocks;
+  for (const WorkloadResult& r : reply.results) {
+    blocks.push_back(encode_workload_result(r, limits));
+  }
+  EXPECT_EQ(encode_estimate_reply_blocks(reply.model_id,
+                                         reply.swap_generation, blocks,
+                                         limits),
+            encode_estimate_reply(reply, limits));
+
+  limits.max_workloads = 2;
+  try {
+    (void)encode_estimate_reply_blocks(reply.model_id, 9, blocks, limits);
+    ADD_FAILURE() << "three blocks passed a two-workload limit";
+  } catch (const ProtocolError& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kLimitExceeded);
+  }
+}
+
 TEST(Protocol, MutatedPayloadsNeverMisbehave) {
   const Limits limits;
   EstimateRequest request;
@@ -806,6 +841,80 @@ TEST_F(ServerTest, ConcurrentStartAdmitsExactlyOneListener) {
   // The one listener that won actually serves.
   Client client(client_options());
   client.ping();
+}
+
+/// Threads of this process, once no thread is still starting or exiting:
+/// a joined thread can linger in /proc/self/task for a moment.
+std::size_t settled_thread_count() {
+  const auto count = [] {
+    std::size_t n = 0;
+    for ([[maybe_unused]] const auto& task :
+         std::filesystem::directory_iterator("/proc/self/task")) {
+      ++n;
+    }
+    return n;
+  };
+  std::size_t last = count();
+  for (int i = 0; i < 200; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    const std::size_t now = count();
+    if (now == last) return now;
+    last = now;
+  }
+  return last;
+}
+
+// Every server thread has one owner, and a server that was never started
+// owns only its pool workers.
+TEST_F(ServerTest, UnstartedServerRunsOnlyItsPoolThreads) {
+  registry_ = std::make_unique<serve::ModelRegistry>(
+      fresh_dir("server_reg_unstarted_threads"));
+  ServerOptions options;
+  options.workers = 2;
+  const std::size_t before = settled_thread_count();
+  server_ = std::make_unique<EstimationServer>(*registry_, options);
+  EXPECT_EQ(settled_thread_count(), before + 2);
+  server_.reset();
+  EXPECT_EQ(settled_thread_count(), before);
+}
+
+// In socket mode the server adds the accept thread and one reader per live
+// connection; the accept thread joins a reader soon after its peer leaves.
+TEST_F(ServerTest, SocketServerRunsOneReaderPerLiveConnection) {
+  ServerOptions options;
+  options.workers = 2;
+  const std::size_t before = settled_thread_count();
+  boot(options);
+  EXPECT_EQ(settled_thread_count(), before + 3);
+  {
+    Client client(client_options());
+    client.ping();
+    EXPECT_EQ(settled_thread_count(), before + 4);
+  }
+  std::size_t after_close = 0;
+  for (int i = 0; i < 200; ++i) {
+    after_close = settled_thread_count();
+    if (after_close == before + 3) break;
+  }
+  EXPECT_EQ(after_close, before + 3);
+}
+
+// Any number of threads may wait for the drain: one begin_shutdown from a
+// third thread wakes them all, and each reports the clean drain.
+TEST_F(ServerTest, EveryConcurrentDrainWaiterReturnsClean) {
+  boot();
+  std::atomic<int> clean{0};
+  std::vector<std::thread> waiters;
+  for (int i = 0; i < 2; ++i) {
+    waiters.emplace_back([&] {
+      if (server_->wait_until_drained()) clean.fetch_add(1);
+    });
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  std::thread([&] { server_->begin_shutdown(); }).join();
+  for (auto& t : waiters) t.join();
+  EXPECT_EQ(clean.load(), 2);
+  EXPECT_TRUE(server_->shutdown_requested());
 }
 
 // Stats snapshots taken while traffic is in flight must be internally

@@ -131,7 +131,7 @@ TEST(EstimateCache, KeyDistinguishesModelWorkloadAndMerge) {
   EXPECT_TRUE(cache.lookup(key_for("aaaabbbbccccdddd", "w,1\n", 0)));
 }
 
-TEST(EstimateCache, LruEvictsColdestWithinAStripe) {
+TEST(EstimateCache, LruEvictsTheColdestEntry) {
   EstimateCache cache(2);
   const auto k1 = key_for("aaaabbbbccccdddd", "one");
   const auto k2 = key_for("aaaabbbbccccdddd", "two");
