@@ -8,23 +8,27 @@
 // to Ensemble::estimate down to the last ulp, same ranking order, same
 // skip reasons, same error text.
 //
-// Two evaluators share that contract and one body (roofline_at and
-// estimate_with in model_eval.cpp, each taking the segment search or the
-// per-sample lookup as a parameter):
+// Two evaluators share that contract (model_eval.cpp):
 //
 //  * the SCALAR REFERENCE (eval_roofline / estimate_tables): one sample at
 //    a time, per-sample std::lower_bound over the x1 column. This is the
 //    semantic ground truth the serving path is checked against;
-//  * the DIRECT PATH (estimate), which every serving surface calls: the
-//    scalar reference's own loop and select, once per workload, in sample
-//    order, with nothing staged; only the segment search differs, a
-//    branchless lower_bound in place of std::lower_bound. At trained size
-//    the columns are cache-resident and std::lower_bound's cost is a
-//    mispredicted branch per probe, which the branchless search lacks; at
-//    any size it is the same O(log n) search, so regions up to
-//    model::bin::kMaxRegionCorners pieces evaluate through it unchanged.
-//    Debug/SPIRE_CHECKED builds re-verify every lane against the scalar
-//    reference bit-for-bit.
+//  * the DIRECT PATH (estimate), which every serving surface calls: once
+//    per workload, in sample order, with nothing staged. A metric whose
+//    regions hold at most kPairMaxRegionPieces pieces (every trained
+//    model's) runs a two-lane kernel: two samples per step in GCC/Clang
+//    vector types (SSE2 on x86-64, NEON on aarch64, scalar code elsewhere),
+//    the structural filter and region choice as lane masks, the segment
+//    search as a branch-free count of the region's breakpoints below the
+//    intensity, the endpoints gathered by index, one paired divide for the
+//    intensities and one for LinearPiece::at, and the reference's early
+//    returns as selects in its priority order. The pair's Eq. (1) terms
+//    are then added one lane at a time, in sample order, so every sum
+//    sees the reference's exact sequence of additions. A metric with a
+//    bigger region keeps the reference's own per-sample loop with a
+//    branchless lower_bound, so its cost stays O(log n) up to
+//    model::bin::kMaxRegionCorners. Debug/SPIRE_CHECKED builds re-verify
+//    every lane against the scalar reference bit-for-bit.
 //
 // Everything is read-only over the tables and keeps no scratch: one table
 // set can serve concurrent calls from any number of threads without locks.
@@ -40,6 +44,11 @@
 #include "spire/model_bin.h"
 
 namespace spire::serve {
+
+/// Largest region the direct path's two-lane kernel evaluates by counting
+/// breakpoints; a metric with a bigger region keeps the one-lane
+/// branchless search (DESIGN.md §15 has the sweep this bound comes from).
+inline constexpr std::size_t kPairMaxRegionPieces = 48;
 
 /// Non-owning view of flattened model tables. `metrics` and `ranges` are
 /// parallel (ascending Event order); piece i of the shared columns is the
@@ -92,8 +101,10 @@ struct EvalCountersSnapshot {
 
 EvalCountersSnapshot eval_counters_snapshot();
 
-/// Always false: no vectorized kernel exists. Kept for perf reporting
-/// that records it.
+/// Whether the direct path's two-lane kernel compiles to SIMD
+/// instructions: true on x86-64 (SSE2) and aarch64 (NEON), false where the
+/// vector types lower to scalar code. Kept for perf reporting that records
+/// it.
 bool eval_kernel_vectorized();
 
 }  // namespace spire::serve

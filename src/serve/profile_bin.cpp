@@ -182,26 +182,29 @@ Layout check_structure(std::string_view bytes, const Limits& limits) {
 
   // Names: each must resolve to a known metric, and the canonical encoding
   // requires catalog order (strictly increasing event values — which also
-  // proves uniqueness) plus zeroed padding.
-  bool first = true;
-  Event previous{};
+  // proves uniqueness) plus zeroed padding. So each name is matched
+  // against the catalog entries after the previous column's, one walk over
+  // the catalog for the whole directory; only a name the walk misses is
+  // looked up by name, to tell an unknown metric from one out of order.
+  const auto& catalog = counters::event_catalog();
+  std::size_t next = 0;  // first catalog index the next column may name
   for (auto& column : layout.columns) {
     const std::string_view name =
         bytes.substr(column.name_offset, column.name_len);
-    const auto metric = counters::event_by_name(name);
-    if (!metric) {
-      reject(Section::kNames, column.name_offset,
-             "unknown metric '" + std::string(name) + "'");
-    }
-    if (!first && *metric <= previous) {
+    std::size_t at = next;
+    while (at < catalog.size() && catalog[at].name != name) ++at;
+    if (at == catalog.size()) {
+      if (!counters::event_by_name(name)) {
+        reject(Section::kNames, column.name_offset,
+               "unknown metric '" + std::string(name) + "'");
+      }
       reject(Section::kNames, column.name_offset,
              "metric '" + std::string(name) +
                  "' out of catalog order (columns must be unique and "
                  "catalog-ordered)");
     }
-    column.metric = *metric;
-    previous = *metric;
-    first = false;
+    column.metric = catalog[at].event;
+    next = at + 1;
   }
   for (std::size_t i = layout.names_offset + layout.names_bytes;
        i < layout.samples_offset; ++i) {

@@ -300,6 +300,13 @@ FlatLayout check_flat_region(std::span<const std::byte> file, Verify verify) {
              ": only a right region's final piece may be +inf" +
              at_byte(x1s.offset + 8 * i));
       }
+      // The evaluators' segment search (lower_bound on x1) needs x1 to
+      // ascend within each region.
+      if (i != lb && i != le &&
+          x1 < r.f64(x1s.offset + 8 * (i - 1), "x1")) {
+        fail("section x1 piece " + std::to_string(i) +
+             ": x1 descends within its region" + at_byte(x1s.offset + 8 * i));
+      }
     }
     // The apex intensity may be +inf (every training sample had zero
     // memory traffic); everything else in the record is a plain number.

@@ -39,7 +39,9 @@
 //   * FULL (publish / strict load / lint): everything above, plus each
 //     section's CRC (pinpoint diagnostics), the whole-file CRC covering
 //     every byte before the footer (any bit flip anywhere is detected),
-//     and the value policy (NaN/inf placement, left_max consistency).
+//     and the value policy (NaN/inf placement, left_max consistency, x1
+//     ascending within each region: the evaluators' segment search needs
+//     it).
 // Every failure throws std::runtime_error("model-bin: ...") naming the
 // section and absolute byte offset. An image of another binary version is
 // rejected with unsupported_binary_version's text.

@@ -509,6 +509,135 @@ TEST(EvalBatchProperty, GapBeforeZeroWidthPieceMatchesScalarReference) {
   }
 }
 
+/// Intensities where the pair kernel's selects change answer for metric
+/// `m`: every finite endpoint of both regions (breakpoints, each region's
+/// x0[begin], left_max among them), the doubles either side of each, 0
+/// and +inf.
+std::vector<double> edge_intensities(const TableSet& set, std::size_t m) {
+  const MetricRange& range = set.ranges[m];
+  std::vector<double> xs = {0.0, kInf, range.left_max};
+  for (std::size_t i = range.left_begin; i < range.right_end; ++i) {
+    for (const double x : {set.x0[i], set.x1[i]}) {
+      if (!std::isfinite(x)) continue;
+      xs.push_back(x);
+      xs.push_back(std::nextafter(x, kInf));
+      if (x > 0.0) xs.push_back(std::nextafter(x, 0.0));
+    }
+  }
+  return xs;
+}
+
+/// A sample whose intensity w / m is exactly `x` (m = 0 for +inf).
+Sample at_intensity(double x, double t = 1.0) {
+  return std::isinf(x) ? Sample{t, 1.0, 0.0} : Sample{t, x, 1.0};
+}
+
+TEST(EvalBatchProperty, PairKernelEdgeIntensitiesMatchScalarReference) {
+  // One-sample workloads with t = 1, so p_bar is the lane's roofline value
+  // itself (up to the sign of a zero, which Eq. 1's sum drops): each must
+  // match the scalar reference at intensities on a breakpoint, on
+  // left_max, on each region's x0[begin], and either side of each, for
+  // metrics with and without a left region.
+  std::mt19937 rng(4242);
+  for (int round = 0; round < 20; ++round) {
+    TableSet set = fuzz_tables(rng);
+    append_metric(set, 0, 1 + rng() % 6, round % 2 == 0, rng);  // no left
+    // At x0[begin] the front select answers y0 and interpolation
+    // y0 + 0 * (y1 - y0): the same value but for a -0.0 y0, which only
+    // the checked build's per-lane bit compare can see.
+    set.y0[set.ranges.back().right_begin] = -0.0;
+    append_metric(set, 1 + rng() % 6, 1 + rng() % 6, round % 2 == 1, rng);
+    const EvalTables tables = set.tables();
+    for (std::size_t m = 0; m < set.metrics.size(); ++m) {
+      for (const double x : edge_intensities(set, m)) {
+        SCOPED_TRACE(testing::Message()
+                     << "round " << round << " metric " << m
+                     << " intensity " << x);
+        Dataset data;
+        data.add(set.metrics[m], at_intensity(x));
+        const DatasetView view(data);
+        const Outcome direct =
+            direct_outcome(tables, view, Merge::kTimeWeighted);
+        ASSERT_TRUE(direct.ok()) << direct.error;
+        ASSERT_EQ(direct.estimate->ranking.size(), 1u);
+        EXPECT_EQ(direct.estimate->ranking[0].p_bar,
+                  serve::eval_roofline(tables, set.ranges[m], x));
+        expect_identical(scalar_outcome(tables, view, Merge::kTimeWeighted),
+                         direct);
+      }
+    }
+  }
+}
+
+TEST(EvalBatchProperty, PairKernelMixedLanesAndOddCountsMatchScalarReference) {
+  // Pairs where exactly one lane is dropped by the structural filter (NaN,
+  // negative, t <= 0) or has m == 0 (+inf intensity), in either lane,
+  // over odd and even sample counts (an odd count leaves the last lane
+  // unpaired), under both merge modes.
+  std::mt19937 rng(1234);
+  const Sample odd_lanes[] = {
+      {kNaN, 1.0, 1.0}, {1.0, kNaN, 1.0}, {1.0, 1.0, kNaN},
+      {-1.0, 1.0, 1.0}, {1.0, -1.0, 1.0}, {1.0, 1.0, -1.0},
+      {0.0, 1.0, 1.0},  {1.0, kInf, 1.0}, {1.0, 1.0, 0.0},
+      {2.5, 0.0, 0.0}};
+  for (int round = 0; round < 20; ++round) {
+    TableSet set = fuzz_tables(rng);
+    append_metric(set, 0, 1 + rng() % 6, true, rng);  // no left region
+    const EvalTables tables = set.tables();
+    for (std::size_t n = 1; n <= 9; ++n) {
+      for (const Sample& odd : odd_lanes) {
+        for (std::size_t lane = 0; lane < 2; ++lane) {
+          Dataset data;
+          for (std::size_t m = 0; m < set.metrics.size(); ++m) {
+            const std::vector<double> xs = edge_intensities(set, m);
+            for (std::size_t k = 0; k < n; ++k) {
+              // Sample k % 2 == lane of every pair is the odd one.
+              data.add(set.metrics[m],
+                       k % 2 == lane ? odd
+                                     : at_intensity(xs[rng() % xs.size()],
+                                                    0.5 + rng() % 4));
+            }
+          }
+          const DatasetView view(data);
+          for (const Merge merge : {Merge::kTimeWeighted, Merge::kUnweighted}) {
+            SCOPED_TRACE(testing::Message()
+                         << "round " << round << " n " << n << " lane "
+                         << lane << " merge " << static_cast<int>(merge));
+            expect_identical(scalar_outcome(tables, view, merge),
+                             direct_outcome(tables, view, merge));
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(EvalBatchProperty, RegionsAroundPairKernelBoundMatchScalarReference) {
+  // Regions of K - 1 and K pieces take the pair kernel, K + 1 the one-lane
+  // search; each matches the scalar loop bit for bit, at edge intensities,
+  // on clustered and garbage-laden workloads, under both merge modes.
+  std::mt19937 rng(4848);
+  const std::size_t k = serve::kPairMaxRegionPieces;
+  for (const std::size_t largest : {k - 1, k, k + 1}) {
+    SCOPED_TRACE(testing::Message() << "largest region " << largest);
+    TableSet set = sized_tables(largest, rng);
+    append_metric(set, 0, largest, true, rng);  // no left region
+    std::vector<Dataset> datasets;
+    for (int j = 0; j < 24; ++j) {
+      datasets.push_back(j % 2 ? clustered_workload(set, 1 + rng() % 64, rng)
+                               : fuzz_workload(set, rng() % 48, rng));
+    }
+    Dataset edges;
+    for (std::size_t m = 0; m < set.metrics.size(); ++m) {
+      for (const double x : edge_intensities(set, m)) {
+        edges.add(set.metrics[m], at_intensity(x, 0.5 + rng() % 4));
+      }
+    }
+    datasets.push_back(std::move(edges));
+    expect_direct_matches_scalar(set, datasets);
+  }
+}
+
 TEST(EvalBatchProperty, NoSharedMetricThrowsSameErrorText) {
   std::mt19937 rng(11);
   const Dataset empty;

@@ -18,8 +18,9 @@
 #include <cmath>
 #include <cstring>
 #include <filesystem>
-#include <functional>
 #include <fstream>
+#include <functional>
+#include <iterator>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -38,6 +39,7 @@
 #include "spire/ensemble.h"
 #include "spire/model_bin.h"
 #include "spire/model_io.h"
+#include "util/contract.h"
 #include "util/hash.h"
 #include "util/rng.h"
 
@@ -465,6 +467,101 @@ TEST(ModelV3Hardening, VerificationTiersSplitCrcWorkFromBoundsSafety) {
   ModelRegistry registry(temp_path("reg_tiers_gate"));
   EXPECT_THROW(registry.publish_bytes(bytes), std::runtime_error);
   EXPECT_NO_THROW(registry.publish_bytes(clean));
+}
+
+TEST(ModelV3Hardening, DescendingX1IsRejectedAtFullTierOnly) {
+  // Two swapped x1 values in one region break the segment search's
+  // precondition. Full verification names the piece and its byte; the
+  // structure tier stays O(metrics) and maps the image, and evaluating it
+  // stays memory-safe because the evaluator's index never leaves the
+  // region (ASan builds run this too).
+  const Ensemble ensemble = trained_ensemble(11);
+  std::string bytes = model_v3_bytes(ensemble);
+  const auto layout = model::bin::check_flat_region(as_span(bytes));
+  using model::bin::Section;
+  const auto f64_at = [&](std::size_t offset) {
+    double v;
+    std::memcpy(&v, bytes.data() + offset, sizeof v);
+    return v;
+  };
+  const auto u32_at = [&](std::size_t offset) {
+    std::uint32_t v;
+    std::memcpy(&v, bytes.data() + offset, sizeof v);
+    return v;
+  };
+  const std::size_t x1_offset = layout.section(Section::kX1).offset;
+  // The first region holding two finite, strictly ascending x1 values.
+  std::size_t metric = 0;
+  std::size_t piece = 0;
+  for (std::size_t m = 0; m < layout.metric_count && piece == 0; ++m) {
+    const std::size_t range = layout.section(Section::kMetricRanges).offset +
+                              m * sizeof(model::bin::MetricRange);
+    for (const std::size_t at : {range, range + 8}) {
+      for (std::uint32_t i = u32_at(at) + 1; i < u32_at(at + 4); ++i) {
+        const double lo = f64_at(x1_offset + 8 * (i - 1));
+        const double hi = f64_at(x1_offset + 8 * i);
+        if (std::isfinite(hi) && lo < hi && piece == 0) {
+          metric = m;
+          piece = i;
+        }
+      }
+    }
+  }
+  ASSERT_NE(piece, 0u) << "no region with two ascending x1 values";
+  const double lo = f64_at(x1_offset + 8 * (piece - 1));
+  const double hi = f64_at(x1_offset + 8 * piece);
+  std::memcpy(bytes.data() + x1_offset + 8 * (piece - 1), &hi, sizeof hi);
+  std::memcpy(bytes.data() + x1_offset + 8 * piece, &lo, sizeof lo);
+  // Reseal both CRCs, so only the value policy can object.
+  const std::size_t x1_entry = model::bin::kFlatHeaderOffset +
+                               model::bin::kFlatHeaderBytes +
+                               static_cast<std::size_t>(Section::kX1) *
+                                   model::bin::kSectionEntryBytes;
+  const std::uint32_t x1_crc = util::crc32(std::string_view(bytes).substr(
+      x1_offset, layout.section(Section::kX1).bytes));
+  std::memcpy(bytes.data() + x1_entry + 4, &x1_crc, sizeof x1_crc);
+  const std::size_t footer = bytes.size() - model::bin::kFooterBytes;
+  const std::uint32_t file_crc =
+      util::crc32(std::string_view(bytes).substr(0, footer));
+  std::memcpy(bytes.data() + footer + 16, &file_crc, sizeof file_crc);
+
+  const std::string path = temp_path("descending_x1_v4.bin");
+  write_file(path, bytes);
+  try {
+    MappedModel::map_file(path, model::bin::Verify::kFull);
+    FAIL() << "full verification must reject a descending x1";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "model-bin: section x1 piece " + std::to_string(piece) +
+                  ": x1 descends within its region (at byte " +
+                  std::to_string(x1_offset + 8 * piece) + ")");
+  }
+  ModelRegistry registry(temp_path("reg_descending_x1"));
+  EXPECT_THROW(registry.publish_bytes(bytes), std::runtime_error);
+
+  const MappedModel mapped = MappedModel::map_file(path);
+  // Samples on, between and around the swapped breakpoints, for the
+  // metric that holds them.
+  const Event event = std::next(ensemble.rooflines().begin(),
+                                static_cast<std::ptrdiff_t>(metric))
+                          ->first;
+  Dataset workload;
+  for (const double x : {lo, hi, (lo + hi) / 2, lo * 0.999, hi * 1.001, 0.0,
+                         std::numeric_limits<double>::infinity()}) {
+    // intensity = w / m = x exactly; m = 0 is +inf.
+    workload.add(event, std::isinf(x) ? sampling::Sample{1.0, 1.0, 0.0}
+                                      : sampling::Sample{1.0, x, 1.0});
+  }
+  try {
+    const Estimate estimate = mapped.estimate(DatasetView(workload));
+    EXPECT_EQ(estimate.ranking.size(), 1u);
+  } catch (const std::exception& e) {
+    // Checked builds re-prove each lane against std::lower_bound, whose
+    // answer on unsorted x1 the count need not match.
+    EXPECT_TRUE(SPIRE_DCHECK_ENABLED) << e.what();
+    EXPECT_NE(std::string(e.what()).find("diverged"), std::string::npos)
+        << e.what();
+  }
 }
 
 // --------------------------------------------------------------------------

@@ -30,13 +30,16 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
+#include "counters/events.h"
 #include "quality/fault_injector.h"
 #include "sampling/dataset.h"
 #include "sampling/dataset_view.h"
 #include "serve/estimate_cache.h"
 #include "serve/profile_cache.h"
 #include "spire/ensemble.h"
+#include "util/hash.h"
 #include "util/rng.h"
 
 namespace spire::serve {
@@ -303,6 +306,115 @@ TEST(ProfileBin, EstimateThroughBinaryViewMatchesCsvPathBitExactly) {
     EXPECT_EQ(ensemble.estimate(copied.view()).throughput,
               via_csv.throughput);
   }
+}
+
+// --------------------------------------------------------------------------
+// Column names: the exact rejection texts and offsets
+// --------------------------------------------------------------------------
+
+/// A profile whose columns carry `names` in the given order, one sample
+/// each, with correct CRCs, so only the names can be at fault.
+std::string profile_with_names(const std::vector<std::string>& names) {
+  const auto u32 = [](std::string& out, std::uint32_t v) {
+    out.append(reinterpret_cast<const char*>(&v), sizeof v);
+  };
+  const auto u64 = [](std::string& out, std::uint64_t v) {
+    out.append(reinterpret_cast<const char*>(&v), sizeof v);
+  };
+  std::size_t names_bytes = 0;
+  for (const std::string& name : names) names_bytes += name.size();
+  std::string out;
+  u64(out, profile_bin::kMagic);
+  u32(out, profile_bin::kFormatVersion);
+  u32(out, static_cast<std::uint32_t>(names.size()));
+  u64(out, names.size());  // one sample per column
+  u32(out, static_cast<std::uint32_t>(names_bytes));
+  u32(out, 0);  // meta CRC, patched below
+  u32(out, 0);  // samples CRC, patched below
+  u32(out, 0);  // reserved
+  for (const std::string& name : names) {
+    u32(out, static_cast<std::uint32_t>(name.size()));
+    u32(out, 0);
+    u64(out, 1);
+  }
+  for (const std::string& name : names) out += name;
+  out.append((8 - out.size() % 8) % 8, '\0');
+  const std::size_t samples_offset = out.size();
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    const double sample[3] = {1.0, 2.0, 0.5};
+    out.append(reinterpret_cast<const char*>(sample), sizeof sample);
+  }
+  const std::string_view view(out);
+  const std::uint32_t meta = util::crc32(view.substr(
+      profile_bin::kHeaderBytes, samples_offset - profile_bin::kHeaderBytes));
+  const std::uint32_t samples = util::crc32(view.substr(samples_offset));
+  std::memcpy(out.data() + 28, &meta, sizeof meta);
+  std::memcpy(out.data() + 32, &samples, sizeof samples);
+  return out;
+}
+
+/// Byte offset of column `column`'s name in profile_with_names(names).
+std::size_t name_offset(const std::vector<std::string>& names,
+                        std::size_t column) {
+  std::size_t offset =
+      profile_bin::kHeaderBytes + names.size() * profile_bin::kDirEntryBytes;
+  for (std::size_t i = 0; i < column; ++i) offset += names[i].size();
+  return offset;
+}
+
+/// The full text parse() throws for `bytes`, or "" when it accepts them.
+std::string rejection(const std::string& bytes) {
+  try {
+    (void)profile_bin::parse(bytes);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(ProfileBin, CatalogOrderedNamesParse) {
+  const std::vector<std::string> names = {
+      std::string(counters::event_name(Event::kIdqDsbUops)),
+      std::string(counters::event_name(Event::kLsdUops)),
+      std::string(counters::event_name(Event::kLongestLatCacheMiss))};
+  const profile_bin::ProfileView profile =
+      profile_bin::parse(profile_with_names(names));
+  EXPECT_EQ(profile.view().metrics(),
+            (std::vector<Event>{Event::kIdqDsbUops, Event::kLsdUops,
+                                Event::kLongestLatCacheMiss}));
+}
+
+TEST(ProfileBin, RejectsAnUnknownMetricNameWithItsOffset) {
+  const std::vector<std::string> names = {
+      std::string(counters::event_name(Event::kIdqDsbUops)),
+      "no_such.event",
+      std::string(counters::event_name(Event::kLsdUops))};
+  EXPECT_EQ(rejection(profile_with_names(names)),
+            "profile-bin: unknown metric 'no_such.event' (section names, "
+            "offset " +
+                std::to_string(name_offset(names, 1)) + ")");
+}
+
+TEST(ProfileBin, RejectsADuplicateMetricNameWithItsOffset) {
+  const std::string lsd(counters::event_name(Event::kLsdUops));
+  const std::vector<std::string> names = {
+      std::string(counters::event_name(Event::kIdqDsbUops)), lsd, lsd};
+  EXPECT_EQ(rejection(profile_with_names(names)),
+            "profile-bin: metric '" + lsd +
+                "' out of catalog order (columns must be unique and "
+                "catalog-ordered) (section names, offset " +
+                std::to_string(name_offset(names, 2)) + ")");
+}
+
+TEST(ProfileBin, RejectsAnOutOfOrderMetricNameWithItsOffset) {
+  const std::string dsb(counters::event_name(Event::kIdqDsbUops));
+  const std::vector<std::string> names = {
+      std::string(counters::event_name(Event::kLongestLatCacheMiss)), dsb};
+  EXPECT_EQ(rejection(profile_with_names(names)),
+            "profile-bin: metric '" + dsb +
+                "' out of catalog order (columns must be unique and "
+                "catalog-ordered) (section names, offset " +
+                std::to_string(name_offset(names, 1)) + ")");
 }
 
 // --------------------------------------------------------------------------

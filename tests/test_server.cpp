@@ -1338,9 +1338,12 @@ TEST_F(ServerTest, PipelinedFramesMatchSequentialRepliesBySeq) {
   // binary profile — the reader hands it to the shard without a parse, and
   // its evaluation pins a pump for far longer than reading the seven
   // frames behind it takes, so the server deterministically observes the
-  // overlap the frames_pipelined counter reports.
+  // overlap the frames_pipelined counter reports. Its size keeps that
+  // margin at the two-lane kernel's speed: at 25,000 samples per metric
+  // the pump finished it (about 1.4 ms) before an idle host's reader had
+  // frame 1.
   constexpr int kFrames = 8;
-  const auto per_metric = [](int i) { return i == 0 ? 25'000 : 10; };
+  const auto per_metric = [](int i) { return i == 0 ? 100'000 : 10; };
   std::vector<Client::PipelineRequest> requests;
   std::vector<std::string> blobs(kFrames);
   for (int i = 0; i < kFrames; ++i) {
