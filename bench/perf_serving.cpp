@@ -39,7 +39,10 @@
 // spinning threads' work rate over one thread's), so a failing ratio on a
 // contended host can be told apart from a regression. The direct path's
 // single-thread rate against the scalar reference, on the trained model and
-// at fleet scale, is recorded but not asserted; its bit-identity is.
+// at fleet scale, is recorded but not asserted; its bit-identity is. On a
+// host whose pair kernel runs 4 lanes (AVX2), the trained-size direct path
+// is also timed at 2 lanes: both rates are recorded, and the two widths'
+// estimates must be bit-identical.
 // Every skippable assertion lands in the JSON as a structured object
 // ({status, reason, hardware_threads}), never a silent string.
 //
@@ -66,6 +69,7 @@
 #include "sampling/dataset.h"
 #include "sampling/dataset_view.h"
 #include "serve/mapped_model.h"
+#include "serve/model_eval.h"
 #include "serve/model_v3.h"
 #include "serve/profile_bin.h"
 #include "spire/model_io.h"
@@ -239,11 +243,12 @@ int main(int argc, char** argv) {
   views.reserve(suite.size());
   for (const auto& cw : suite) views.emplace_back(cw.samples);
   const auto compiled = serve::MappedModel::compile(ensemble);
+  const std::size_t lanes = serve::eval_kernel_lanes();
   std::printf(
       "workloads: %zu, model: %zu rooflines / %zu pieces, hardware "
-      "threads: %u, batch threads: %zu%s\n\n",
+      "threads: %u, batch threads: %zu%s\npair kernel: %zu lanes per step\n\n",
       views.size(), compiled.metric_count(), compiled.piece_count(), hardware,
-      exec.threads, smoke ? " [smoke]" : "");
+      exec.threads, smoke ? " [smoke]" : "", lanes);
 
   // --- bit-identity: compiled and mapped, single and batch at 1/4/8 -------
   const std::string image_path = bench::cache_dir() + "/serving_model.bin";
@@ -418,7 +423,7 @@ int main(int argc, char** argv) {
   // Both passes run in this thread, so the figures are thread-count
   // independent. The direct path (serve::estimate, the call every serving
   // surface makes) differs from the scalar reference (estimate_tables) in
-  // its lookup: a two-lane breakpoint count for regions up to
+  // its lookup: a 2- or 4-lane breakpoint count for regions up to
   // serve::kPairMaxRegionPieces, a branchless search above. Measured on the
   // trained model, where the count runs, and at fleet scale, where regions
   // of ~700 pieces take the search. Recorded, never asserted.
@@ -464,7 +469,39 @@ int main(int argc, char** argv) {
       fleet_compiled.piece_count(), fleet_direct.scalar_eps,
       fleet_direct.direct_eps, fleet_direct.ratio(),
       fleet_direct.identical ? "yes" : "NO");
-  const bool direct_identical = trained.identical && fleet_direct.identical;
+  bool direct_identical = trained.identical && fleet_direct.identical;
+
+  // --- the pair kernel at 2 lanes vs 4, trained size (AVX2 hosts) ---------
+  struct LanesVsLanes {
+    double two_eps = 0.0;
+    double four_eps = 0.0;
+    double ratio() const { return two_eps > 0.0 ? four_eps / two_eps : 0.0; }
+  };
+  std::optional<LanesVsLanes> widths;
+  if (lanes == 4) {
+    const auto at_lanes = [&](std::size_t w,
+                              std::vector<model::Estimate>& out) {
+      return run_mode([&] {
+        out.clear();
+        for (const auto& view : views) {
+          out.push_back(serve::detail::estimate_with_lanes(
+              compiled.tables(), view, model::Merge::kTimeWeighted, w));
+        }
+      });
+    };
+    std::vector<model::Estimate> two_out;
+    std::vector<model::Estimate> four_out;
+    widths.emplace();
+    widths->two_eps = at_lanes(2, two_out);
+    widths->four_eps = at_lanes(4, four_out);
+    const bool same = identical(two_out, four_out);
+    direct_identical &= same;
+    std::printf(
+        "single-thread at trained size, pair kernel: 2 lanes %.0f "
+        "estimates/s, 4 lanes %.0f estimates/s (%.2fx, bit-identical: %s)\n",
+        widths->two_eps, widths->four_eps, widths->ratio(),
+        same ? "yes" : "NO");
+  }
 
   const bool check_speedup = hardware >= 4;
   if (!check_speedup) {
@@ -508,7 +545,13 @@ int main(int argc, char** argv) {
        << fleet_direct.scalar_eps << ", \"direct\": " << fleet_direct.direct_eps
        << "},\n"
        << "  \"direct_vs_scalar_fleet\": " << fleet_direct.ratio() << ",\n"
-       << "  \"load_seconds\": {\"text\": " << text_load_s
+       << "  \"eval_kernel_lanes\": " << lanes << ",\n";
+  if (widths) {
+    json << "  \"single_thread_trained_lanes_estimates_per_s\": {\"two\": "
+         << widths->two_eps << ", \"four\": " << widths->four_eps << "},\n"
+         << "  \"four_vs_two_lanes_trained\": " << widths->ratio() << ",\n";
+  }
+  json << "  \"load_seconds\": {\"text\": " << text_load_s
        << ", \"binary\": " << bin_load_s << ", \"compile\": " << compile_s
        << "},\n"
        << "  \"profile_ingest\": {\"profiles\": " << profile_csvs.size()

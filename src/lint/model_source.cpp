@@ -77,7 +77,7 @@ struct LineReader {
 
 RawModel parse_raw_model(std::istream& in) {
   RawModel model;
-  LineReader reader{in};
+  LineReader reader{in, 0, {}};
   const auto issue = [&model](std::size_t line, std::string message) {
     model.issues.push_back({line, std::move(message)});
   };

@@ -6,8 +6,15 @@
 #include <cstring>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 
 #include "util/contract.h"
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define SPIRE_EVAL_AVX2 1
+#else
+#define SPIRE_EVAL_AVX2 0
+#endif
 
 namespace spire::serve {
 
@@ -22,29 +29,6 @@ namespace {
 
 constexpr const char* kNoSharedMetric =
     "ensemble: workload shares no metric with the model";
-
-// Two-lane vectors (GCC/Clang vector extensions): SSE2 on x86-64, NEON on
-// aarch64, scalar code elsewhere. Only element-wise arithmetic,
-// comparisons, bitwise selects and subscripts touch them, which both
-// compilers spell alike.
-using f64x2 = double __attribute__((vector_size(16)));
-using i64x2 = std::int64_t __attribute__((vector_size(16)));
-
-f64x2 splat(double x) { return f64x2{x, x}; }
-i64x2 splat_index(std::int64_t i) { return i64x2{i, i}; }
-
-// Comparisons as all-ones / all-zeros lane masks.
-i64x2 lt(f64x2 a, f64x2 b) { return (i64x2)(a < b); }
-i64x2 le(f64x2 a, f64x2 b) { return (i64x2)(a <= b); }
-i64x2 eq(f64x2 a, f64x2 b) { return (i64x2)(a == b); }
-/// std::isfinite per lane: x - x is 0 for finite x and NaN otherwise.
-i64x2 finite(f64x2 x) { return eq(x - x, f64x2{}); }
-
-/// `mask ? a : b` per lane.
-f64x2 select(i64x2 mask, f64x2 a, f64x2 b) {
-  return (f64x2)(((i64x2)a & mask) | ((i64x2)b & ~mask));
-}
-i64x2 select(i64x2 mask, i64x2 a, i64x2 b) { return (a & mask) | (b & ~mask); }
 
 /// std::lower_bound(ux + lo, ux + hi, x) - ux, branchless (masked add per
 /// round, no data-dependent branch). Requires hi > lo.
@@ -104,77 +88,6 @@ double direct_roofline(const EvalTables& tables, const MetricRange& range,
                                                  begin, end);
                      });
 }
-
-/// roofline_at over two lanes at once, for a metric whose regions hold at
-/// most kPairMaxRegionPieces pieces. The segment search is a count of the
-/// breakpoints below the intensity among the region's pieces but its last:
-/// x1 ascends within a region (the precondition std::lower_bound already
-/// has), so the count is the lower_bound offset whenever the last x1
-/// reaches the intensity, and the lane is past the region (roofline_at's
-/// i == end, which answers the last piece's y1) when it does not. The
-/// counted index never leaves [begin, end - 1], so every gathered piece
-/// lies inside the region whatever the table holds. The early returns
-/// become selects, applied in roofline_at's priority order (the first
-/// return taken there is the last select here). Lanes discarded by a
-/// select may divide by zero; their results are never read.
-class PairRoofline {
- public:
-  PairRoofline(const EvalTables& tables, const MetricRange& range)
-      : x0_(tables.x0.data()),
-        y0_(tables.y0.data()),
-        x1_(tables.x1.data()),
-        y1_(tables.y1.data()),
-        left_begin_(range.left_begin),
-        left_last_(static_cast<std::int64_t>(range.left_end) - 1),
-        right_begin_(range.right_begin),
-        right_last_(static_cast<std::int64_t>(range.right_end) - 1),
-        left_max_(splat(range.left_max)),
-        has_left_(splat_index(range.has_left() ? -1 : 0)),
-        // An absent left region has left_begin == right_begin, so its
-        // front is a valid piece; its last x1 is never selected.
-        front_x0_left_(splat(x0_[range.left_begin])),
-        front_y0_left_(splat(y0_[range.left_begin])),
-        front_x0_right_(splat(x0_[range.right_begin])),
-        front_y0_right_(splat(y0_[range.right_begin])),
-        last_x1_left_(splat(range.has_left() ? x1_[left_last_] : 0.0)),
-        last_x1_right_(splat(x1_[right_last_])) {}
-
-  f64x2 at(f64x2 x) const {
-    const i64x2 left = has_left_ & le(x, left_max_);
-    i64x2 left_i = splat_index(left_begin_);
-    for (std::int64_t j = left_begin_; j < left_last_; ++j) {
-      left_i -= lt(splat(x1_[j]), x);
-    }
-    i64x2 right_i = splat_index(right_begin_);
-    for (std::int64_t j = right_begin_; j < right_last_; ++j) {
-      right_i -= lt(splat(x1_[j]), x);
-    }
-    const i64x2 i = select(left, left_i, right_i);
-    const i64x2 past = lt(select(left, last_x1_left_, last_x1_right_), x);
-    const f64x2 x0{x0_[i[0]], x0_[i[1]]};
-    const f64x2 y0{y0_[i[0]], y0_[i[1]]};
-    const f64x2 x1{x1_[i[0]], x1_[i[1]]};
-    const f64x2 y1{y1_[i[0]], y1_[i[1]]};
-    // LinearPiece::at's interpolation, same operations in the same order.
-    const f64x2 t = (x - x0) / (x1 - x0);
-    f64x2 p = select(~finite(x1) | eq(x1, x0), y0, y0 + t * (y1 - y0));
-    p = select(past, y1, p);
-    const f64x2 front_x0 = select(left, front_x0_left_, front_x0_right_);
-    const f64x2 front_y0 = select(left, front_y0_left_, front_y0_right_);
-    return select(le(x, front_x0), front_y0, p);
-  }
-
- private:
-  const double* x0_;
-  const double* y0_;
-  const double* x1_;
-  const double* y1_;
-  std::int64_t left_begin_, left_last_, right_begin_, right_last_;
-  f64x2 left_max_;
-  i64x2 has_left_;
-  f64x2 front_x0_left_, front_y0_left_, front_x0_right_, front_y0_right_;
-  f64x2 last_x1_left_, last_x1_right_;
-};
 
 /// Ensemble::merge_samples's structural filter: the samples Eq. (1) uses.
 bool usable(const Sample& s) {
@@ -256,62 +169,249 @@ Sums lane_sums(std::span<const Sample> samples, Merge merge, Lookup lookup) {
   return sums;
 }
 
-/// lane_sums through PairRoofline, two samples per step in sample order.
-/// A pair adds its terms one lane at a time, lane 0 first, so the sums see
-/// lane_sums's exact sequence of additions; a lane the filter drops adds
-/// +0.0, which leaves every value the sums can hold unchanged (they start
-/// at +0.0, so they are never -0.0). An odd last sample pairs with an
-/// empty one, which the filter drops (t = 0).
-Sums pair_sums(const EvalTables& tables, std::size_t m,
-               std::span<const Sample> samples, Merge merge) {
-  const PairRoofline roofline(tables, tables.ranges[m]);
-  const i64x2 by_time = splat_index(merge == Merge::kTimeWeighted ? -1 : 0);
-  const f64x2 zero{};
-  const f64x2 inf = splat(std::numeric_limits<double>::infinity());
-  static constexpr Sample kEmpty{};
-  Sums sums;
-  const std::size_t n = samples.size();
-  for (std::size_t k = 0; k < n; k += 2) {
-    const Sample& a = samples[k];
-    const Sample& b = k + 1 < n ? samples[k + 1] : kEmpty;
-    const f64x2 t{a.t, b.t};
-    const f64x2 w{a.w, b.w};
-    const f64x2 mx{a.m, b.m};
-    // usable() as a lane mask.
-    const i64x2 used = ~le(t, zero) & finite(t) & finite(w) & finite(mx) &
-                       ~lt(w, zero) & ~lt(mx, zero);
-    // Sample::intensity(): +inf where the metric did not fire.
-    const f64x2 x = select(le(mx, zero), inf, w / mx);
-    // roofline_at's intensity contract, once per pair.
-    const i64x2 bad = used & ~le(zero, x);
-    SPIRE_ASSERT((bad[0] | bad[1]) == 0, "MetricRoofline: bad intensity ",
-                 bad[0] != 0 ? x[0] : x[1]);
-    const f64x2 p = roofline.at(x);
-    if (used[0] != 0) check_direct_lane(tables, m, x[0], p[0]);
-    if (used[1] != 0) check_direct_lane(tables, m, x[1], p[1]);
-    const f64x2 weight = select(used, select(by_time, t, splat(1.0)), zero);
-    const f64x2 term = select(used, weight * p, zero);
-    sums.weighted += term[0];
-    sums.weight += weight[0];
-    sums.weighted += term[1];
-    sums.weight += weight[1];
-    sums.count += static_cast<std::size_t>(-(used[0] + used[1]));
-  }
-  return sums;
+// The pair kernel's lane vectors (GCC/Clang vector extensions). Two lanes
+// are 16 bytes: SSE2 on x86-64, NEON on aarch64, scalar code elsewhere.
+// Four lanes are 32 bytes and run only inside the AVX2 entry below. Only
+// element-wise arithmetic, comparisons, bitwise operators and subscripts
+// touch them, which both compilers spell alike.
+template <std::size_t W>
+struct LaneVector;
+template <>
+struct LaneVector<2> {
+  using type = double __attribute__((vector_size(16)));
+};
+template <>
+struct LaneVector<4> {
+  using type = double __attribute__((vector_size(32)));
+};
+
+/// `v = mask ? value : v` per lane, for an all-ones / all-zeros `mask`. A
+/// bitwise select: `?:` on a stored 64-bit mask compiles to a compare SSE2
+/// lacks, which GCC scalarizes into branches. Vectors pass by reference,
+/// so a four-lane one never crosses a call by value.
+template <typename V, typename M>
+[[gnu::always_inline]] inline void assign_where(V& v, const M& mask,
+                                                const V& value) {
+  v = (V)(((M)value & mask) | ((M)v & ~mask));
 }
 
-/// The direct path: estimate_tables with each metric's sums from
-/// pair_sums when its regions are small enough to count, and otherwise
-/// from lane_sums over the one-lane branchless search.
+/// lane_sums over W samples at a time (W = 2 or 4), for a metric whose
+/// regions hold at most kPairMaxRegionPieces pieces: roofline_at and
+/// usable() become lane masks and selects, and the Eq. (1) terms are added
+/// one lane at a time in sample order. (The name is from its first,
+/// two-lane form.)
+///
+/// The segment search is a count of the breakpoints below the intensity
+/// among the region's pieces but its last: x1 ascends within a region (the
+/// precondition std::lower_bound already has), so the count is the
+/// lower_bound offset whenever the last x1 reaches the intensity, and the
+/// lane is past the region (roofline_at's i == end, which answers the last
+/// piece's y1) when it does not. The counted index never leaves
+/// [begin, end - 1], so every gathered piece lies inside the region
+/// whatever the table holds. The early returns become selects, applied in
+/// roofline_at's priority order (the first return taken there is the last
+/// assign_where here). Lanes discarded by a select may divide by zero;
+/// their results are never read.
+///
+/// Every member is always_inline and none takes or returns a vector by
+/// value, so the four-lane instantiation is compiled only inside its AVX2
+/// entry and no 32-byte vector crosses a call.
+template <std::size_t W>
+class PairKernel {
+  using F = typename LaneVector<W>::type;
+  using I = decltype(F{} < F{});  // lane masks: all ones or all zeros
+
+ public:
+  [[gnu::always_inline]] PairKernel(const EvalTables& tables, std::size_t m,
+                                    Merge merge)
+      : tables_(tables),
+        m_(m),
+        x0_(tables.x0.data()),
+        y0_(tables.y0.data()),
+        x1_(tables.x1.data()),
+        y1_(tables.y1.data()) {
+    const MetricRange& range = tables.ranges[m];
+    left_begin_ = static_cast<std::int64_t>(range.left_begin);
+    left_last_ = static_cast<std::int64_t>(range.left_end) - 1;
+    right_begin_ = static_cast<std::int64_t>(range.right_begin);
+    right_last_ = static_cast<std::int64_t>(range.right_end) - 1;
+    for (std::size_t k = 0; k < W; ++k) {
+      left_start_[k] = left_begin_;
+      right_start_[k] = right_begin_;
+      has_left_[k] = range.has_left() ? -1 : 0;
+      left_max_[k] = range.left_max;
+      // An absent left region has left_begin == right_begin, so its front
+      // is a valid piece; its last x1 is never selected.
+      front_x0_left_[k] = x0_[range.left_begin];
+      front_y0_left_[k] = y0_[range.left_begin];
+      front_x0_right_[k] = x0_[range.right_begin];
+      front_y0_right_[k] = y0_[range.right_begin];
+      last_x1_left_[k] = range.has_left() ? x1_[left_last_] : 0.0;
+      last_x1_right_[k] = x1_[right_last_];
+      by_time_[k] = merge == Merge::kTimeWeighted ? -1 : 0;
+      one_[k] = 1.0;
+      inf_[k] = std::numeric_limits<double>::infinity();
+    }
+  }
+
+  /// Adds samples s[0], ..., s[W - 1], in that order. Lanes at or past
+  /// `count` (a short last step) take an empty sample (t = 0), which the
+  /// filter drops.
+  [[gnu::always_inline]] void add(const Sample* s, std::size_t count) {
+    add(s, count, std::make_index_sequence<W>{});
+  }
+
+  /// The sums over every sample added so far, which are `samples`; raises
+  /// roofline_at's intensity contract for the first bad lane among them.
+  [[gnu::always_inline]] Sums sums(std::span<const Sample> samples) const {
+    std::int64_t bad = 0;
+    for (std::size_t k = 0; k < W; ++k) bad |= bad_[k];
+    if (bad != 0) {
+      for (const Sample& s : samples) {
+        SPIRE_ASSERT(!usable(s) || 0.0 <= s.intensity(),
+                     "MetricRoofline: bad intensity ", s.intensity());
+      }
+    }
+    Sums out{weighted_, weight_, 0};
+    for (std::size_t k = 0; k < W; ++k) {
+      out.count += static_cast<std::size_t>(count_[k]);
+    }
+    return out;
+  }
+
+ private:
+  /// add() with the lane indices K = 0, ..., W - 1 as a pack, so each
+  /// per-lane load and addition is written once and unrolled.
+  template <std::size_t... K>
+  [[gnu::always_inline]] void add(const Sample* s, std::size_t count,
+                                  std::index_sequence<K...>) {
+    static constexpr Sample kEmpty{};
+    const Sample* lane[] = {(K < count ? s + K : &kEmpty)...};
+    const F t{lane[K]->t...};
+    const F w{lane[K]->w...};
+    const F mx{lane[K]->m...};
+    const F zero{};
+    // usable() as a lane mask; x - x is 0 for finite x and NaN otherwise.
+    const I used = ~(t <= zero) & (t - t == zero) & (w - w == zero) &
+                   (mx - mx == zero) & ~(w < zero) & ~(mx < zero);
+    // Sample::intensity(): +inf where the metric did not fire.
+    F x = w / mx;
+    assign_where(x, mx <= zero, inf_);
+    // roofline_at's intensity contract, raised by sums().
+    const I bad = used & ~(zero <= x);
+    bad_ |= bad;
+
+    // roofline_at: region choice, then the count search in each region.
+    const I left = has_left_ & (x <= left_max_);
+    I left_i = left_start_;
+    for (std::int64_t j = left_begin_; j < left_last_; ++j) {
+      left_i -= x1_[j] < x;
+    }
+    I right_i = right_start_;
+    for (std::int64_t j = right_begin_; j < right_last_; ++j) {
+      right_i -= x1_[j] < x;
+    }
+    I i = right_i;
+    assign_where(i, left, left_i);
+    F last_x1 = last_x1_right_;
+    assign_where(last_x1, left, last_x1_left_);
+    const I past = last_x1 < x;
+    const F x0{x0_[i[K]]...};
+    const F y0{y0_[i[K]]...};
+    const F x1{x1_[i[K]]...};
+    const F y1{y1_[i[K]]...};
+    // LinearPiece::at's interpolation, same operations in the same order.
+    const F frac = (x - x0) / (x1 - x0);
+    F p = y0 + frac * (y1 - y0);
+    assign_where(p, ~(x1 - x1 == zero) | (x1 == x0), y0);
+    assign_where(p, past, y1);
+    F front_x0 = front_x0_right_;
+    F front_y0 = front_y0_right_;
+    assign_where(front_x0, left, front_x0_left_);
+    assign_where(front_y0, left, front_y0_left_);
+    assign_where(p, x <= front_x0, front_y0);
+    for (std::size_t k = 0; k < W; ++k) {
+      if (used[k] != 0 && bad[k] == 0) {
+        check_direct_lane(tables_, m_, x[k], p[k]);
+      }
+    }
+
+    // Eq. (1)'s terms, one lane at a time in sample order: the sums see
+    // lane_sums's exact sequence of additions. A lane the filter drops
+    // adds +0.0, which leaves every value the sums can hold unchanged
+    // (they start at +0.0, so they are never -0.0).
+    F weight = one_;
+    assign_where(weight, by_time_, t);
+    assign_where(weight, ~used, zero);
+    F term = weight * p;
+    assign_where(term, ~used, zero);
+    ((weighted_ += term[K], weight_ += weight[K]), ...);
+    count_ -= used;
+  }
+
+  const EvalTables& tables_;
+  std::size_t m_;
+  const double* x0_;
+  const double* y0_;
+  const double* x1_;
+  const double* y1_;
+  std::int64_t left_begin_, left_last_, right_begin_, right_last_;
+  // Per-metric constants, one copy per lane.
+  I left_start_{}, right_start_{}, has_left_{}, by_time_{};
+  F left_max_{}, front_x0_left_{}, front_y0_left_{}, front_x0_right_{},
+      front_y0_right_{}, last_x1_left_{}, last_x1_right_{}, one_{}, inf_{};
+  // Running state: Eq. (1)'s sums, the used-sample count per lane, and
+  // every lane that broke the intensity contract.
+  double weighted_ = 0.0, weight_ = 0.0;
+  I count_{}, bad_{};
+};
+
+/// lane_sums through PairKernel<W>, W samples per step in sample order.
+template <std::size_t W>
+[[gnu::always_inline]] inline Sums pair_sums(const EvalTables& tables,
+                                             std::size_t m,
+                                             std::span<const Sample> samples,
+                                             Merge merge) {
+  PairKernel<W> kernel(tables, m, merge);
+  const std::size_t n = samples.size();
+  std::size_t k = 0;
+  for (; k + W <= n; k += W) kernel.add(samples.data() + k, W);
+  if (k < n) kernel.add(samples.data() + k, n - k);
+  return kernel.sums(samples);
+}
+
+Sums pair_sums_2(const EvalTables& tables, std::size_t m,
+                 std::span<const Sample> samples, Merge merge) {
+  return pair_sums<2>(tables, m, samples, merge);
+}
+
+#if SPIRE_EVAL_AVX2
+/// The four-lane instantiation. The target is "avx2" alone: adding "fma"
+/// would let the compiler fuse y0 + frac * (y1 - y0) and change its bits.
+__attribute__((target("avx2"))) Sums pair_sums_4(
+    const EvalTables& tables, std::size_t m, std::span<const Sample> samples,
+    Merge merge) {
+  return pair_sums<4>(tables, m, samples, merge);
+}
+#endif
+
+/// The direct path: estimate_tables with each metric's sums from the pair
+/// kernel at `lanes` lanes when its regions are small enough to count, and
+/// otherwise from lane_sums over the one-lane branchless search.
 Estimate direct_estimate(const EvalTables& tables, DatasetView workload,
-                         Merge merge) {
+                         Merge merge, std::size_t lanes) {
   return estimate_with(
       tables, workload, [&](std::size_t m, std::span<const Sample> samples) {
         const MetricRange& range = tables.ranges[m];
         if (std::max(range.left_end - range.left_begin,
                      range.right_end - range.right_begin) <=
             kPairMaxRegionPieces) {
-          return pair_sums(tables, m, samples, merge);
+#if SPIRE_EVAL_AVX2
+          if (lanes == 4) return pair_sums_4(tables, m, samples, merge);
+#else
+          (void)lanes;
+#endif
+          return pair_sums_2(tables, m, samples, merge);
         }
         return lane_sums(samples, merge, [&](double intensity) {
           const double p = direct_roofline(tables, range, intensity);
@@ -353,7 +453,8 @@ Estimate estimate_tables(const EvalTables& tables, DatasetView workload,
 
 Estimate estimate(const EvalTables& tables, DatasetView workload,
                   Merge merge) {
-  Estimate out = direct_estimate(tables, workload, merge);
+  Estimate out =
+      direct_estimate(tables, workload, merge, eval_kernel_lanes());
   // One scalar batch per ranked metric, its samples as lanes.
   std::uint64_t lanes = 0;
   for (const MetricEstimate& entry : out.ranking) lanes += entry.samples;
@@ -369,6 +470,28 @@ EvalCountersSnapshot eval_counters_snapshot() {
   snap.scalar_lanes = scalar_lanes_total.load(std::memory_order_relaxed);
   return snap;
 }
+
+std::size_t eval_kernel_lanes() {
+#if SPIRE_EVAL_AVX2
+  static const std::size_t lanes = __builtin_cpu_supports("avx2") ? 4 : 2;
+  return lanes;
+#else
+  return 2;
+#endif
+}
+
+namespace detail {
+
+Estimate estimate_with_lanes(const EvalTables& tables, DatasetView workload,
+                             Merge merge, std::size_t lanes) {
+  SPIRE_ASSERT(lanes == 2 || lanes == eval_kernel_lanes(),
+               "estimate_with_lanes: ", lanes,
+               " lanes is not a width this host runs (2 or ",
+               eval_kernel_lanes(), ")");
+  return direct_estimate(tables, workload, merge, lanes);
+}
+
+}  // namespace detail
 
 bool eval_kernel_vectorized() {
 #if defined(__SSE2__) || defined(__ARM_NEON)

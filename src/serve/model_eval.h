@@ -16,16 +16,19 @@
 //  * the DIRECT PATH (estimate), which every serving surface calls: once
 //    per workload, in sample order, with nothing staged. A metric whose
 //    regions hold at most kPairMaxRegionPieces pieces (every trained
-//    model's) runs a two-lane kernel: two samples per step in GCC/Clang
-//    vector types (SSE2 on x86-64, NEON on aarch64, scalar code elsewhere),
-//    the structural filter and region choice as lane masks, the segment
-//    search as a branch-free count of the region's breakpoints below the
-//    intensity, the endpoints gathered by index, one paired divide for the
-//    intensities and one for LinearPiece::at, and the reference's early
-//    returns as selects in its priority order. The pair's Eq. (1) terms
-//    are then added one lane at a time, in sample order, so every sum
-//    sees the reference's exact sequence of additions. A metric with a
-//    bigger region keeps the reference's own per-sample loop with a
+//    model's) runs the pair kernel, one body templated on its lane count:
+//    four samples per step in 32-byte GCC/Clang vectors on an x86-64 host
+//    with AVX2, otherwise two in 16-byte ones (SSE2 on x86-64, NEON on
+//    aarch64, scalar code elsewhere), chosen once per process
+//    (eval_kernel_lanes()). Per step: the structural filter and region
+//    choice as lane masks, the segment search as a branch-free count of
+//    the region's breakpoints below the intensity, the endpoints gathered
+//    by index, one lane-wise divide for the intensities and one for
+//    LinearPiece::at, and the reference's early returns as selects in its
+//    priority order. The step's Eq. (1) terms are then added one lane at
+//    a time, in sample order, so every sum sees the reference's exact
+//    sequence of additions, and both widths give the same bits. A metric
+//    with a bigger region keeps the reference's own per-sample loop with a
 //    branchless lower_bound, so its cost stays O(log n) up to
 //    model::bin::kMaxRegionCorners. Debug/SPIRE_CHECKED builds re-verify
 //    every lane against the scalar reference bit-for-bit.
@@ -45,7 +48,7 @@
 
 namespace spire::serve {
 
-/// Largest region the direct path's two-lane kernel evaluates by counting
+/// Largest region the direct path's pair kernel evaluates by counting
 /// breakpoints; a metric with a bigger region keeps the one-lane
 /// branchless search (DESIGN.md §15 has the sweep this bound comes from).
 inline constexpr std::size_t kPairMaxRegionPieces = 48;
@@ -101,10 +104,28 @@ struct EvalCountersSnapshot {
 
 EvalCountersSnapshot eval_counters_snapshot();
 
-/// Whether the direct path's two-lane kernel compiles to SIMD
-/// instructions: true on x86-64 (SSE2) and aarch64 (NEON), false where the
-/// vector types lower to scalar code. Kept for perf reporting that records
-/// it.
+/// Whether the direct path's pair kernel compiles to SIMD instructions:
+/// true on x86-64 (SSE2) and aarch64 (NEON), false where the vector types
+/// lower to scalar code. Kept for perf reporting that records it.
 bool eval_kernel_vectorized();
+
+/// The number of samples the direct path's pair kernel evaluates per step
+/// in this process: 4 on an x86-64 host with AVX2 (GCC or Clang builds),
+/// otherwise 2. Decided once per process, as util::crc32_update picks its
+/// arm; the estimates are the same bits at either width.
+std::size_t eval_kernel_lanes();
+
+namespace detail {
+
+/// estimate() with the pair kernel at `lanes` lanes and without the
+/// process-wide counters, so a test can hold both widths to the scalar
+/// reference on one host. `lanes` is 2, or 4 where eval_kernel_lanes() is
+/// 4; any other width throws ContractViolation. Not for callers: estimate()
+/// already picks the width.
+model::Estimate estimate_with_lanes(const EvalTables& tables,
+                                    sampling::DatasetView workload,
+                                    model::Merge merge, std::size_t lanes);
+
+}  // namespace detail
 
 }  // namespace spire::serve

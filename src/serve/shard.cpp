@@ -14,13 +14,14 @@ using Clock = std::chrono::steady_clock;
 
 Shard::Shard(std::string model_id, std::shared_ptr<const MappedModel> model,
              util::ThreadPool& pool, std::size_t queue_bound,
-             std::size_t max_batch)
+             std::size_t max_batch, EvaluationGate gate)
     : model_id_(std::move(model_id)),
       model_(std::move(model)),
       service_(model_),
       pool_(pool),
       queue_bound_(std::max<std::size_t>(queue_bound, 1)),
-      max_batch_(std::max<std::size_t>(max_batch, 1)) {}
+      max_batch_(std::max<std::size_t>(max_batch, 1)),
+      gate_(std::move(gate)) {}
 
 Shard::Enqueue Shard::enqueue(Request request) {
   bool schedule = false;
@@ -133,6 +134,7 @@ void Shard::run_batch(std::vector<Request>& batch) {
   }
   if (evaluable.empty()) return;
 
+  if (gate_) gate_(model_id_);
   std::vector<BatchResult> results = service_.estimate_views(jobs);
 
   batches_.fetch_add(1, std::memory_order_relaxed);

@@ -100,6 +100,13 @@ class Shard : public std::enable_shared_from_this<Shard> {
     bool retired = false;
   };
 
+  /// Test-only: called with the shard's model id on the pump thread, no
+  /// lock held, after a round's requests have begun and before they are
+  /// evaluated. A test blocks in it to hold the pump busy, so "this shard
+  /// is saturated" is a state it sets instead of a race against the
+  /// kernel's speed. Serving code passes none.
+  using EvaluationGate = std::function<void(const std::string& model_id)>;
+
   /// `queue_bound` caps pending (accepted, not yet begun) requests;
   /// `max_batch` caps how many requests one pump round coalesces. Both are
   /// clamped to at least 1. `pool` must outlive the shard. The shard must
@@ -107,7 +114,7 @@ class Shard : public std::enable_shared_from_this<Shard> {
   /// a self-reference).
   Shard(std::string model_id, std::shared_ptr<const MappedModel> model,
         util::ThreadPool& pool, std::size_t queue_bound,
-        std::size_t max_batch = 16);
+        std::size_t max_batch = 16, EvaluationGate gate = {});
 
   Shard(const Shard&) = delete;
   Shard& operator=(const Shard&) = delete;
@@ -134,6 +141,7 @@ class Shard : public std::enable_shared_from_this<Shard> {
   util::ThreadPool& pool_;
   const std::size_t queue_bound_;
   const std::size_t max_batch_;
+  const EvaluationGate gate_;
 
   mutable util::Mutex mutex_{util::lock_rank::Rank::kShardQueue,
                              "shard-queue"};

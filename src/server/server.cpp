@@ -215,7 +215,8 @@ std::shared_ptr<serve::Shard> EstimationServer::shard_for_id(
     return nullptr;
   }
   auto shard = std::make_shared<serve::Shard>(
-      id, std::move(model), *pool_, options_.max_queue, options_.shard_batch);
+      id, std::move(model), *pool_, options_.max_queue, options_.shard_batch,
+      options_.evaluation_gate);
   util::MutexLock lock(slots_mutex_);
   if (const auto it = shards_.find(id); it != shards_.end()) {
     return it->second;

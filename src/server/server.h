@@ -129,6 +129,10 @@ struct ServerOptions {
   std::uint32_t max_deadline_ms = 60'000;
   Limits limits{};
   ChaosOptions chaos{};
+  /// Test-only: handed to every shard (serve::Shard::EvaluationGate). A
+  /// test blocks in it to hold a shard's pump busy; serving leaves it
+  /// empty.
+  serve::Shard::EvaluationGate evaluation_gate;
 };
 
 class EstimationServer {

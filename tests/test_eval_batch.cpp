@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <iostream>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -30,6 +31,7 @@
 #include "serve/service.h"
 #include "spire/ensemble.h"
 #include "spire/model_bin.h"
+#include "util/contract.h"
 #include "util/thread_pool.h"
 
 namespace spire {
@@ -237,12 +239,17 @@ Outcome scalar_outcome(const EvalTables& tables, DatasetView view,
   return out;
 }
 
-/// serve::estimate with the same per-item error capture.
+/// serve::estimate with the same per-item error capture; with `lanes`
+/// set, the direct path with its pair kernel at that width instead of the
+/// one this process chose.
 Outcome direct_outcome(const EvalTables& tables, DatasetView view,
-                       Merge merge) {
+                       Merge merge, std::size_t lanes = 0) {
   Outcome out;
   try {
-    out.estimate = serve::estimate(tables, view, merge);
+    out.estimate =
+        lanes == 0
+            ? serve::estimate(tables, view, merge)
+            : serve::detail::estimate_with_lanes(tables, view, merge, lanes);
   } catch (const std::exception& e) {
     out.error = e.what();
   }
@@ -276,20 +283,29 @@ void expect_identical(const Outcome& scalar, const Outcome& direct) {
   }
 }
 
-/// serve::estimate on every workload (mixed merge modes), each
-/// bit-identical to the per-item scalar loop.
+/// serve::estimate (or, with `lanes` set, the direct path at that pair
+/// kernel width) on every workload (mixed merge modes), each bit-identical
+/// to the per-item scalar loop.
 void expect_direct_matches_scalar(const TableSet& set,
-                                  const std::vector<Dataset>& datasets) {
+                                  const std::vector<Dataset>& datasets,
+                                  std::size_t lanes = 0) {
   for (std::size_t j = 0; j < datasets.size(); ++j) {
     SCOPED_TRACE(testing::Message() << "item " << j);
     const DatasetView view(datasets[j]);
     const Merge merge = j % 3 ? Merge::kTimeWeighted : Merge::kUnweighted;
     expect_identical(scalar_outcome(set.tables(), view, merge),
-                     direct_outcome(set.tables(), view, merge));
+                     direct_outcome(set.tables(), view, merge, lanes));
   }
 }
 
-TEST(EvalBatchProperty, FuzzedTablesMatchScalarReferenceBitForBit) {
+// The pair kernel runs 4 lanes where the host has AVX2 and 2 elsewhere.
+// The cases that pin its lane structure run once per width, so an AVX2
+// host also tests the two-lane path, which its serve::estimate never
+// takes.
+constexpr const char* kNoFourLanes =
+    "this host runs the pair kernel at 2 lanes only (no AVX2)";
+
+void fuzzed_tables_match_scalar(std::size_t lanes) {
   std::mt19937 rng(20260808);
   std::uniform_int_distribution<std::size_t> large(1025, 8192);
   for (int round = 0; round < 200; ++round) {
@@ -313,9 +329,18 @@ TEST(EvalBatchProperty, FuzzedTablesMatchScalarReferenceBitForBit) {
     for (const Dataset& data : datasets) {
       const DatasetView view(data);
       expect_identical(scalar_outcome(set.tables(), view, merge),
-                       direct_outcome(set.tables(), view, merge));
+                       direct_outcome(set.tables(), view, merge, lanes));
     }
   }
+}
+
+TEST(EvalBatchProperty, FuzzedTablesMatchScalarReferenceBitForBit) {
+  fuzzed_tables_match_scalar(2);
+}
+
+TEST(EvalBatchProperty, FuzzedTablesMatchScalarReferenceBitForBitFourLanes) {
+  if (serve::eval_kernel_lanes() < 4) GTEST_SKIP() << kNoFourLanes;
+  fuzzed_tables_match_scalar(4);
 }
 
 /// A model trained on random samples of `metrics` metrics, served from an
@@ -532,7 +557,7 @@ Sample at_intensity(double x, double t = 1.0) {
   return std::isinf(x) ? Sample{t, 1.0, 0.0} : Sample{t, x, 1.0};
 }
 
-TEST(EvalBatchProperty, PairKernelEdgeIntensitiesMatchScalarReference) {
+void pair_kernel_edge_intensities_match_scalar(std::size_t lanes) {
   // One-sample workloads with t = 1, so p_bar is the lane's roofline value
   // itself (up to the sign of a zero, which Eq. 1's sum drops): each must
   // match the scalar reference at intensities on a breakpoint, on
@@ -557,7 +582,7 @@ TEST(EvalBatchProperty, PairKernelEdgeIntensitiesMatchScalarReference) {
         data.add(set.metrics[m], at_intensity(x));
         const DatasetView view(data);
         const Outcome direct =
-            direct_outcome(tables, view, Merge::kTimeWeighted);
+            direct_outcome(tables, view, Merge::kTimeWeighted, lanes);
         ASSERT_TRUE(direct.ok()) << direct.error;
         ASSERT_EQ(direct.estimate->ranking.size(), 1u);
         EXPECT_EQ(direct.estimate->ranking[0].p_bar,
@@ -569,11 +594,21 @@ TEST(EvalBatchProperty, PairKernelEdgeIntensitiesMatchScalarReference) {
   }
 }
 
-TEST(EvalBatchProperty, PairKernelMixedLanesAndOddCountsMatchScalarReference) {
-  // Pairs where exactly one lane is dropped by the structural filter (NaN,
-  // negative, t <= 0) or has m == 0 (+inf intensity), in either lane,
-  // over odd and even sample counts (an odd count leaves the last lane
-  // unpaired), under both merge modes.
+TEST(EvalBatchProperty, PairKernelEdgeIntensitiesMatchScalarReference) {
+  pair_kernel_edge_intensities_match_scalar(2);
+}
+
+TEST(EvalBatchProperty,
+     PairKernelEdgeIntensitiesMatchScalarReferenceFourLanes) {
+  if (serve::eval_kernel_lanes() < 4) GTEST_SKIP() << kNoFourLanes;
+  pair_kernel_edge_intensities_match_scalar(4);
+}
+
+void pair_kernel_mixed_lanes_match_scalar(std::size_t lanes) {
+  // Steps of `lanes` samples where exactly one lane is dropped by the
+  // structural filter (NaN, negative, t <= 0) or has m == 0 (+inf
+  // intensity), in each lane position, over 1-9 samples (so the last step
+  // is short by every amount), under both merge modes.
   std::mt19937 rng(1234);
   const Sample odd_lanes[] = {
       {kNaN, 1.0, 1.0}, {1.0, kNaN, 1.0}, {1.0, 1.0, kNaN},
@@ -586,14 +621,14 @@ TEST(EvalBatchProperty, PairKernelMixedLanesAndOddCountsMatchScalarReference) {
     const EvalTables tables = set.tables();
     for (std::size_t n = 1; n <= 9; ++n) {
       for (const Sample& odd : odd_lanes) {
-        for (std::size_t lane = 0; lane < 2; ++lane) {
+        for (std::size_t lane = 0; lane < lanes; ++lane) {
           Dataset data;
           for (std::size_t m = 0; m < set.metrics.size(); ++m) {
             const std::vector<double> xs = edge_intensities(set, m);
             for (std::size_t k = 0; k < n; ++k) {
-              // Sample k % 2 == lane of every pair is the odd one.
+              // Sample k % lanes == lane of every step is the odd one.
               data.add(set.metrics[m],
-                       k % 2 == lane ? odd
+                       k % lanes == lane ? odd
                                      : at_intensity(xs[rng() % xs.size()],
                                                     0.5 + rng() % 4));
             }
@@ -604,7 +639,7 @@ TEST(EvalBatchProperty, PairKernelMixedLanesAndOddCountsMatchScalarReference) {
                          << "round " << round << " n " << n << " lane "
                          << lane << " merge " << static_cast<int>(merge));
             expect_identical(scalar_outcome(tables, view, merge),
-                             direct_outcome(tables, view, merge));
+                             direct_outcome(tables, view, merge, lanes));
           }
         }
       }
@@ -612,7 +647,17 @@ TEST(EvalBatchProperty, PairKernelMixedLanesAndOddCountsMatchScalarReference) {
   }
 }
 
-TEST(EvalBatchProperty, RegionsAroundPairKernelBoundMatchScalarReference) {
+TEST(EvalBatchProperty, PairKernelMixedLanesAndOddCountsMatchScalarReference) {
+  pair_kernel_mixed_lanes_match_scalar(2);
+}
+
+TEST(EvalBatchProperty,
+     PairKernelMixedLanesAndOddCountsMatchScalarReferenceFourLanes) {
+  if (serve::eval_kernel_lanes() < 4) GTEST_SKIP() << kNoFourLanes;
+  pair_kernel_mixed_lanes_match_scalar(4);
+}
+
+void regions_around_pair_kernel_bound_match_scalar(std::size_t lanes) {
   // Regions of K - 1 and K pieces take the pair kernel, K + 1 the one-lane
   // search; each matches the scalar loop bit for bit, at edge intensities,
   // on clustered and garbage-laden workloads, under both merge modes.
@@ -634,7 +679,45 @@ TEST(EvalBatchProperty, RegionsAroundPairKernelBoundMatchScalarReference) {
       }
     }
     datasets.push_back(std::move(edges));
-    expect_direct_matches_scalar(set, datasets);
+    expect_direct_matches_scalar(set, datasets, lanes);
+  }
+}
+
+TEST(EvalBatchProperty, RegionsAroundPairKernelBoundMatchScalarReference) {
+  regions_around_pair_kernel_bound_match_scalar(2);
+}
+
+TEST(EvalBatchProperty,
+     RegionsAroundPairKernelBoundMatchScalarReferenceFourLanes) {
+  if (serve::eval_kernel_lanes() < 4) GTEST_SKIP() << kNoFourLanes;
+  regions_around_pair_kernel_bound_match_scalar(4);
+}
+
+TEST(EvalBatchKernel, LanesFollowTheHost) {
+  // The width serve::estimate runs at is printed here, so a log shows
+  // which one a host tested: 4 exactly where an x86-64 host has AVX2.
+  const std::size_t lanes = serve::eval_kernel_lanes();
+  std::cout << "eval_kernel_lanes() = " << lanes << "\n";
+  RecordProperty("eval_kernel_lanes", static_cast<int>(lanes));
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+  EXPECT_EQ(lanes, __builtin_cpu_supports("avx2") ? 4u : 2u);
+#else
+  EXPECT_EQ(lanes, 2u);
+#endif
+  // The width serve::estimate runs at gives its bits; a width this host
+  // does not run is refused.
+  std::mt19937 rng(26);
+  const TableSet set = fuzz_tables(rng);
+  const Dataset data = fuzz_workload(set, 9, rng);
+  const DatasetView view(data);
+  expect_identical(
+      direct_outcome(set.tables(), view, Merge::kTimeWeighted),
+      direct_outcome(set.tables(), view, Merge::kTimeWeighted, lanes));
+  for (const std::size_t bad : {std::size_t{1}, std::size_t{3}, lanes * 2}) {
+    EXPECT_THROW(serve::detail::estimate_with_lanes(set.tables(), view,
+                                                    Merge::kTimeWeighted, bad),
+                 util::ContractViolation)
+        << bad << " lanes";
   }
 }
 

@@ -23,11 +23,14 @@
 
 #include <atomic>
 #include <cmath>
+#include <condition_variable>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <map>
+#include <mutex>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -1018,63 +1021,76 @@ TEST_F(ServerTest, CacheHitRepliesAreByteIdenticalAndServedFromMemory) {
 // Overload is per shard: saturating model A's bounded queue must shed A
 // traffic with kOverloaded while model B estimates sail through.
 TEST_F(ServerTest, PerShardOverloadIsolationUnderSaturation) {
+  // Shard A's pump is held inside its first evaluation until the test
+  // opens the gate, so "A is saturated" is a state the test sets rather
+  // than a race between hogs refilling A's queue slot and the kernel
+  // draining it. The gate is shared with the server: a pump may call it
+  // until the server is torn down.
+  struct Gate {
+    std::mutex mutex;
+    std::condition_variable cv;
+    bool open = false;
+  };
+  const auto gate = std::make_shared<Gate>();
+  const auto release = [gate] {
+    {
+      std::lock_guard<std::mutex> lock(gate->mutex);
+      gate->open = true;
+    }
+    gate->cv.notify_all();
+  };
   ServerOptions options;
   options.workers = 2;
   options.max_queue = 1;
-  // The hogs below resend one workload; memoization would turn their
-  // repeats into inline cache hits and let the shard drain.
+  // Distinct workloads throughout, and no memo: every A request must
+  // reach the shard rather than be answered inline as a cache hit.
   options.cache_entries = 0;
-  options.limits.max_frame_bytes = 64u << 20;
+  options.evaluation_gate = [this, gate](const std::string& model_id) {
+    if (model_id != model_id_) return;
+    std::unique_lock<std::mutex> lock(gate->mutex);
+    gate->cv.wait(lock, [&] { return gate->open; });
+  };
   boot(options);
   const std::string second_id = registry_->publish(trained_ensemble(29));
   ASSERT_NE(second_id, model_id_);
 
-  // Two hogs keep shard A saturated: each hog request carries four huge
-  // binary profiles (evaluated serially by the pump), so the pump stays
-  // busy far longer than it takes a hog to refill the single queue slot
-  // after a pop. Binary, because a profile is about a third of the bytes
-  // of the same samples as CSV text: a hog then sends and the reader
-  // hashes its next request in a fraction of the pump's evaluation time.
-  std::atomic<bool> stop{false};
-  const std::string huge = workload_bin(11, 25'000);
-  auto hog = [&] {
-    Client c(client_options(1));
-    while (!stop.load(std::memory_order_acquire)) {
-      EstimateBinRequest r;
-      r.model_id = model_id_;
-      r.profiles.assign(4, huge);
-      try {
-        (void)c.estimate_bin(r);
-      } catch (const std::exception&) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
+  // A1 is popped and held at the gate by A's pump (on one of the two
+  // workers); A2 then waits in A's single queue slot.
+  const auto send_a = [&](std::uint64_t seed) {
+    Client c(client_options());
+    EstimateRequest r;
+    r.model_id = model_id_;
+    r.workload_csvs = {workload_csv(seed, 5)};
+    const EstimateReply reply = c.estimate(r);
+    EXPECT_EQ(reply.results.size(), 1u);
+    for (const auto& result : reply.results) {
+      EXPECT_EQ(result.status, ErrorCode::kOk) << result.error;
     }
   };
-  std::thread h1(hog);
-  std::thread h2(hog);
-  EXPECT_TRUE(wait_for_counter("active_requests", 1));
+  std::vector<std::thread> senders;
+  // Opens the gate and joins the senders however the body ends.
+  struct Finish {
+    std::function<void()> run;
+    ~Finish() { run(); }
+  } finish{[&] {
+    release();
+    for (std::thread& sender : senders) sender.join();
+  }};
+  senders.emplace_back(send_a, 11);
+  const bool held = wait_for_counter("active_requests", 1);
+  senders.emplace_back(send_a, 12);
+  const bool parked = wait_for_counter("queue_depth", 1);
+  EXPECT_TRUE(held && parked) << "shard A never saturated";
 
-  // While a hog request is verifiably parked in the single queue slot, a
-  // small A request must shed kOverloaded. The probe can still slip into
-  // the slot if the pump pops the parked request during the probe's
-  // flight time — a window of microseconds against an evaluation lasting
-  // hundreds of milliseconds — so retry a bounded number of times.
-  bool shed_seen = false;
-  const std::string small = workload_csv(13, 3);
-  for (int attempt = 0; attempt < 10 && !shed_seen; ++attempt) {
-    if (!wait_for_counter("queue_depth", 1)) break;
+  // A saturated shard sheds a small A request with kOverloaded...
+  if (held && parked) {
     Client probe(client_options(1));
     EstimateRequest r;
     r.model_id = model_id_;
-    r.workload_csvs = {small};
-    try {
-      (void)probe.estimate(r);
-    } catch (const ServerUnavailable&) {
-      shed_seen = true;
-    }
+    r.workload_csvs = {workload_csv(13, 3)};
+    EXPECT_THROW((void)probe.estimate(r), ServerUnavailable);
+    EXPECT_GE(counter("shed_overloaded"), 1u);
   }
-  EXPECT_TRUE(shed_seen) << "saturated shard never shed";
-  EXPECT_GE(counter("shed_overloaded"), 1u);
 
   // ...while model B, on its own shard and the second worker, sails
   // through every single time.
@@ -1092,9 +1108,8 @@ TEST_F(ServerTest, PerShardOverloadIsolationUnderSaturation) {
   }
   EXPECT_GE(counter("shards_active"), 2u);
 
-  stop.store(true, std::memory_order_release);
-  h1.join();
-  h2.join();
+  // Opening the gate (in `finish`) drains A: both held requests are
+  // answered.
 }
 
 // Chaos variant: a mid-request swap that retires the shard the request is
