@@ -14,13 +14,12 @@ using Clock = std::chrono::steady_clock;
 
 Shard::Shard(std::string model_id, std::shared_ptr<const MappedModel> model,
              util::ThreadPool& pool, std::size_t queue_bound,
-             std::size_t max_batch, EvaluationGate gate)
+             EvaluationGate gate)
     : model_id_(std::move(model_id)),
       model_(std::move(model)),
       service_(model_),
       pool_(pool),
       queue_bound_(std::max<std::size_t>(queue_bound, 1)),
-      max_batch_(std::max<std::size_t>(max_batch, 1)),
       gate_(std::move(gate)) {}
 
 Shard::Enqueue Shard::enqueue(Request request) {
@@ -90,7 +89,7 @@ void Shard::pump() {
     std::vector<Request> batch;
     {
       util::MutexLock lock(mutex_);
-      const std::size_t take = std::min(queue_.size(), max_batch_);
+      const std::size_t take = std::min(queue_.size(), kMaxBatch);
       batch.reserve(take);
       for (std::size_t i = 0; i < take; ++i) {
         batch.push_back(std::move(queue_.front()));

@@ -16,7 +16,7 @@
 //
 // Coalescing: requests are not evaluated one-per-worker. The first enqueue
 // into an idle shard schedules one "pump" task on the shared ThreadPool;
-// the pump repeatedly drains up to max_batch queued requests, feeds all
+// the pump repeatedly drains up to kMaxBatch queued requests, feeds all
 // their views to one EstimationService::estimate_views batch, and
 // scatters the results — so a burst of same-model requests costs one
 // worker wakeup and one estimate_views call instead of N independently
@@ -100,6 +100,10 @@ class Shard : public std::enable_shared_from_this<Shard> {
     bool retired = false;
   };
 
+  /// How many queued requests one pump round coalesces into a single
+  /// estimate_views batch.
+  static constexpr std::size_t kMaxBatch = 16;
+
   /// Test-only: called with the shard's model id on the pump thread, no
   /// lock held, after a round's requests have begun and before they are
   /// evaluated. A test blocks in it to hold the pump busy, so "this shard
@@ -107,14 +111,13 @@ class Shard : public std::enable_shared_from_this<Shard> {
   /// kernel's speed. Serving code passes none.
   using EvaluationGate = std::function<void(const std::string& model_id)>;
 
-  /// `queue_bound` caps pending (accepted, not yet begun) requests;
-  /// `max_batch` caps how many requests one pump round coalesces. Both are
+  /// `queue_bound` caps pending (accepted, not yet begun) requests and is
   /// clamped to at least 1. `pool` must outlive the shard. The shard must
   /// be owned by shared_ptr before the first enqueue() (the pump task holds
   /// a self-reference).
   Shard(std::string model_id, std::shared_ptr<const MappedModel> model,
         util::ThreadPool& pool, std::size_t queue_bound,
-        std::size_t max_batch = 16, EvaluationGate gate = {});
+        EvaluationGate gate = {});
 
   Shard(const Shard&) = delete;
   Shard& operator=(const Shard&) = delete;
@@ -140,7 +143,6 @@ class Shard : public std::enable_shared_from_this<Shard> {
   const EstimationService service_;
   util::ThreadPool& pool_;
   const std::size_t queue_bound_;
-  const std::size_t max_batch_;
   const EvaluationGate gate_;
 
   mutable util::Mutex mutex_{util::lock_rank::Rank::kShardQueue,

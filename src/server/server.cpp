@@ -171,7 +171,6 @@ EstimationServer::EstimationServer(serve::ModelRegistry& registry,
       profile_cache_(options_.profile_cache_entries) {
   if (options_.workers == 0) options_.workers = 1;
   if (options_.max_queue == 0) options_.max_queue = 1;
-  if (options_.shard_batch == 0) options_.shard_batch = 1;
   util::ignore_sigpipe();
   if (::pipe2(wake_pipe_, O_CLOEXEC | O_NONBLOCK) != 0) {
     fail("cannot create the shutdown latch: " + errno_text());
@@ -215,7 +214,7 @@ std::shared_ptr<serve::Shard> EstimationServer::shard_for_id(
     return nullptr;
   }
   auto shard = std::make_shared<serve::Shard>(
-      id, std::move(model), *pool_, options_.max_queue, options_.shard_batch,
+      id, std::move(model), *pool_, options_.max_queue,
       options_.evaluation_gate);
   util::MutexLock lock(slots_mutex_);
   if (const auto it = shards_.find(id); it != shards_.end()) {

@@ -110,9 +110,6 @@ struct ServerOptions {
   /// Per-shard admission bound. Requests enqueued beyond the bound on
   /// THEIR shard are shed with kOverloaded — other shards are unaffected.
   std::size_t max_queue = 64;
-  /// How many queued requests one shard pump round coalesces into a
-  /// single batch evaluation.
-  std::size_t shard_batch = 16;
   /// Estimate memo-cache entries across all models; 0 disables caching.
   std::size_t cache_entries = 256;
   /// Parsed-profile cache entries (text workloads the fleet has already

@@ -30,6 +30,7 @@
 #include "serve/model_v3.h"
 #include "serve/registry.h"
 #include "serve/service.h"
+#include "serving_fixtures.h"
 #include "spire/ensemble.h"
 #include "spire/model_bin.h"
 #include "spire/model_io.h"
@@ -44,24 +45,7 @@ using model::Ensemble;
 using model::Estimate;
 using sampling::Dataset;
 using sampling::DatasetView;
-
-Ensemble trained_ensemble(std::uint64_t seed) {
-  util::Rng rng(seed);
-  Dataset train;
-  for (Event metric : {Event::kIdqDsbUops, Event::kLsdUops,
-                       Event::kBrMispRetiredAllBranches,
-                       Event::kLongestLatCacheMiss,
-                       Event::kMemInstRetiredAllLoads}) {
-    for (int i = 0; i < 60; ++i) {
-      const double p = rng.uniform(0.1, 4.0);
-      const double intensity = rng.chance(0.1)
-                                   ? std::numeric_limits<double>::infinity()
-                                   : std::pow(10.0, rng.uniform(-1.0, 3.0));
-      train.add(metric, {1.0, p, std::isinf(intensity) ? 0.0 : p / intensity});
-    }
-  }
-  return Ensemble::train(train);
-}
+using test::trained_ensemble;
 
 /// A workload exercising every estimate code path: usable samples across
 /// the intensity range, structurally unusable ones (skipped by Eq. 1),

@@ -44,6 +44,7 @@
 #include "server/client.h"
 #include "server/frame_pool.h"
 #include "server/protocol.h"
+#include "serving_fixtures.h"
 #include "spire/ensemble.h"
 #include "util/posix_io.h"
 #include "util/rng.h"
@@ -55,24 +56,8 @@ using counters::Event;
 using model::Ensemble;
 using sampling::Dataset;
 using sampling::DatasetView;
-
-Ensemble trained_ensemble(std::uint64_t seed) {
-  util::Rng rng(seed);
-  Dataset train;
-  for (Event metric : {Event::kIdqDsbUops, Event::kLsdUops,
-                       Event::kBrMispRetiredAllBranches,
-                       Event::kLongestLatCacheMiss,
-                       Event::kMemInstRetiredAllLoads}) {
-    for (int i = 0; i < 60; ++i) {
-      const double p = rng.uniform(0.1, 4.0);
-      const double intensity = rng.chance(0.1)
-                                   ? std::numeric_limits<double>::infinity()
-                                   : std::pow(10.0, rng.uniform(-1.0, 3.0));
-      train.add(metric, {1.0, p, std::isinf(intensity) ? 0.0 : p / intensity});
-    }
-  }
-  return Ensemble::train(train);
-}
+using test::fresh_dir;
+using test::trained_ensemble;
 
 Dataset mixed_workload(std::uint64_t seed, int per_metric = 40) {
   util::Rng rng(seed);
@@ -102,12 +87,6 @@ std::string workload_csv(std::uint64_t seed, int per_metric = 40) {
 std::string workload_bin(std::uint64_t seed, int per_metric = 40) {
   const Dataset data = mixed_workload(seed, per_metric);
   return serve::profile_bin::compile(DatasetView(data));
-}
-
-std::string fresh_dir(const std::string& name) {
-  const std::string root = ::testing::TempDir() + "/" + name;
-  std::filesystem::remove_all(root);
-  return root;
 }
 
 // --------------------------------------------------------------------------
@@ -301,13 +280,22 @@ TEST(Protocol, MutatedPayloadsNeverMisbehave) {
 
 class ServerTest : public ::testing::Test {
  protected:
-  /// Publishes one model and boots a server on a fresh socket.
+  /// Publishes one model and boots a server on a fresh socket, its
+  /// evaluation gate wired to gate_ (see HeldPump).
   void boot(ServerOptions options = {}) {
     registry_ = std::make_unique<serve::ModelRegistry>(
         fresh_dir("server_reg_" + std::string(
             ::testing::UnitTest::GetInstance()->current_test_info()->name())));
     model_id_ = registry_->publish(trained_ensemble(17));
     options.socket_path = socket_path();
+    options.evaluation_gate = [gate = gate_, held = model_id_](
+                                  const std::string& model_id) {
+      if (model_id != held) return;
+      std::unique_lock<std::mutex> lock(gate->mutex);
+      ++gate->entered;
+      gate->cv.notify_all();
+      gate->cv.wait(lock, [&] { return !gate->holding; });
+    };
     server_ = std::make_unique<EstimationServer>(*registry_, options);
     server_->start();
   }
@@ -355,6 +343,74 @@ class ServerTest : public ::testing::Test {
     return false;
   }
 
+  /// The state every booted server's evaluation gate consults. While a
+  /// HeldPump holds it, the fixture model's pump rounds wait in the gate.
+  struct Gate {
+    std::mutex mutex;
+    std::condition_variable cv;
+    bool holding = false;
+    int entered = 0;  // the model's rounds since the HeldPump was made
+  };
+
+  /// Holds the fixture model's evaluations until open(), so "this shard is
+  /// busy" is a state the test sets rather than a race between the kernel
+  /// and the test's next step. The gate (ServerOptions::evaluation_gate)
+  /// runs on the pump once per round, after the round's requests have
+  /// begun and before any is evaluated; other models' rounds pass.
+  ///
+  /// It is also the scope guard for the client threads the test starts
+  /// through spawn(): on every exit the destructor opens the gate, then
+  /// joins them, so no held reply leaves a join waiting. Declare it after
+  /// everything those threads use.
+  class HeldPump {
+   public:
+    explicit HeldPump(ServerTest& test) : gate_(test.gate_) {
+      std::lock_guard<std::mutex> lock(gate_->mutex);
+      gate_->holding = true;
+      gate_->entered = 0;
+    }
+    HeldPump(const HeldPump&) = delete;
+    HeldPump& operator=(const HeldPump&) = delete;
+    ~HeldPump() {
+      open();
+      join();
+    }
+
+    /// Lets every held round, and every later one, run.
+    void open() {
+      {
+        std::lock_guard<std::mutex> lock(gate_->mutex);
+        gate_->holding = false;
+      }
+      gate_->cv.notify_all();
+    }
+
+    /// Waits (up to ~20 s, as wait_for_counter does) until `n` rounds of
+    /// the model have entered the gate.
+    bool wait_entered(int n) {
+      std::unique_lock<std::mutex> lock(gate_->mutex);
+      return gate_->cv.wait_for(lock, std::chrono::seconds(20),
+                                [&] { return gate_->entered >= n; });
+    }
+
+    void spawn(std::function<void()> body) {
+      threads_.emplace_back(std::move(body));
+    }
+
+    /// Joins the spawned threads; open() first if one may be held.
+    void join() {
+      for (std::thread& thread : threads_) thread.join();
+      threads_.clear();
+    }
+
+   private:
+    const std::shared_ptr<Gate> gate_;
+    std::vector<std::thread> threads_;
+  };
+
+  // Shared with the server, whose pumps may reach the gate until it is
+  // torn down.
+  const std::shared_ptr<Gate> gate_ = std::make_shared<Gate>();
   std::unique_ptr<serve::ModelRegistry> registry_;
   std::unique_ptr<EstimationServer> server_;
   std::string model_id_;
@@ -517,21 +573,21 @@ TEST_F(ServerTest, MalformedFramesGetStructuredErrorsNotCrashes) {
   client.ping();
 }
 
-TEST_F(ServerTest, DeadlinesEnforcedAtDequeueAndBetweenBatchSlices) {
+// Batch slicing: the reader resolves a request's workloads in order and
+// checks the deadline before each parse. The first workload is a ~7 MB
+// CSV (~100k rows) whose last row is malformed, so parsing it eats the
+// whole budget and then fails; the remaining slices must come back
+// kDeadlineExceeded, not be parsed or dropped. Nothing is left to
+// evaluate, so the reader replies itself. Under sanitizers the budget
+// can be gone before the first parse, so slice 0 may legitimately expire
+// too — what must never happen is a slice resolving after an earlier one
+// expired, or a slice being dropped. This case races the CSV loader, not
+// the kernel, and no evaluation gate can hold a reader, so it still buys
+// its time with a large workload.
+TEST_F(ServerTest, DeadlinesEnforcedBetweenBatchSlices) {
   ServerOptions options;
-  options.workers = 1;  // single lane, so a slow request blocks the queue
   options.limits.max_frame_bytes = 64u << 20;
   boot(options);
-
-  // Batch slicing: the reader resolves a request's workloads in order and
-  // checks the deadline before each parse. The first workload is a ~7 MB
-  // CSV (~100k rows) whose last row is malformed, so parsing it eats the
-  // whole budget and then fails; the remaining slices must come back
-  // kDeadlineExceeded, not be parsed or dropped. Nothing is left to
-  // evaluate, so the reader replies itself. Under sanitizers the budget
-  // can be gone before the first parse, so slice 0 may legitimately expire
-  // too — what must never happen is a slice resolving after an earlier one
-  // expired, or a slice being dropped.
   Client client(client_options());
   EstimateRequest sliced;
   sliced.deadline_ms = 10;
@@ -548,35 +604,49 @@ TEST_F(ServerTest, DeadlinesEnforcedAtDequeueAndBetweenBatchSlices) {
     if (result.status == ErrorCode::kDeadlineExceeded) expired = true;
   }
   EXPECT_TRUE(expired) << "10 ms budget survived a ~7 MB workload";
+}
 
-  // Dequeue: occupy the one worker with evaluation — eight ~100k-sample
-  // binary profiles, which the reader resolves without a parse — then
-  // queue a 1 ms-deadline request behind it — it must be rejected whole,
-  // never evaluated.
-  const std::string blob = workload_bin(12, 25'000);
-  std::thread blocker([&] {
+// Dequeue: the pump is held inside a blocker's evaluation while a request
+// queues behind it and outlives its deadline; it must be rejected whole,
+// never evaluated. The deadline is long enough for the reader to resolve
+// the request and queue it first, even on a loaded sanitizer host.
+TEST_F(ServerTest, DeadlinesEnforcedAtDequeue) {
+  boot();
+
+  const std::string blob = workload_bin(12);
+  ClientOptions eager_options = client_options(1);
+  Client eager(eager_options);
+  EstimateRequest rushed;
+  rushed.deadline_ms = 200;
+  rushed.workload_csvs = {workload_csv(5, 3)};
+  HeldPump pump(*this);
+  pump.spawn([&] {
     ClientOptions slow = client_options(1);
     Client c(slow);
     EstimateBinRequest r;
     r.profiles.assign(8, blob);
     EXPECT_NO_THROW(c.estimate_bin(r));
   });
+  ASSERT_TRUE(pump.wait_entered(1));
   ASSERT_TRUE(wait_for_counter("active_requests", 1));
-  ClientOptions eager_options = client_options(1);
-  Client eager(eager_options);
-  EstimateRequest rushed;
-  rushed.deadline_ms = 1;
-  rushed.workload_csvs = {workload_csv(5, 3)};
-  try {
-    eager.estimate(rushed);
-    ADD_FAILURE() << "queued request outlived its deadline";
-  } catch (const ServerError& e) {
-    EXPECT_EQ(e.code(), ErrorCode::kDeadlineExceeded);
-  } catch (const ServerUnavailable&) {
-    // Deadline burned client-side before a retry could go out — also a
-    // correct refusal to evaluate late.
-  }
-  blocker.join();
+  pump.spawn([&] {
+    try {
+      eager.estimate(rushed);
+      ADD_FAILURE() << "queued request outlived its deadline";
+    } catch (const ServerError& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kDeadlineExceeded);
+    } catch (const ServerUnavailable&) {
+      // Deadline burned client-side before a retry could go out — also a
+      // correct refusal to evaluate late.
+    }
+  });
+  // Queued behind the held round; its deadline runs from its receipt,
+  // which came before the queue slot, so it has passed once this sleep
+  // ends.
+  ASSERT_TRUE(wait_for_counter("queue_depth", 1));
+  std::this_thread::sleep_for(std::chrono::milliseconds(rushed.deadline_ms));
+  pump.open();
+  pump.join();
   EXPECT_GE([&] {
     const StatsReply stats = server_->stats_snapshot();
     for (const auto& [k, v] : stats.counters) {
@@ -649,17 +719,15 @@ TEST_F(ServerTest, HotSwapUnderTrafficKeepsEveryReplyConsistent) {
 
 TEST_F(ServerTest, GracefulDrainFinishesInFlightAndRefusesNewWork) {
   ServerOptions options;
-  options.workers = 1;
-  options.limits.max_frame_bytes = 64u << 20;
   options.drain_timeout_ms = 20'000;
   boot(options);
-  const std::string huge = workload_csv(11, 25'000);
 
   std::atomic<bool> in_flight_done{false};
-  std::thread slow([&] {
+  HeldPump pump(*this);
+  pump.spawn([&] {
     Client client(client_options(1));
     EstimateRequest request;
-    request.workload_csvs = {huge};
+    request.workload_csvs = {workload_csv(11)};
     const EstimateReply reply = client.estimate(request);
     ASSERT_EQ(reply.results.size(), 1u);
     EXPECT_EQ(reply.results[0].status, ErrorCode::kOk);
@@ -672,7 +740,8 @@ TEST_F(ServerTest, GracefulDrainFinishesInFlightAndRefusesNewWork) {
   Client late(copts);
   late.ping();
 
-  // Shut down only once the slow request is genuinely being evaluated.
+  // Shut down only once the slow request is held inside its evaluation.
+  ASSERT_TRUE(pump.wait_entered(1));
   ASSERT_TRUE(wait_for_counter("active_requests", 1));
   server_->begin_shutdown();
 
@@ -685,39 +754,33 @@ TEST_F(ServerTest, GracefulDrainFinishesInFlightAndRefusesNewWork) {
     EXPECT_NE(std::string(e.what()).find("SHUTTING_DOWN"), std::string::npos)
         << e.what();
   }
+  pump.open();
   EXPECT_TRUE(server_->wait_until_drained());
-  slow.join();
+  pump.join();
   EXPECT_TRUE(in_flight_done.load());  // the drain never dropped it
 }
 
 TEST_F(ServerTest, DrainTimeoutReportsDirtyShutdown) {
   ServerOptions options;
-  options.workers = 1;
   options.drain_timeout_ms = 30;
-  options.limits.max_frame_bytes = 64u << 20;
   boot(options);
-  std::thread slow([&] {
+  HeldPump pump(*this);
+  pump.spawn([&] {
     Client client(client_options(1));
     EstimateRequest request;
-    // Several huge DISTINCT slices: far more parsing and evaluation than
-    // the 30 ms drain budget, so the timeout path is deterministic.
-    // (Identical slices would defeat the point: the profile cache parses
-    // repeated bytes once, and the fast path got fast enough to finish
-    // four deduplicated slices inside the budget.)
-    request.workload_csvs = {workload_csv(11, 25'000), workload_csv(12, 25'000),
-                             workload_csv(13, 25'000),
-                             workload_csv(14, 25'000)};
+    request.workload_csvs = {workload_csv(11)};
     try {
       (void)client.estimate(request);
     } catch (const ServerUnavailable&) {
       // The dirty shutdown may cut the connection before the reply.
     }
   });
+  ASSERT_TRUE(pump.wait_entered(1));
   ASSERT_TRUE(wait_for_counter("active_requests", 1));
   server_->begin_shutdown();
-  // The in-flight request cannot finish in 30 ms: drain reports dirty.
+  // The in-flight request is held past the 30 ms budget: drain reports
+  // dirty.
   EXPECT_FALSE(server_->wait_until_drained());
-  slow.join();
 }
 
 // --------------------------------------------------------------------------
@@ -1024,32 +1087,13 @@ TEST_F(ServerTest, PerShardOverloadIsolationUnderSaturation) {
   // Shard A's pump is held inside its first evaluation until the test
   // opens the gate, so "A is saturated" is a state the test sets rather
   // than a race between hogs refilling A's queue slot and the kernel
-  // draining it. The gate is shared with the server: a pump may call it
-  // until the server is torn down.
-  struct Gate {
-    std::mutex mutex;
-    std::condition_variable cv;
-    bool open = false;
-  };
-  const auto gate = std::make_shared<Gate>();
-  const auto release = [gate] {
-    {
-      std::lock_guard<std::mutex> lock(gate->mutex);
-      gate->open = true;
-    }
-    gate->cv.notify_all();
-  };
+  // draining it.
   ServerOptions options;
   options.workers = 2;
   options.max_queue = 1;
   // Distinct workloads throughout, and no memo: every A request must
   // reach the shard rather than be answered inline as a cache hit.
   options.cache_entries = 0;
-  options.evaluation_gate = [this, gate](const std::string& model_id) {
-    if (model_id != model_id_) return;
-    std::unique_lock<std::mutex> lock(gate->mutex);
-    gate->cv.wait(lock, [&] { return gate->open; });
-  };
   boot(options);
   const std::string second_id = registry_->publish(trained_ensemble(29));
   ASSERT_NE(second_id, model_id_);
@@ -1067,18 +1111,10 @@ TEST_F(ServerTest, PerShardOverloadIsolationUnderSaturation) {
       EXPECT_EQ(result.status, ErrorCode::kOk) << result.error;
     }
   };
-  std::vector<std::thread> senders;
-  // Opens the gate and joins the senders however the body ends.
-  struct Finish {
-    std::function<void()> run;
-    ~Finish() { run(); }
-  } finish{[&] {
-    release();
-    for (std::thread& sender : senders) sender.join();
-  }};
-  senders.emplace_back(send_a, 11);
-  const bool held = wait_for_counter("active_requests", 1);
-  senders.emplace_back(send_a, 12);
+  HeldPump pump(*this);
+  pump.spawn([&] { send_a(11); });
+  const bool held = pump.wait_entered(1);
+  pump.spawn([&] { send_a(12); });
   const bool parked = wait_for_counter("queue_depth", 1);
   EXPECT_TRUE(held && parked) << "shard A never saturated";
 
@@ -1108,8 +1144,8 @@ TEST_F(ServerTest, PerShardOverloadIsolationUnderSaturation) {
   }
   EXPECT_GE(counter("shards_active"), 2u);
 
-  // Opening the gate (in `finish`) drains A: both held requests are
-  // answered.
+  // Opening the gate (in `pump`'s destructor) drains A: both held
+  // requests are answered.
 }
 
 // Chaos variant: a mid-request swap that retires the shard the request is
@@ -1340,25 +1376,19 @@ TEST_F(ServerTest, MalformedBinaryProfileIsAStructuredErrorNamingTheDefect) {
 }
 
 TEST_F(ServerTest, PipelinedFramesMatchSequentialRepliesBySeq) {
-  ServerOptions options;
-  options.limits.max_frame_bytes = 64u << 20;
-  boot(options);
+  boot();
   Client client(client_options());
   const Limits& limits = client.options().limits;
   const Ensemble local = trained_ensemble(17);
 
   // Eight frames, alternating binary and text over DISTINCT workloads (a
   // repeat would become an inline cache hit and dodge the shard), written
-  // with the whole window open before the first read. Frame 0 is a huge
-  // binary profile — the reader hands it to the shard without a parse, and
-  // its evaluation pins a pump for far longer than reading the seven
-  // frames behind it takes, so the server deterministically observes the
-  // overlap the frames_pipelined counter reports. Its size keeps that
-  // margin at the two-lane kernel's speed: at 25,000 samples per metric
-  // the pump finished it (about 1.4 ms) before an idle host's reader had
-  // frame 1.
+  // with the whole window open before the first read. The pump is held
+  // inside frame 0's evaluation until the server has read all eight, so
+  // every frame behind it arrives while frame 0 is in flight: the overlap
+  // the frames_pipelined counter reports.
   constexpr int kFrames = 8;
-  const auto per_metric = [](int i) { return i == 0 ? 100'000 : 10; };
+  constexpr int kPerMetric = 10;
   std::vector<Client::PipelineRequest> requests;
   std::vector<std::string> blobs(kFrames);
   for (int i = 0; i < kFrames; ++i) {
@@ -1366,11 +1396,11 @@ TEST_F(ServerTest, PipelinedFramesMatchSequentialRepliesBySeq) {
     Client::PipelineRequest frame;
     if (i % 2 == 1) {
       EstimateRequest request;
-      request.workload_csvs = {workload_csv(seed, per_metric(i))};
+      request.workload_csvs = {workload_csv(seed, kPerMetric)};
       frame.type = FrameType::kEstimateRequest;
       frame.payload = encode_estimate_request(request, limits);
     } else {
-      blobs[static_cast<std::size_t>(i)] = workload_bin(seed, per_metric(i));
+      blobs[static_cast<std::size_t>(i)] = workload_bin(seed, kPerMetric);
       EstimateBinRequest request;
       request.profiles = {blobs[static_cast<std::size_t>(i)]};
       frame.type = FrameType::kEstimateBinRequest;
@@ -1379,7 +1409,13 @@ TEST_F(ServerTest, PipelinedFramesMatchSequentialRepliesBySeq) {
     requests.push_back(std::move(frame));
   }
   std::vector<Client::PipelineResult> results;
-  const std::size_t ok = client.pipeline(requests, &results, /*window=*/0);
+  std::size_t ok = 0;
+  {
+    HeldPump pump(*this);
+    pump.spawn([&] { ok = client.pipeline(requests, &results, /*window=*/0); });
+    ASSERT_TRUE(pump.wait_entered(1));
+    ASSERT_TRUE(wait_for_counter("estimate_requests", kFrames));
+  }
   ASSERT_EQ(ok, static_cast<std::size_t>(kFrames));
   ASSERT_EQ(results.size(), static_cast<std::size_t>(kFrames));
   for (int i = 0; i < kFrames; ++i) {
@@ -1394,13 +1430,13 @@ TEST_F(ServerTest, PipelinedFramesMatchSequentialRepliesBySeq) {
     ASSERT_EQ(reply.results[0].status, ErrorCode::kOk)
         << reply.results[0].error;
     const Dataset workload =
-        mixed_workload(static_cast<std::uint64_t>(60 + i), per_metric(i));
+        mixed_workload(static_cast<std::uint64_t>(60 + i), kPerMetric);
     EXPECT_EQ(reply.results[0].throughput,
               local.estimate(DatasetView(workload)).throughput);
   }
-  // The server observed overlap: frames arrived while frame 0 was still
-  // being evaluated.
-  EXPECT_TRUE(wait_for_counter("frames_pipelined", 1));
+  // The server observed overlap: every frame behind frame 0 arrived while
+  // frame 0 was still in flight.
+  EXPECT_TRUE(wait_for_counter("frames_pipelined", kFrames - 1));
 }
 
 // The pipelined chaos suite: torn frames interleaved ACROSS in-flight
@@ -1869,6 +1905,25 @@ TEST(ServerFramePool, LeasesOutliveTheirOwnerAndComeBackPoisonedInCheckedBuilds)
 #endif
 }
 
+/// Expects `got` to be the tree walk's estimate of `workload`, bit for bit.
+void expect_tree_walk(const Ensemble& local, const WorkloadResult& got,
+                      const Dataset& workload) {
+  ASSERT_EQ(got.status, ErrorCode::kOk) << got.error;
+  const model::Estimate expected = local.estimate(DatasetView(workload));
+  EXPECT_EQ(got.samples, workload.size());
+  EXPECT_EQ(
+      std::memcmp(&got.throughput, &expected.throughput, sizeof(double)), 0);
+  ASSERT_EQ(got.ranking.size(), expected.ranking.size());
+  for (std::size_t j = 0; j < got.ranking.size(); ++j) {
+    EXPECT_EQ(got.ranking[j].metric,
+              counters::event_name(expected.ranking[j].metric));
+    EXPECT_EQ(std::memcmp(&got.ranking[j].p_bar, &expected.ranking[j].p_bar,
+                          sizeof(double)),
+              0);
+    EXPECT_EQ(got.ranking[j].samples, expected.ranking[j].samples);
+  }
+}
+
 // The frame lifetime contract under pressure: with both caches off, every
 // text workload is parsed by the reader straight out of its frame, and the
 // buffer goes back to the connection to be refilled by the frames
@@ -1907,25 +1962,10 @@ TEST_F(ServerTest, PipelinedMixedSizeTextRepliesSurviveBufferRecycling) {
     ASSERT_EQ(res.header.type, FrameType::kEstimateReply) << "frame " << i;
     const EstimateReply reply = decode_estimate_reply(res.payload, limits);
     ASSERT_EQ(reply.results.size(), 1u);
-    const WorkloadResult& got = reply.results[0];
-    ASSERT_EQ(got.status, ErrorCode::kOk) << "frame " << i << ": " << got.error;
-    const Dataset workload =
-        mixed_workload(static_cast<std::uint64_t>(300 + i), per_metric(i));
-    const model::Estimate expected = local.estimate(DatasetView(workload));
-    EXPECT_EQ(got.samples, workload.size()) << "frame " << i;
-    EXPECT_EQ(std::memcmp(&got.throughput, &expected.throughput,
-                          sizeof(double)),
-              0)
-        << "frame " << i;
-    ASSERT_EQ(got.ranking.size(), expected.ranking.size()) << "frame " << i;
-    for (std::size_t j = 0; j < got.ranking.size(); ++j) {
-      EXPECT_EQ(got.ranking[j].metric,
-                counters::event_name(expected.ranking[j].metric));
-      EXPECT_EQ(std::memcmp(&got.ranking[j].p_bar, &expected.ranking[j].p_bar,
-                            sizeof(double)),
-                0);
-      EXPECT_EQ(got.ranking[j].samples, expected.ranking[j].samples);
-    }
+    SCOPED_TRACE("frame " + std::to_string(i));
+    expect_tree_walk(
+        local, reply.results[0],
+        mixed_workload(static_cast<std::uint64_t>(300 + i), per_metric(i)));
   }
   // Buffers were recycled: far fewer allocations than frames.
   EXPECT_LT(counter("frame_buffer_allocs") - allocs_before,
@@ -2067,52 +2107,107 @@ TEST_F(ServerTest, RequestAnsweredOnTheReaderIsNeverEnqueued) {
 }
 
 // A text frame's buffer goes back to its connection once the reader has
-// parsed it, not when its queued request is released. With the single
-// worker busy, cold text frames pipelined on one connection all wait in
-// the queue, yet they share one receive buffer.
+// parsed it, not when its queued request is released. With the pump held
+// inside a blocker's evaluation, cold text frames pipelined on one
+// connection all wait in the queue, yet they share one receive buffer.
 TEST_F(ServerTest, QueuedTextFramesDoNotHoldTheirReceiveBuffers) {
   ServerOptions options;
-  options.workers = 1;
   options.cache_entries = 0;
   options.profile_cache_entries = 0;
-  options.limits.max_frame_bytes = 64u << 20;
   boot(options);
   const Limits limits = client_options().limits;
 
-  // Gate: occupy the one worker with evaluation of eight ~100k-sample
-  // binary profiles (the reader resolves them without a parse).
-  const std::string blob = workload_bin(12, 25'000);
-  std::thread blocker([&] {
-    Client c(client_options(1));
-    EstimateBinRequest r;
-    r.profiles.assign(8, blob);
-    EXPECT_NO_THROW(c.estimate_bin(r));
-  });
-  ASSERT_TRUE(wait_for_counter("active_requests", 1));
-
+  const std::string blob = workload_bin(12);
   constexpr std::size_t kFrames = 16;
   EstimateRequest text;
   text.workload_csvs = {workload_csv(77, 12)};
   const std::vector<Client::PipelineRequest> requests(
       kFrames, {FrameType::kEstimateRequest,
                 encode_estimate_request(text, limits)});
-  const std::uint64_t allocs_before = counter("frame_buffer_allocs");
-  const std::uint64_t requests_before = counter("estimate_requests");
   Client connection(client_options());
   std::vector<Client::PipelineResult> results;
-  std::thread sender([&] {
-    EXPECT_EQ(connection.pipeline(requests, &results, kFrames), kFrames);
-  });
-  // Every frame read and dispatched: the first needed a buffer, the rest
-  // found it back in the connection's pool.
-  EXPECT_TRUE(wait_for_counter("estimate_requests", requests_before + kFrames));
-  EXPECT_EQ(counter("frame_buffer_allocs") - allocs_before, 1u);
-  sender.join();
-  blocker.join();
+  {
+    HeldPump pump(*this);
+    pump.spawn([&] {
+      Client c(client_options(1));
+      EstimateBinRequest r;
+      r.profiles.assign(8, blob);
+      EXPECT_NO_THROW(c.estimate_bin(r));
+    });
+    ASSERT_TRUE(pump.wait_entered(1));
+    ASSERT_TRUE(wait_for_counter("active_requests", 1));
+
+    const std::uint64_t allocs_before = counter("frame_buffer_allocs");
+    const std::uint64_t requests_before = counter("estimate_requests");
+    pump.spawn([&] {
+      EXPECT_EQ(connection.pipeline(requests, &results, kFrames), kFrames);
+    });
+    // Every frame read and dispatched: the first needed a buffer, the rest
+    // found it back in the connection's pool.
+    EXPECT_TRUE(
+        wait_for_counter("estimate_requests", requests_before + kFrames));
+    EXPECT_EQ(counter("frame_buffer_allocs") - allocs_before, 1u);
+  }
   ASSERT_EQ(results.size(), kFrames);
   for (const Client::PipelineResult& res : results) {
     ASSERT_TRUE(res.ok) << res.error;
     ASSERT_EQ(res.header.type, FrameType::kEstimateReply);
+  }
+}
+
+// Same-model requests that queue behind a busy pump are coalesced: its
+// next round takes all of them into one estimate_views batch, and every
+// reply is still the tree walk's, bit for bit.
+TEST_F(ServerTest, RequestsQueuedBehindAHeldPumpCoalesceIntoOneRound) {
+  boot();
+  const Limits limits = client_options().limits;
+  const Ensemble local = trained_ensemble(17);
+
+  // Distinct workloads, so none is a memo hit answered on the reader.
+  constexpr std::uint64_t kHeldSeed = 90;
+  constexpr std::size_t kQueued = 5;
+  std::vector<Client::PipelineRequest> requests;
+  for (std::size_t i = 0; i < kQueued; ++i) {
+    EstimateRequest request;
+    request.workload_csvs = {workload_csv(kHeldSeed + 1 + i)};
+    requests.push_back({FrameType::kEstimateRequest,
+                        encode_estimate_request(request, limits)});
+  }
+  const std::uint64_t batches_before = counter("coalesced_batches");
+  Client connection(client_options());
+  EstimateReply held_reply;
+  std::vector<Client::PipelineResult> results;
+  {
+    HeldPump pump(*this);
+    pump.spawn([&] {
+      Client c(client_options(1));
+      EstimateRequest request;
+      request.workload_csvs = {workload_csv(kHeldSeed)};
+      held_reply = c.estimate(request);
+    });
+    ASSERT_TRUE(pump.wait_entered(1));
+    pump.spawn([&] {
+      EXPECT_EQ(connection.pipeline(requests, &results, kQueued), kQueued);
+    });
+    ASSERT_TRUE(wait_for_counter("queue_depth", kQueued));
+    EXPECT_EQ(counter("queue_depth"), kQueued);
+  }
+
+  // One round for the held request, one for the five queued behind it.
+  EXPECT_EQ(counter("coalesced_batches") - batches_before, 2u);
+  EXPECT_GE(counter("max_batch_requests"), kQueued);
+  ASSERT_EQ(held_reply.results.size(), 1u);
+  expect_tree_walk(local, held_reply.results[0], mixed_workload(kHeldSeed));
+  ASSERT_EQ(results.size(), kQueued);
+  for (std::size_t i = 0; i < kQueued; ++i) {
+    const Client::PipelineResult& res = results[i];
+    ASSERT_TRUE(res.ok) << res.error;
+    ASSERT_EQ(res.header.type, FrameType::kEstimateReply);
+    const EstimateReply reply = decode_estimate_reply(res.payload, limits);
+    ASSERT_EQ(reply.results.size(), 1u);
+    SCOPED_TRACE("request " + std::to_string(i));
+    expect_tree_walk(local, reply.results[0],
+                     mixed_workload(kHeldSeed + 1 + i));
   }
 }
 

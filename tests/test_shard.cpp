@@ -18,7 +18,6 @@
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
-#include <filesystem>
 #include <limits>
 #include <memory>
 #include <mutex>
@@ -34,6 +33,7 @@
 #include "serve/profile_cache.h"
 #include "serve/registry.h"
 #include "serve/service.h"
+#include "serving_fixtures.h"
 #include "spire/ensemble.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -45,24 +45,8 @@ using counters::Event;
 using model::Ensemble;
 using sampling::Dataset;
 using sampling::DatasetView;
-
-Ensemble trained_ensemble(std::uint64_t seed) {
-  util::Rng rng(seed);
-  Dataset train;
-  for (Event metric : {Event::kIdqDsbUops, Event::kLsdUops,
-                       Event::kBrMispRetiredAllBranches,
-                       Event::kLongestLatCacheMiss,
-                       Event::kMemInstRetiredAllLoads}) {
-    for (int i = 0; i < 60; ++i) {
-      const double p = rng.uniform(0.1, 4.0);
-      const double intensity = rng.chance(0.1)
-                                   ? std::numeric_limits<double>::infinity()
-                                   : std::pow(10.0, rng.uniform(-1.0, 3.0));
-      train.add(metric, {1.0, p, std::isinf(intensity) ? 0.0 : p / intensity});
-    }
-  }
-  return Ensemble::train(train);
-}
+using test::fresh_dir;
+using test::trained_ensemble;
 
 Dataset mixed_workload(std::uint64_t seed, int per_metric = 20) {
   util::Rng rng(seed);
@@ -85,12 +69,6 @@ std::string workload_csv(std::uint64_t seed, int per_metric = 20) {
   std::ostringstream out;
   mixed_workload(seed, per_metric).save_csv(out);
   return out.str();
-}
-
-std::string fresh_dir(const std::string& name) {
-  const std::string root = ::testing::TempDir() + "/" + name;
-  std::filesystem::remove_all(root);
-  return root;
 }
 
 // --------------------------------------------------------------------------
@@ -222,10 +200,8 @@ class ShardTest : public ::testing::Test {
   }
 
   std::shared_ptr<Shard> make_shard(util::ThreadPool& pool,
-                                    std::size_t queue_bound,
-                                    std::size_t max_batch = 16) {
-    return std::make_shared<Shard>(model_id_, model_, pool, queue_bound,
-                                   max_batch);
+                                    std::size_t queue_bound) {
+    return std::make_shared<Shard>(model_id_, model_, pool, queue_bound);
   }
 
   /// Blocks the (single-threaded) pool until release() so enqueues pile up
@@ -320,7 +296,7 @@ TEST_F(ShardTest, EstimatesBitIdenticallyToTheEnsemble) {
 
 TEST_F(ShardTest, CoalescesABurstIntoOnePumpRound) {
   util::ThreadPool pool(1);
-  const auto shard = make_shard(pool, 16, /*max_batch=*/16);
+  const auto shard = make_shard(pool, 16);
   std::atomic<int> begun{0}, completed{0};
   {
     PoolGate gate(pool);  // the pump cannot start until the gate opens
@@ -341,20 +317,21 @@ TEST_F(ShardTest, CoalescesABurstIntoOnePumpRound) {
 
 TEST_F(ShardTest, MaxBatchSplitsAnOversizedBurst) {
   util::ThreadPool pool(1);
-  const auto shard = make_shard(pool, 16, /*max_batch=*/2);
+  constexpr int kBurst = static_cast<int>(Shard::kMaxBatch) + 1;
+  const auto shard = make_shard(pool, kBurst);
   std::atomic<int> begun{0}, completed{0};
   {
     PoolGate gate(pool);
-    for (int i = 0; i < 5; ++i) {
+    for (int i = 0; i < kBurst; ++i) {
       ASSERT_EQ(shard->enqueue(request({workload_csv(3, 2)}, begun, completed)),
                 Shard::Enqueue::kAccepted);
     }
     gate.release();
-    wait_for(completed, 5);
+    wait_for(completed, kBurst);
   }
   const Shard::Stats stats = shard->stats();
-  EXPECT_EQ(stats.batches, 3u);  // 2 + 2 + 1
-  EXPECT_EQ(stats.max_batch_requests, 2u);
+  EXPECT_EQ(stats.batches, 2u);  // kMaxBatch + 1
+  EXPECT_EQ(stats.max_batch_requests, Shard::kMaxBatch);
 }
 
 TEST_F(ShardTest, BoundedQueueShedsWithoutLosingAcceptedWork) {
@@ -486,7 +463,7 @@ TEST_F(ShardTest, DroppingTheLastReferenceMidDrainStillCompletesEverything) {
 
 TEST_F(ShardTest, ConcurrentEnqueuersEachGetExactlyOneCompletion) {
   util::ThreadPool pool(4);
-  const auto shard = make_shard(pool, 1024, /*max_batch=*/8);
+  const auto shard = make_shard(pool, 1024);
   constexpr int kThreads = 8;
   constexpr int kPerThread = 25;
   std::atomic<int> begun{0}, completed{0}, accepted{0};
@@ -509,8 +486,8 @@ TEST_F(ShardTest, ConcurrentEnqueuersEachGetExactlyOneCompletion) {
   EXPECT_EQ(completed.load(), accepted.load());
   const Shard::Stats stats = shard->stats();
   EXPECT_EQ(stats.completed, static_cast<std::uint64_t>(accepted.load()));
-  EXPECT_LE(stats.max_batch_requests, 8u);
-  EXPECT_GE(stats.batches, stats.completed / 8);
+  EXPECT_LE(stats.max_batch_requests, Shard::kMaxBatch);
+  EXPECT_GE(stats.batches, stats.completed / Shard::kMaxBatch);
 }
 
 }  // namespace

@@ -54,8 +54,8 @@
 //       Run a recorded trace on the core and print its TMA breakdown.
 //   spire_cli serve --socket PATH | --stdio [--registry-root DIR]
 //               [--model ID|latest] [--workers N] [--max-queue N]
-//               [--shard-batch N] [--cache-entries N]
-//               [--profile-cache N] [--drain-timeout-ms N]
+//               [--cache-entries N] [--profile-cache N]
+//               [--drain-timeout-ms N]
 //       Resident estimation server over the framed protocol: UNIX-domain
 //       socket (or stdin/stdout with --stdio), per-model shards, each
 //       with a queue bounded by --max-queue, and batch coalescing, an
@@ -677,7 +677,6 @@ int cmd_serve(const Args& args) {
   options.socket_path = socket.value_or("");
   options.workers = args.flag_u64("workers", options.workers);
   options.max_queue = args.flag_u64("max-queue", options.max_queue);
-  options.shard_batch = args.flag_u64("shard-batch", options.shard_batch);
   options.cache_entries =
       args.flag_u64("cache-entries", options.cache_entries);
   options.profile_cache_entries =
@@ -953,7 +952,7 @@ const std::vector<Command>& commands() {
       {"replay", {"trace", "cycles", "seed"}, {}, cmd_replay},
       {"serve",
        {"socket", "registry-root", "model", "workers",
-        "max-queue", "shard-batch", "cache-entries", "profile-cache",
+        "max-queue", "cache-entries", "profile-cache",
         "drain-timeout-ms", "read-timeout-ms", "write-timeout-ms"},
        {"stdio"},
        cmd_serve},
@@ -989,7 +988,7 @@ int usage() {
                "  replay  --trace FILE [--cycles N]\n"
                "  serve   --socket PATH | --stdio [--registry-root DIR]\n"
                "          [--model ID|latest] [--workers N] [--max-queue N]\n"
-               "          [--shard-batch N] [--cache-entries N] [--profile-cache N]\n"
+               "          [--cache-entries N] [--profile-cache N]\n"
                "          [--drain-timeout-ms N]           resident estimation server\n"
                "  serverctl ping|stats|swap|shards --server SOCK\n"
                "                                           control a running server\n"
