@@ -172,8 +172,12 @@ EstimationServer::EstimationServer(serve::ModelRegistry& registry,
   if (options_.workers == 0) options_.workers = 1;
   if (options_.max_queue == 0) options_.max_queue = 1;
   util::ignore_sigpipe();
-  if (::pipe2(wake_pipe_, O_CLOEXEC | O_NONBLOCK) != 0) {
-    fail("cannot create the shutdown latch: " + errno_text());
+  if (::pipe2(wake_pipe_, O_CLOEXEC | O_NONBLOCK) != 0 ||
+      ::pipe2(drained_pipe_, O_CLOEXEC | O_NONBLOCK) != 0) {
+    const std::string why = errno_text();
+    util::close_quietly(wake_pipe_[0]);  // open only if the second failed
+    util::close_quietly(wake_pipe_[1]);
+    fail("cannot create the shutdown latches: " + why);
   }
   pool_ = std::make_unique<util::ThreadPool>(options_.workers);
 }
@@ -189,8 +193,10 @@ EstimationServer::~EstimationServer() {
   pool_.reset();
   int expected = wake_pipe_[1];
   g_signal_pipe.compare_exchange_strong(expected, -1);
-  util::close_quietly(wake_pipe_[0]);
-  util::close_quietly(wake_pipe_[1]);
+  for (const int fd : {wake_pipe_[0], wake_pipe_[1], drained_pipe_[0],
+                       drained_pipe_[1]}) {
+    util::close_quietly(fd);
+  }
 }
 
 // --- model routing ----------------------------------------------------------
@@ -383,17 +389,13 @@ void EstimationServer::accept_loop(int listen_fd) {
     std::atomic<bool> done{false};
   };
   std::list<Reader> readers;
-  while (!stop_io_.load(std::memory_order_acquire) &&
-         !draining_.load(std::memory_order_acquire)) {
+  // A byte in the shutdown latch (begin_shutdown or a signal) ends intake.
+  while (util::wait_readable_unless(listen_fd, wake_pipe_[0])) {
     readers.remove_if([](Reader& reader) {
       if (!reader.done.load(std::memory_order_acquire)) return false;
       reader.thread.join();  // its loop has returned: does not block
       return true;
     });
-    // Tick so a shutdown request stops the intake within ~100 ms.
-    const util::IoStatus ready = util::wait_readable(listen_fd, 100);
-    if (ready == util::IoStatus::kTimeout) continue;
-    if (ready != util::IoStatus::kOk) break;
     int fd;
     for (;;) {
       fd = ::accept(listen_fd, nullptr, nullptr);
@@ -406,9 +408,13 @@ void EstimationServer::accept_loop(int listen_fd) {
       if (errno == EMFILE || errno == ENFILE || errno == ENOMEM) {
         // Descriptor/memory pressure is transient: closing connections
         // frees capacity, so keep the listener alive instead of
-        // permanently refusing service while the process runs on.
-        std::this_thread::sleep_for(ms(100));
-        continue;
+        // permanently refusing service while the process runs on. The
+        // back-off waits on the latch, so a shutdown cuts it short.
+        constexpr int kBackoffMs = 100;
+        if (util::wait_readable(wake_pipe_[0], kBackoffMs) ==
+            util::IoStatus::kTimeout) {
+          continue;
+        }
       }
       break;
     }
@@ -427,8 +433,8 @@ void EstimationServer::accept_loop(int listen_fd) {
   }
   util::close_quietly(listen_fd);
   ::unlink(options_.socket_path.c_str());
-  // Readers answer kShuttingDown until the drain ends and stop_io_ is set,
-  // or until their peer closes.
+  // Readers answer kShuttingDown until the drain ends and sets the drained
+  // latch, or until their peer closes.
   for (Reader& reader : readers) reader.thread.join();
 }
 
@@ -438,13 +444,11 @@ void EstimationServer::connection_loop(std::shared_ptr<Connection> conn) {
 }
 
 void EstimationServer::serve_connection_fds(int in_fd, int out_fd) {
-  auto conn = std::make_shared<Connection>(
+  accepted_connections_.fetch_add(1, std::memory_order_relaxed);
+  connection_loop(std::make_shared<Connection>(
       in_fd, out_fd, /*owns=*/false,
       next_connection_id_.fetch_add(1, std::memory_order_relaxed),
-      options_.chaos);
-  accepted_connections_.fetch_add(1, std::memory_order_relaxed);
-  while (serve_one_frame(conn)) {
-  }
+      options_.chaos));
 }
 
 // --- the frame loop ---------------------------------------------------------
@@ -452,15 +456,10 @@ void EstimationServer::serve_connection_fds(int in_fd, int out_fd) {
 bool EstimationServer::serve_one_frame(
     const std::shared_ptr<Connection>& conn) {
   if (conn->dead.load(std::memory_order_acquire)) return false;
-  // Idle wait between frames, ticking to observe shutdown. No idle
-  // timeout: a quiet client costs one parked thread, not a worker.
-  for (;;) {
-    if (stop_io_.load(std::memory_order_acquire)) return false;
-    const util::IoStatus ready = util::wait_readable(conn->in_fd, 100);
-    if (ready == util::IoStatus::kTimeout) continue;
-    if (ready != util::IoStatus::kOk) return false;
-    break;
-  }
+  // Idle wait between frames, until a frame arrives or the drain has
+  // ended. No idle timeout: a quiet client costs one parked thread, not a
+  // worker.
+  if (!util::wait_readable_unless(conn->in_fd, drained_pipe_[0])) return false;
   if (conn->chaos.stall_before_read()) {
     chaos_injected_.fetch_add(1, std::memory_order_relaxed);
     std::this_thread::sleep_for(ms(options_.chaos.stall_ms));
@@ -521,40 +520,30 @@ bool EstimationServer::serve_one_frame(
   if (draining_.load(std::memory_order_acquire)) {
     send_error(conn, header.seq, ErrorCode::kShuttingDown,
                "server is draining");
-    return !stop_io_.load(std::memory_order_acquire);
+    return true;  // the next idle wait sees the drained latch
+  }
+  if (header.type == FrameType::kPingRequest ||
+      header.type == FrameType::kStatsRequest ||
+      header.type == FrameType::kShardsRequest) {
+    // The three control requests share one check: an empty payload.
+    try {
+      decode_empty_request(payload);
+    } catch (const ProtocolError& e) {
+      malformed_frames_.fetch_add(1, std::memory_order_relaxed);
+      return send_error(conn, header.seq, e.code(), e.what());
+    }
   }
   switch (header.type) {
-    case FrameType::kPingRequest: {
-      try {
-        decode_empty_request(payload);
-      } catch (const ProtocolError& e) {
-        malformed_frames_.fetch_add(1, std::memory_order_relaxed);
-        return send_error(conn, header.seq, e.code(), e.what());
-      }
+    case FrameType::kPingRequest:
       return send_frame(conn, FrameType::kPingReply, header.seq, "");
-    }
-    case FrameType::kStatsRequest: {
-      try {
-        decode_empty_request(payload);
-      } catch (const ProtocolError& e) {
-        malformed_frames_.fetch_add(1, std::memory_order_relaxed);
-        return send_error(conn, header.seq, e.code(), e.what());
-      }
+    case FrameType::kStatsRequest:
       return send_frame(
           conn, FrameType::kStatsReply, header.seq,
           encode_stats_reply(stats_snapshot(), options_.limits));
-    }
-    case FrameType::kShardsRequest: {
-      try {
-        decode_empty_request(payload);
-      } catch (const ProtocolError& e) {
-        malformed_frames_.fetch_add(1, std::memory_order_relaxed);
-        return send_error(conn, header.seq, e.code(), e.what());
-      }
+    case FrameType::kShardsRequest:
       return send_frame(
           conn, FrameType::kShardsReply, header.seq,
           encode_shards_reply(shards_snapshot(), options_.limits));
-    }
     case FrameType::kSwapRequest: {
       SwapRequest request;
       try {
@@ -576,11 +565,25 @@ bool EstimationServer::serve_one_frame(
                         encode_swap_reply(reply, options_.limits));
     }
     case FrameType::kEstimateRequest:
-      dispatch_estimate(conn, header.seq, std::move(frame), received);
+    case FrameType::kEstimateBinRequest: {
+      const bool text = header.type == FrameType::kEstimateRequest;
+      estimate_requests_.fetch_add(1, std::memory_order_relaxed);
+      (text ? requests_text_ : requests_binary_)
+          .fetch_add(1, std::memory_order_relaxed);
+      // Chaos shed stays BEFORE parsing, like real admission under a flood.
+      if (conn->chaos.force_overload()) {
+        chaos_injected_.fetch_add(1, std::memory_order_relaxed);
+        shed_overloaded_.fetch_add(1, std::memory_order_relaxed);
+        send_error(conn, header.seq, ErrorCode::kOverloaded,
+                   "queue full (" + std::to_string(options_.max_queue) +
+                       " pending requests)");
+      } else if (text) {
+        dispatch_estimate(conn, header.seq, std::move(frame), received);
+      } else {
+        dispatch_estimate_bin(conn, header.seq, std::move(frame), received);
+      }
       return true;
-    case FrameType::kEstimateBinRequest:
-      dispatch_estimate_bin(conn, header.seq, std::move(frame), received);
-      return true;
+    }
     default:
       send_error(conn, header.seq, ErrorCode::kUnknownType,
                  "unknown frame type " +
@@ -592,17 +595,6 @@ bool EstimationServer::serve_one_frame(
 void EstimationServer::dispatch_estimate(
     const std::shared_ptr<Connection>& conn, std::uint64_t seq,
     FramePool::Frame frame, Clock::time_point received) {
-  estimate_requests_.fetch_add(1, std::memory_order_relaxed);
-  requests_text_.fetch_add(1, std::memory_order_relaxed);
-  // Chaos shed stays BEFORE parsing, like real admission under a flood.
-  if (conn->chaos.force_overload()) {
-    chaos_injected_.fetch_add(1, std::memory_order_relaxed);
-    shed_overloaded_.fetch_add(1, std::memory_order_relaxed);
-    send_error(conn, seq, ErrorCode::kOverloaded,
-               "queue full (" + std::to_string(options_.max_queue) +
-                   " pending requests)");
-    return;
-  }
   // The CSVs are borrowed straight out of the frame: the tail parses them
   // before this returns, and the frame goes back to the connection then.
   EstimateRequestView request;
@@ -631,16 +623,6 @@ void EstimationServer::dispatch_estimate(
 void EstimationServer::dispatch_estimate_bin(
     const std::shared_ptr<Connection>& conn, std::uint64_t seq,
     FramePool::Frame frame, Clock::time_point received) {
-  estimate_requests_.fetch_add(1, std::memory_order_relaxed);
-  requests_binary_.fetch_add(1, std::memory_order_relaxed);
-  if (conn->chaos.force_overload()) {
-    chaos_injected_.fetch_add(1, std::memory_order_relaxed);
-    shed_overloaded_.fetch_add(1, std::memory_order_relaxed);
-    send_error(conn, seq, ErrorCode::kOverloaded,
-               "queue full (" + std::to_string(options_.max_queue) +
-                   " pending requests)");
-    return;
-  }
   // Everything the evaluation will alias lives in the request's pins: the
   // frame (the decoded request's profile string_views point into it) and
   // the parsed ProfileViews (their spans point into the frame too, or into
@@ -1081,7 +1063,7 @@ bool EstimationServer::wait_until_drained() {
              active_.load(std::memory_order_acquire) == 0;
     });
   }
-  stop_io_.store(true, std::memory_order_release);
+  set_latch(drained_pipe_[1]);
   join_threads();
   return clean;
 }

@@ -62,13 +62,14 @@
 //  * threads: every thread has exactly one owner. The server owns its
 //    util::ThreadPool workers and, after start(), the accept thread; the
 //    accept thread owns the reader thread of each connection it accepts,
-//    joins finished readers as it goes and the rest before it returns. No
-//    other thread joins a reader, and no join runs under a lock. A server
-//    never started runs only its pool workers;
+//    joins finished readers at the next accept and the rest before it
+//    returns. No other thread joins a reader, and no join runs under a
+//    lock. A server never started runs only its pool workers;
 //  * shutdown: begin_shutdown() (or SIGTERM/SIGINT, which the thread in
 //    run()/wait_until_drained() sees through the shutdown latch) stops
 //    accepting, answers new requests with kShuttingDown, and drains
-//    in-flight work within a timeout;
+//    in-flight work within a timeout. No thread waits on a clock: the
+//    accept loop wakes on that latch, readers on one set when it ends;
 //  * chaos: ChaosOptions injects deterministic faults (stalled reads,
 //    mid-request swaps, forced overload) at fixed hook points so the
 //    failure paths are first-class tested code, not dead branches.
@@ -182,9 +183,10 @@ class EstimationServer {
 
   /// Serves one already-open duplex connection in the calling thread;
   /// returns when the peer closes, the stream becomes unframeable, or a
-  /// drain ends (wait_until_drained stops I/O). Frames that arrive while
-  /// draining get kShuttingDown. `in_fd`/`out_fd` may be the same
-  /// descriptor (socket) or a pipe pair (--stdio). The fds are not closed.
+  /// drain has ended (wait_until_drained sets the drained latch). Frames
+  /// that arrive while draining get kShuttingDown. `in_fd`/`out_fd` may be
+  /// the same descriptor (socket) or a pipe pair (--stdio). The fds are
+  /// not closed.
   /// For a signal to drain the server while the peer holds the stream
   /// open, run this on its own thread and run() on another, as
   /// `spire_cli serve --stdio` does.
@@ -212,10 +214,11 @@ class EstimationServer {
 
   /// Blocks on the shutdown latch until shutdown was requested (calling
   /// begin_shutdown() itself when a signal wrote the latch), waits for
-  /// in-flight work to drain, stops I/O and joins the accept thread, which
-  /// has joined its readers by then. Returns true when the drain completed
-  /// within drain_timeout_ms of the shutdown request. Any number of
-  /// threads may wait; each returns after the join.
+  /// in-flight work to drain, sets the drained latch that stops every
+  /// reader, and joins the accept thread, which has joined its readers by
+  /// then. Returns true when the drain completed within drain_timeout_ms
+  /// of the shutdown request. Any number of threads may wait; each returns
+  /// after the join.
   bool wait_until_drained() SPIRE_EXCLUDES(lifecycle_mutex_, drain_mutex_);
 
   /// What the serving thread runs in both transports: blocks in
@@ -248,10 +251,10 @@ class EstimationServer {
 
   /// Owns `listen_fd` (a bound, listening socket) for its whole run and
   /// closes it once draining starts. The descriptor is handed over by
-  /// value from start(), so only the accept thread ever sees it. Also owns
-  /// every reader thread it spawns: joins finished ones on each accept and
-  /// each 100 ms tick, and the rest (which exit on stop_io_ or EOF) before
-  /// it returns.
+  /// value from start(), so only the accept thread ever sees it. Waits on
+  /// it and the shutdown latch. Owns every reader thread it spawns: joins
+  /// finished ones at the next accept, and the rest (which exit on the
+  /// drained latch or EOF) before it returns.
   void accept_loop(int listen_fd);
   /// Joins the accept thread exactly once, with no lock held; a second
   /// caller returns only after that join has finished.
@@ -344,10 +347,7 @@ class EstimationServer {
   util::Mutex drain_mutex_{util::lock_rank::Rank::kDrain, "server-drain"};
   util::CondVar drain_cv_;
 
-  // Lifecycle flags. draining_: no new requests; stop_io_: reader loops
-  // and the accept loop must exit now.
-  std::atomic<bool> draining_{false};
-  std::atomic<bool> stop_io_{false};
+  std::atomic<bool> draining_{false};  // no new requests
   util::Mutex lifecycle_mutex_{util::lock_rank::Rank::kLifecycle,
                                "server-lifecycle"};
   std::chrono::steady_clock::time_point drain_started_
@@ -356,8 +356,11 @@ class EstimationServer {
 
   // Shutdown latch: a non-blocking pipe the signal handler and the first
   // begin_shutdown() each write one byte to. Nothing ever reads it, so
-  // once written it stays readable and wakes every wait_until_drained().
+  // once written it stays readable and wakes every wait_until_drained()
+  // and the accept loop. The drained latch, set by wait_until_drained()
+  // once the drain has ended, wakes every reader the same way.
   int wake_pipe_[2] = {-1, -1};
+  int drained_pipe_[2] = {-1, -1};
 
   std::thread accept_thread_;
   util::lock_rank::ThreadToken accept_token_{"server-accept"};

@@ -96,6 +96,15 @@ IoStatus wait_readable(int fd, int timeout_ms) {
   return wait_fd(fd, POLLIN, timeout_ms);
 }
 
+bool wait_readable_unless(int fd, int latch) {
+  for (;;) {
+    struct pollfd pfds[2] = {{fd, POLLIN, 0}, {latch, POLLIN, 0}};
+    const int rc = ::poll(pfds, 2, -1);
+    if (rc > 0) return pfds[1].revents == 0;
+    if (rc < 0 && errno != EINTR) return false;
+  }
+}
+
 IoStatus read_exact(int fd, void* buf, std::size_t count, int timeout_ms) {
   const bool has_deadline = timeout_ms >= 0;
   const auto deadline = Clock::now() + std::chrono::milliseconds(

@@ -56,6 +56,10 @@ void ignore_sigpipe();
 /// 0 = immediate poll). EINTR is retried with the remaining budget.
 IoStatus wait_readable(int fd, int timeout_ms);
 
+/// Blocks, retrying EINTR, until `fd` or `latch` (a pipe nothing reads) is
+/// readable. False when the latch is set or poll fails.
+bool wait_readable_unless(int fd, int latch);
+
 /// Reads exactly `count` bytes with a per-call deadline: every wait for more
 /// data is poll-gated on the remaining budget, so a peer that stalls
 /// mid-frame costs at most `timeout_ms`, never a wedged thread. A timeout

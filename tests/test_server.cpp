@@ -28,6 +28,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <future>
 #include <limits>
 #include <map>
 #include <mutex>
@@ -481,6 +482,25 @@ TEST_F(ServerTest, ExplicitUnknownModelIdIsAStructuredError) {
   }
 }
 
+/// Reads one reply frame from `fd` (2 s budget per read).
+bool read_reply(int fd, FrameHeader* header_out, std::string* payload_out) {
+  unsigned char header_bytes[kFrameHeaderBytes];
+  if (util::read_exact(fd, header_bytes, sizeof header_bytes, 2000) !=
+      util::IoStatus::kOk) {
+    return false;
+  }
+  const FrameHeader header = decode_header(header_bytes, Limits{});
+  std::string payload(header.payload_len, '\0');
+  if (header.payload_len > 0 &&
+      util::read_exact(fd, payload.data(), payload.size(), 2000) !=
+          util::IoStatus::kOk) {
+    return false;
+  }
+  if (header_out) *header_out = header;
+  if (payload_out) *payload_out = std::move(payload);
+  return true;
+}
+
 /// Raw framed exchange against the server socket, bypassing the client's
 /// retry logic: returns true when a complete reply frame came back.
 bool raw_exchange(const std::string& socket_path, const std::string& frame,
@@ -511,24 +531,9 @@ bool raw_exchange(const std::string& socket_path, const std::string& frame,
     return false;
   }
   if (half_frame) ::shutdown(fd, SHUT_WR);
-  unsigned char header_bytes[kFrameHeaderBytes];
-  if (util::read_exact(fd, header_bytes, sizeof header_bytes, 2000) !=
-      util::IoStatus::kOk) {
-    util::close_quietly(fd);
-    return false;
-  }
-  const FrameHeader header = decode_header(header_bytes, Limits{});
-  std::string payload(header.payload_len, '\0');
-  if (header.payload_len > 0 &&
-      util::read_exact(fd, payload.data(), payload.size(), 2000) !=
-          util::IoStatus::kOk) {
-    util::close_quietly(fd);
-    return false;
-  }
+  const bool replied = read_reply(fd, header_out, payload_out);
   util::close_quietly(fd);
-  if (header_out) *header_out = header;
-  if (payload_out) *payload_out = std::move(payload);
-  return true;
+  return replied;
 }
 
 TEST_F(ServerTest, MalformedFramesGetStructuredErrorsNotCrashes) {
@@ -945,7 +950,8 @@ TEST_F(ServerTest, UnstartedServerRunsOnlyItsPoolThreads) {
 }
 
 // In socket mode the server adds the accept thread and one reader per live
-// connection; the accept thread joins a reader soon after its peer leaves.
+// connection. A reader's thread ends as soon as its peer leaves; the accept
+// thread joins it at the next accept, or before the accept thread returns.
 TEST_F(ServerTest, SocketServerRunsOneReaderPerLiveConnection) {
   ServerOptions options;
   options.workers = 2;
@@ -963,6 +969,73 @@ TEST_F(ServerTest, SocketServerRunsOneReaderPerLiveConnection) {
     if (after_close == before + 3) break;
   }
   EXPECT_EQ(after_close, before + 3);
+}
+
+// Teardown waits on events, not on a clock: with a client connected and
+// idle, the accept loop wakes on the shutdown latch and the reader on the
+// drained latch, so the whole drain returns within 50 ms.
+TEST_F(ServerTest, IdleConnectionDrainsPromptly) {
+  boot();
+  Client client(client_options());
+  client.ping();  // the reader is now parked in its idle wait
+  const auto start = std::chrono::steady_clock::now();
+  server_->begin_shutdown();
+  EXPECT_TRUE(server_->wait_until_drained());
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(50));
+}
+
+// serve_connection_fds on one end of a socketpair whose peer stays open:
+// it answers, refuses frames with kShuttingDown once the drain began, and
+// returns as soon as wait_until_drained sets the drained latch.
+TEST_F(ServerTest, ServeConnectionFdsAnswersRefusesAndReturnsOnTheDrain) {
+  registry_ = std::make_unique<serve::ModelRegistry>(
+      fresh_dir("server_reg_connection_fds"));
+  server_ = std::make_unique<EstimationServer>(*registry_, ServerOptions{});
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds), 0);
+  using Clock = std::chrono::steady_clock;
+  std::promise<Clock::time_point> returned;
+  std::future<Clock::time_point> returned_at = returned.get_future();
+  std::thread reader([&] {
+    server_->serve_connection_fds(fds[0], fds[0]);
+    returned.set_value(Clock::now());
+  });
+  const Limits limits;
+  const auto exchange = [&](std::uint64_t seq, FrameHeader* header,
+                            std::string* payload) {
+    const std::string ping =
+        encode_frame(FrameType::kPingRequest, seq, "", limits);
+    return util::write_all_deadline(fds[1], ping.data(), ping.size(),
+                                    2000) == util::IoStatus::kOk &&
+           read_reply(fds[1], header, payload);
+  };
+  FrameHeader header;
+  std::string payload;
+  EXPECT_TRUE(exchange(1, &header, &payload));
+  EXPECT_EQ(header.type, FrameType::kPingReply);
+  EXPECT_EQ(header.seq, 1u);
+
+  server_->begin_shutdown();
+  EXPECT_TRUE(exchange(2, &header, &payload));
+  EXPECT_EQ(header.type, FrameType::kErrorReply);
+  EXPECT_EQ(header.seq, 2u);
+  if (header.type == FrameType::kErrorReply) {
+    EXPECT_EQ(decode_error_reply(payload, limits).code,
+              ErrorCode::kShuttingDown);
+  }
+
+  const Clock::time_point drain_called = Clock::now();
+  EXPECT_TRUE(server_->wait_until_drained());
+  // A missed wake-up must fail here, not hang: closing the peer ends the
+  // reader's wait either way.
+  const bool woke = returned_at.wait_for(std::chrono::seconds(5)) ==
+                    std::future_status::ready;
+  util::close_quietly(fds[1]);
+  reader.join();
+  util::close_quietly(fds[0]);
+  ASSERT_TRUE(woke);
+  EXPECT_LT(returned_at.get() - drain_called, std::chrono::milliseconds(50));
 }
 
 // Any number of threads may wait for the drain: one begin_shutdown from a

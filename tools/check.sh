@@ -171,11 +171,11 @@ mkfifo "${stdio_fifo}"
   2> "${roundtrip_dir}/stdio.log" &
 stdio_pid=$!
 exec 9> "${stdio_fifo}"  # the write end stays open until the server exits
+# serve installs its signal handlers before it prints that line.
 for _ in $(seq 1 100); do
   grep -q "serving model" "${roundtrip_dir}/stdio.log" && break
   sleep 0.1
 done
-sleep 0.2  # the handlers are installed right after that line
 kill -TERM "${stdio_pid}"
 stdio_limit_ms=$((stdio_drain_ms + 2000))
 stdio_waited_ms=0

@@ -692,6 +692,9 @@ int cmd_serve(const Args& args) {
                     static_cast<std::uint64_t>(options.write_timeout_ms)));
 
   server::EstimationServer server(registry, options);
+  // Before anything is announced: a SIGTERM that lands from here on stays
+  // in the shutdown latch until run() acts on it.
+  server.install_signal_handlers();
   if (const auto model = args.flag("model")) {
     if (*model == "latest") {
       std::string id, error;
@@ -704,7 +707,6 @@ int cmd_serve(const Args& args) {
       std::fprintf(stderr, "serving model %s\n", model->c_str());
     }
   }
-  server.install_signal_handlers();
   if (stdio) {
     // Frames own stdout; diagnostics must stay on stderr. The connection
     // reads on its own thread so that, as in socket mode, a SIGTERM drains
