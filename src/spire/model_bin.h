@@ -60,7 +60,8 @@
 
 namespace spire::model::bin {
 
-// Hardening caps, shared with the text loader's bounds.
+// Hardening caps. kMaxRegionCorners also bounds the text reader's region
+// counts (model::read_text_model).
 inline constexpr std::size_t kMaxMetricSections = 65'536;
 inline constexpr std::size_t kMaxRegionCorners = 65'536;
 inline constexpr std::size_t kMaxNameBytes = 256;

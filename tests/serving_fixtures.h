@@ -1,10 +1,13 @@
 // Fixtures shared by the serving suites (test_serve, test_shard,
-// test_server, test_model_v3): one trained model and one scratch-directory
-// helper, so every suite evaluates against the same ensemble bits.
+// test_server, test_model_v3, test_eval_batch): one trained model, one
+// scratch-directory helper, and one bitwise comparison of estimates, so
+// every suite evaluates against the same ensemble bits and judges
+// identity the same way.
 #pragma once
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
@@ -44,6 +47,31 @@ inline std::string fresh_dir(const std::string& name) {
   const std::string root = ::testing::TempDir() + "/" + name;
   std::filesystem::remove_all(root);
   return root;
+}
+
+/// Bitwise equality: -0.0 differs from +0.0, and NaN equals the same NaN.
+inline bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/// Same throughput and p̄ bits, ranking order, sample counts and skips.
+inline void expect_identical(const model::Estimate& a,
+                             const model::Estimate& b) {
+  EXPECT_TRUE(same_bits(a.throughput, b.throughput))
+      << a.throughput << " vs " << b.throughput;
+  ASSERT_EQ(a.ranking.size(), b.ranking.size());
+  for (std::size_t i = 0; i < a.ranking.size(); ++i) {
+    EXPECT_EQ(a.ranking[i].metric, b.ranking[i].metric);
+    EXPECT_TRUE(same_bits(a.ranking[i].p_bar, b.ranking[i].p_bar))
+        << "metric " << static_cast<int>(a.ranking[i].metric) << ": "
+        << a.ranking[i].p_bar << " vs " << b.ranking[i].p_bar;
+    EXPECT_EQ(a.ranking[i].samples, b.ranking[i].samples);
+  }
+  ASSERT_EQ(a.skipped.size(), b.skipped.size());
+  for (std::size_t i = 0; i < a.skipped.size(); ++i) {
+    EXPECT_EQ(a.skipped[i].metric, b.skipped[i].metric);
+    EXPECT_EQ(a.skipped[i].reason, b.skipped[i].reason);
+  }
 }
 
 }  // namespace spire::test

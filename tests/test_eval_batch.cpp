@@ -13,7 +13,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <iostream>
 #include <limits>
 #include <memory>
@@ -29,6 +28,7 @@
 #include "serve/mapped_model.h"
 #include "serve/model_eval.h"
 #include "serve/service.h"
+#include "serving_fixtures.h"
 #include "spire/ensemble.h"
 #include "spire/model_bin.h"
 #include "util/contract.h"
@@ -45,6 +45,7 @@ using sampling::Dataset;
 using sampling::DatasetView;
 using sampling::Sample;
 using serve::EvalTables;
+using test::expect_identical;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
@@ -52,10 +53,6 @@ constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 /// Largest region the fuzzer builds: the image format's per-region cap, less
 /// one so it is a valid piece count for either region.
 constexpr std::size_t kNearCapPieces = model::bin::kMaxRegionCorners - 1;
-
-bool same_bits(double a, double b) {
-  return std::memcmp(&a, &b, sizeof(double)) == 0;
-}
 
 /// Owns fuzzable table columns and exposes them in the evaluator shape.
 /// The image writer's invariants hold by construction: per-region x1 ascends
@@ -254,24 +251,6 @@ Outcome direct_outcome(const EvalTables& tables, DatasetView view,
     out.error = e.what();
   }
   return out;
-}
-
-void expect_identical(const Estimate& a, const Estimate& b) {
-  EXPECT_TRUE(same_bits(a.throughput, b.throughput))
-      << a.throughput << " vs " << b.throughput;
-  ASSERT_EQ(a.ranking.size(), b.ranking.size());
-  for (std::size_t i = 0; i < a.ranking.size(); ++i) {
-    EXPECT_EQ(a.ranking[i].metric, b.ranking[i].metric);
-    EXPECT_TRUE(same_bits(a.ranking[i].p_bar, b.ranking[i].p_bar))
-        << "metric " << static_cast<int>(a.ranking[i].metric) << ": "
-        << a.ranking[i].p_bar << " vs " << b.ranking[i].p_bar;
-    EXPECT_EQ(a.ranking[i].samples, b.ranking[i].samples);
-  }
-  ASSERT_EQ(a.skipped.size(), b.skipped.size());
-  for (std::size_t i = 0; i < a.skipped.size(); ++i) {
-    EXPECT_EQ(a.skipped[i].metric, b.skipped[i].metric);
-    EXPECT_EQ(a.skipped[i].reason, b.skipped[i].reason);
-  }
 }
 
 void expect_identical(const Outcome& scalar, const Outcome& direct) {

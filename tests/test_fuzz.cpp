@@ -15,6 +15,8 @@
 #include <string>
 #include <vector>
 
+#include "lint/lint.h"
+#include "lint/model_source.h"
 #include "quality/fault_injector.h"
 #include "quality/quality.h"
 #include "sampling/collector.h"
@@ -198,14 +200,24 @@ sampling::Dataset synthetic_clean_dataset(std::uint64_t seed) {
   return d;
 }
 
+/// small_trained_ensemble(11) in text form: what FuzzModelFile mutates.
+std::string fuzz_model_text() {
+  std::ostringstream out;
+  model::save_model(small_trained_ensemble(11), out);
+  return out.str();
+}
+
+/// One model-file mutation: 1-8 flipped bits or a cut tail.
+std::string mutate(const std::string& clean, util::Rng& rng) {
+  return rng.chance(0.5) ? quality::flip_bits(clean, rng, 1 + rng.below(8))
+                         : quality::truncate_tail(clean, rng);
+}
+
 class FuzzModelFile : public ::testing::TestWithParam<int> {};
 
 TEST_P(FuzzModelFile, MutatedModelLoadsOrThrows) {
   util::Rng rng(static_cast<std::uint64_t>(GetParam()) * 104'729 + 1);
-  const auto ensemble = small_trained_ensemble(11);
-  std::ostringstream out;
-  model::save_model(ensemble, out);
-  const std::string clean = out.str();
+  const std::string clean = fuzz_model_text();
 
   // The unmutated text must round-trip to a serialization fixpoint.
   {
@@ -217,10 +229,7 @@ TEST_P(FuzzModelFile, MutatedModelLoadsOrThrows) {
   }
 
   for (int round = 0; round < 25; ++round) {
-    const std::string mutated =
-        rng.chance(0.5)
-            ? quality::flip_bits(clean, rng, 1 + rng.below(8))
-            : quality::truncate_tail(clean, rng);
+    const std::string mutated = mutate(clean, rng);
     std::istringstream in(mutated);
     try {
       const auto loaded = model::load_model(in);
@@ -237,6 +246,52 @@ TEST_P(FuzzModelFile, MutatedModelLoadsOrThrows) {
       // Rejection is the expected outcome; diagnostics must point at the
       // offending file ("model: ..." prefix, almost always with a line).
       EXPECT_EQ(std::string(e.what()).rfind("model:", 0), 0u) << e.what();
+    }
+  }
+}
+
+// The loader and the linter read text through one reader, so they agree
+// on the same mutations: what loads lints free of structure, version and
+// non-finite errors, and a rejection at a line the reader has an issue for
+// is a model-structure finding at that line.
+TEST_P(FuzzModelFile, LoaderAndLinterAgree) {
+  util::Rng rng(static_cast<std::uint64_t>(GetParam()) * 104'729 + 1);
+  const std::string clean = fuzz_model_text();
+  for (int round = 0; round < 25; ++round) {
+    const std::string mutated = mutate(clean, rng);
+    std::istringstream text(mutated);
+    const lint::RawModel raw = lint::parse_raw_model(text);
+    const lint::LintReport report = lint::lint_model(raw, "mutated");
+    // Whether `rule` has an error finding at `line` (0: at any line).
+    const auto has_error = [&report](std::string_view rule,
+                                     std::size_t line) {
+      for (const auto& f : report.findings) {
+        if (f.rule_id == rule && f.severity == lint::LintSeverity::kError &&
+            (line == 0 || f.line == line)) {
+          return true;
+        }
+      }
+      return false;
+    };
+
+    std::istringstream in(mutated);
+    try {
+      (void)model::load_model(in);
+      EXPECT_FALSE(has_error("model-structure", 0) ||
+                   has_error("format-version", 0) ||
+                   has_error("non-finite-value", 0))
+          << mutated << report.describe();
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      const std::string prefix = "model: line ";
+      if (what.rfind(prefix, 0) != 0) continue;  // "model: no metrics"
+      const std::size_t line = std::stoul(what.substr(prefix.size()));
+      for (const lint::ParseIssue& issue : raw.issues) {
+        if (issue.line == line) {
+          EXPECT_TRUE(has_error("model-structure", line))
+              << what << "\n" << report.describe();
+        }
+      }
     }
   }
 }
@@ -258,10 +313,7 @@ TEST_P(FuzzModelBin, MutatedBinaryModelLoadsOrThrows) {
   EXPECT_EQ(clean, serve::model_v3_bytes(load(clean)));
 
   for (int round = 0; round < 25; ++round) {
-    const std::string mutated =
-        rng.chance(0.5)
-            ? quality::flip_bits(clean, rng, 1 + rng.below(8))
-            : quality::truncate_tail(clean, rng);
+    const std::string mutated = mutate(clean, rng);
     try {
       const auto loaded = load(mutated);
       // A mutation that still loads must be a well-formed model:

@@ -140,6 +140,13 @@ TEST(ModelSource, MissingTrainedOnRecordsIssueButParsesOn) {
   EXPECT_EQ(model.metrics[0].apex_y, 2.0);
 }
 
+TEST(ModelSource, HeaderIsReadAsTokens) {
+  EXPECT_EQ(parse("spire-model v1 \n").version, 1);
+  EXPECT_EQ(parse("spire-model\tv1\n").version, 1);
+  EXPECT_EQ(parse("spire-model v01\n").version, -1);
+  EXPECT_EQ(parse("spire-model v1 v1\n").version, -1);
+}
+
 // --- registry and report --------------------------------------------------
 
 TEST(LintRegistry, BuiltinHasUniqueIdsAndSummaries) {
@@ -629,6 +636,74 @@ TEST(LintEndToEnd, LoaderAndLinterAgreeOnVersionMismatch) {
     const std::string what = e.what();
     EXPECT_NE(what.find("v9"), std::string::npos) << what;
     EXPECT_NE(what.find("v1"), std::string::npos) << what;
+  }
+}
+
+/// The line a load_model error names ("model: line N: ..."); 0 when the
+/// model loads.
+std::size_t load_error_line(const std::string& text) {
+  std::istringstream in(text);
+  try {
+    model::load_model(in);
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    const std::string prefix = "model: line ";
+    EXPECT_EQ(what.rfind(prefix, 0), 0u) << what;
+    return std::stoul(what.substr(prefix.size()));
+  }
+  return 0;
+}
+
+/// True when the report has a `rule` error at `line`.
+bool has_error_at(const LintReport& report, std::string_view rule,
+                  std::size_t line) {
+  for (const auto& f : report.findings) {
+    if (f.rule_id == rule && f.severity == LintSeverity::kError &&
+        f.line == line) {
+      return true;
+    }
+  }
+  return false;
+}
+
+TEST(LintEndToEnd, LintFlagsTheLineTheLoaderRejects) {
+  const std::string metric = "metric baclears.any trained_on=10 apex=4 2\n";
+  const std::string left = "left 3 0 0 2 1.5 4 2\n";
+  const std::string right = "right 2 4 2 8 1 8 1 inf 1\n";
+  const struct {
+    const char* what;
+    std::string text;
+    std::size_t line;  // where load_model stops; 0 when it loads
+  } cases[] = {
+      {"no apex= field",
+       "spire-model v1\nmetric baclears.any trained_on=10 4 2\n" + left +
+           right,
+       2},
+      {"a second apex= field",
+       "spire-model v1\nmetric baclears.any trained_on=10 apex=4 apex=2\n" +
+           left + right,
+       2},
+      {"a tail x1 spelled Infinity",
+       "spire-model v1\n" + metric + left +
+           "right 2 4 2 8 1 8 1 Infinity 1\n",
+       4},
+      {"a right line where the left line belongs",
+       "spire-model v1\n" + metric + right, 3},
+      {"a metric line where the right line belongs",
+       "spire-model v1\n" + metric + left + metric, 4},
+      {"a header with trailing whitespace",
+       "spire-model v1 \n" + metric + left + right, 0},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.what);
+    EXPECT_EQ(load_error_line(c.text), c.line);
+    const LintReport report = run_lint(c.text);
+    if (c.line == 0) {
+      EXPECT_TRUE(report.clean()) << report.describe();
+    } else {
+      EXPECT_TRUE(has_error_at(report, "model-structure", c.line))
+          << report.describe();
+    }
   }
 }
 

@@ -52,6 +52,7 @@ using model::Ensemble;
 using model::Estimate;
 using sampling::Dataset;
 using sampling::DatasetView;
+using test::expect_identical;
 using test::trained_ensemble;
 
 Dataset mixed_workload(std::uint64_t seed) {
@@ -74,21 +75,6 @@ Dataset mixed_workload(std::uint64_t seed) {
   }
   d.add(Event::kMemInstRetiredAllLoads, {-3.0, 1.0, 1.0});
   return d;
-}
-
-void expect_identical(const Estimate& a, const Estimate& b) {
-  EXPECT_EQ(a.throughput, b.throughput);
-  ASSERT_EQ(a.ranking.size(), b.ranking.size());
-  for (std::size_t i = 0; i < a.ranking.size(); ++i) {
-    EXPECT_EQ(a.ranking[i].metric, b.ranking[i].metric);
-    EXPECT_EQ(a.ranking[i].p_bar, b.ranking[i].p_bar);
-    EXPECT_EQ(a.ranking[i].samples, b.ranking[i].samples);
-  }
-  ASSERT_EQ(a.skipped.size(), b.skipped.size());
-  for (std::size_t i = 0; i < a.skipped.size(); ++i) {
-    EXPECT_EQ(a.skipped[i].metric, b.skipped[i].metric);
-    EXPECT_EQ(a.skipped[i].reason, b.skipped[i].reason);
-  }
 }
 
 std::string temp_path(const std::string& name) {

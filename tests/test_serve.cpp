@@ -12,7 +12,6 @@
 #include <unistd.h>
 
 #include <cmath>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -45,6 +44,7 @@ using model::Ensemble;
 using model::Estimate;
 using sampling::Dataset;
 using sampling::DatasetView;
+using test::expect_identical;
 using test::trained_ensemble;
 
 /// A workload exercising every estimate code path: usable samples across
@@ -76,27 +76,6 @@ Dataset mixed_workload(std::uint64_t seed) {
   // Estimate::skipped with the "no structurally usable samples" reason.
   d.add(Event::kMemInstRetiredAllLoads, {-3.0, 1.0, 1.0});
   return d;
-}
-
-bool same_bits(double a, double b) {
-  return std::memcmp(&a, &b, sizeof(double)) == 0;
-}
-
-void expect_identical(const Estimate& a, const Estimate& b) {
-  EXPECT_TRUE(same_bits(a.throughput, b.throughput))
-      << a.throughput << " vs " << b.throughput;
-  ASSERT_EQ(a.ranking.size(), b.ranking.size());
-  for (std::size_t i = 0; i < a.ranking.size(); ++i) {
-    EXPECT_EQ(a.ranking[i].metric, b.ranking[i].metric);
-    EXPECT_TRUE(same_bits(a.ranking[i].p_bar, b.ranking[i].p_bar))
-        << a.ranking[i].p_bar << " vs " << b.ranking[i].p_bar;
-    EXPECT_EQ(a.ranking[i].samples, b.ranking[i].samples);
-  }
-  ASSERT_EQ(a.skipped.size(), b.skipped.size());
-  for (std::size_t i = 0; i < a.skipped.size(); ++i) {
-    EXPECT_EQ(a.skipped[i].metric, b.skipped[i].metric);
-    EXPECT_EQ(a.skipped[i].reason, b.skipped[i].reason);
-  }
 }
 
 std::string temp_path(const std::string& name) {
